@@ -25,12 +25,10 @@ from .gf import (
     reindex_omega,
 )
 from .scalars import RootTwoScalar
-from .series import LinearForm, TriSeries, mul, reciprocal, trig_series
+from .series import LinearForm, TriSeries, reciprocal, trig_series
 from .triangle import Triangle, is_poupard_matrix, poupard_triangle, tangent_numbers
 from .trees import (
-    CountMatrix,
     Tree,
-    TreeStats,
     enumerate_trees,
     eoc,
     ha12_map,
@@ -39,13 +37,11 @@ from .trees import (
     pom,
     structural_census,
     tree_count,
-    tree_stats,
 )
 from .verify import run_checks
 
 __all__ = [
     "BuildStrategy",
-    "CountMatrix",
     "DeltaMatrix",
     "Inconsistent",
     "InsufficientMatrices",
@@ -53,7 +49,6 @@ __all__ = [
     "RootTwoScalar",
     "STRATEGIES",
     "Tree",
-    "TreeStats",
     "Triangle",
     "TriSeries",
     "Unresolved",
@@ -71,7 +66,6 @@ __all__ = [
     "lambda_rhs",
     "matrix_properties_check",
     "minimal_chain",
-    "mul",
     "omega_lhs",
     "omega_rhs",
     "pom",
@@ -83,7 +77,6 @@ __all__ = [
     "solve_constraints",
     "structural_census",
     "tangent_numbers",
-    "tree_stats",
     "tree_count",
     "trig_series",
 ]

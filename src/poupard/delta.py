@@ -181,9 +181,6 @@ def recurrence_instances(
 # Boundary conditions
 # ---------------------------------------------------------------------------
 
-BOUNDARY_TAGS = ("I1", "I2", "I3", "I4", "SW", "NE")
-
-
 def _marginal_row(prev: DeltaMatrix, width: int) -> List[int]:
     # f_{n-1}(1,.), ..., f_{n-1}(2n-2,.), 0, 0 padded to 2n entries
     sums = list(prev.row_sums())
@@ -407,59 +404,65 @@ class PropertyReport:
     failures: Tuple[str, ...]
 
 
-def matrix_properties_check(
-    mat: DeltaMatrix, prev: Optional[DeltaMatrix], triangle_row: Optional[Sequence[int]] = None
-) -> PropertyReport:
-    """Check the counter-diagonal symmetry, the sub/super-diagonal equality,
-    the crossing equalities, and (given M_{n-1}) the marginal difference
-    equations; optionally pin marginals against a 1-D triangle row."""
-    n = mat.n
-    w = 2 * n
-    failures: List[str] = []
+# Each predicate below returns a description of its identity's first failure,
+# or None when the identity holds.
 
-    def f(m, k):
-        return mat.value(m, k)
 
+def counter_diagonal_failure(mat: DeltaMatrix) -> Optional[str]:
+    """f_n(m,k) = f_n(2n+1-k, 2n+1-m) for every cell."""
+    w = 2 * mat.n
+    f = mat.value
     for m in range(1, w + 1):
         for k in range(1, w + 1):
             if f(m, k) != f(w + 1 - k, w + 1 - m):
-                failures.append(
+                return (
                     f"counter-diagonal symmetry fails at (m,k)=({m},{k}): "
                     f"{f(m,k)} != {f(w+1-k,w+1-m)}"
                 )
-                break
-        if failures:
-            break
+    return None
 
-    if n >= 2:
-        for k in range(1, w):
-            if f(k + 1, k) != f(k, k + 1):
-                failures.append(
-                    f"sub/super diagonal equality fails at k={k}: "
-                    f"{f(k+1,k)} != {f(k,k+1)}"
-                )
-                break
-        for k in range(2, w):
-            s1 = f(k + 1, k - 1) + f(k - 1, k + 1)
-            s2 = f(k + 1, k) + f(k - 1, k)
-            s3 = f(k, k + 1) + f(k, k - 1)
-            if not (s1 == s2 == s3):
-                failures.append(f"crossing equality fails at k={k}: {s1}, {s2}, {s3}")
-                break
 
+def sub_super_diagonal_failure(mat: DeltaMatrix) -> Optional[str]:
+    """f_n(k+1,k) = f_n(k,k+1); holds from n = 2 on (M_1 has f_1(2,1) = 1)."""
+    if mat.n < 2:
+        return None
+    f = mat.value
+    for k in range(1, 2 * mat.n):
+        if f(k + 1, k) != f(k, k + 1):
+            return f"sub/super diagonal equality fails at k={k}: {f(k+1,k)} != {f(k,k+1)}"
+    return None
+
+
+def crossing_failure(mat: DeltaMatrix) -> Optional[str]:
+    """f(k+1,k-1) + f(k-1,k+1) = f(k+1,k) + f(k-1,k) = f(k,k+1) + f(k,k-1)."""
+    f = mat.value
+    for k in range(2, 2 * mat.n):
+        s1 = f(k + 1, k - 1) + f(k - 1, k + 1)
+        s2 = f(k + 1, k) + f(k - 1, k)
+        s3 = f(k, k + 1) + f(k, k - 1)
+        if not (s1 == s2 == s3):
+            return f"crossing equality fails at k={k}: {s1}, {s2}, {s3}"
+    return None
+
+
+def marginals_failure(
+    mat: DeltaMatrix, prev: Optional[DeltaMatrix], triangle_row: Optional[Sequence[int]] = None
+) -> Optional[str]:
+    """The eoc/pom marginal equality; given M_{n-1}, the marginal difference
+    equations; given a 1-D triangle row, the marginals against it."""
+    n = mat.n
+    w = 2 * n
     if prev is not None:
         if prev.n != n - 1:
             raise ValueError(f"prev must be M_{n-1}, got M_{prev.n}")
         for m in range(1, w):
             lhs = mat.row_sum(m + 2) - 2 * mat.row_sum(m + 1) + mat.row_sum(m)
             if lhs + 2 * prev.row_sum(m) != 0:
-                failures.append(f"row-marginal difference equation fails at m={m}")
-                break
+                return f"row-marginal difference equation fails at m={m}"
         for k in range(0, w - 1):
             lhs = mat.col_sum(k + 2) - 2 * mat.col_sum(k + 1) + mat.col_sum(k)
             if lhs + 2 * prev.col_sum(k) != 0:
-                failures.append(f"column-marginal difference equation fails at k={k}")
-                break
+                return f"column-marginal difference equation fails at k={k}"
 
     # marginals against the 1-D triangle: row sums align at the same index,
     # column sums at index k+1 (the verified alignment).
@@ -467,35 +470,62 @@ def matrix_properties_check(
         tri = list(triangle_row)  # entries f_n(1..2n+1)
         for m in range(1, w + 1):
             if mat.row_sum(m) != tri[m - 1]:
-                failures.append(f"row marginal != triangle at m={m}")
-                break
+                return f"row marginal != triangle at m={m}"
         for k in range(1, w + 1):
             if mat.col_sum(k) != tri[k]:
-                failures.append(f"column marginal != triangle at k={k} (index k+1)")
-                break
+                return f"column marginal != triangle at k={k} (index k+1)"
 
     # the marginal equidistribution: #(eoc = k+1) = #(pom = k)
     for k in range(1, w + 1):
-        lhs = mat.row_sum(k + 1) if k + 1 <= w else 0
-        if lhs != mat.col_sum(k):
-            failures.append(f"eoc/pom marginal equality fails at k={k}")
-            break
+        if mat.row_sum(k + 1) != mat.col_sum(k):
+            return f"eoc/pom marginal equality fails at k={k}"
+    return None
 
-    return PropertyReport(n, not failures, tuple(failures))
+
+def recurrence_residuals(
+    mat: DeltaMatrix, prev: Optional[DeltaMatrix]
+) -> Iterator[Tuple[Instance, int]]:
+    """(instance, residual) for every R1-R4 instance of M_n; with prev=None
+    the residuals are the bare second differences of `mat`."""
+    values = {
+        (m, k): v for m, row in enumerate(mat.rows, 1) for k, v in enumerate(row, 1)
+    }
+    for inst in recurrence_instances(mat.n, prev, frozenset(_RECURRENCES)):
+        yield inst, inst.residual(values)
+
+
+def recurrence_failure(mat: DeltaMatrix, prev: DeltaMatrix) -> Optional[str]:
+    """Every R1-R4 instance of M_n has zero residual against M_{n-1}."""
+    for inst, r in recurrence_residuals(mat, prev):
+        if r != 0:
+            return f"{inst.tag} instance at cells {inst.cells} has residual {r}"
+    return None
+
+
+def matrix_properties_check(
+    mat: DeltaMatrix, prev: Optional[DeltaMatrix], triangle_row: Optional[Sequence[int]] = None
+) -> PropertyReport:
+    """Check the counter-diagonal symmetry, the sub/super-diagonal equality,
+    the crossing equalities, and (given M_{n-1}) the marginal difference
+    equations; optionally pin marginals against a 1-D triangle row."""
+    results = (
+        counter_diagonal_failure(mat),
+        sub_super_diagonal_failure(mat),
+        crossing_failure(mat),
+        marginals_failure(mat, prev, triangle_row),
+    )
+    failures = tuple(r for r in results if r is not None)
+    return PropertyReport(mat.n, not failures, failures)
 
 
 def eoc_pom_polynomial(mat: DeltaMatrix) -> Tuple[Tuple[int, ...], ...]:
     """Coefficient grid g_n(m,k) = f_n(m, 2n+1-k) of the symmetric joint
-    generating polynomial (the pom axis reversed); asserts g = g^T."""
-    n = mat.n
-    w = 2 * n
-    g = tuple(
+    generating polynomial (the pom axis reversed).  g = g^T is the
+    counter-diagonal symmetry of M_n; raises AssertionError if it fails."""
+    failure = counter_diagonal_failure(mat)
+    if failure is not None:
+        raise AssertionError(f"joint generating polynomial not symmetric: {failure}")
+    w = 2 * mat.n
+    return tuple(
         tuple(mat.value(m, w + 1 - k) for k in range(1, w + 1)) for m in range(1, w + 1)
     )
-    for m in range(w):
-        for k in range(w):
-            if g[m][k] != g[k][m]:
-                raise AssertionError(
-                    f"joint generating polynomial not symmetric at ({m+1},{k+1})"
-                )
-    return g

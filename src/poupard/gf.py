@@ -12,7 +12,7 @@ over 2 <= k+1 <= m <= 2n, and the upper-triangle entries into
 
 both truncated by total degree (a monomial from M_n has total degree 2n-2).
 All right-hand sides live in Q(sqrt2); the sqrt2-parts must cancel, which is
-asserted rather than assumed.
+checked rather than assumed.
 
 The same entries, reindexed, give infinite matrices lambda^(p), omega^(p)
 (slice p collects the p-th diagonal layer of lower/upper triangles).  These
@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .delta import DeltaMatrix
 from .scalars import HALF_SQRT2, SQRT2, ZERO, RootTwoScalar
-from .series import LinearForm, Monomial, TriSeries, mul, reciprocal, trig_series
+from .series import LinearForm, Monomial, TriSeries, reciprocal, trig_series
 
 Grid = Tuple[Tuple[int, ...], ...]
 
@@ -44,30 +44,14 @@ def _lookup(matrices: Sequence[DeltaMatrix], n: int) -> DeltaMatrix:
     raise InsufficientMatrices(f"M_{n} required but not supplied")
 
 
-def _zero_rt() -> RootTwoScalar:
-    return ZERO
-
-
 # ---------------------------------------------------------------------------
 # Linear forms used throughout
 # ---------------------------------------------------------------------------
 
-_R0 = RootTwoScalar(0)
-
-
-def _form(cx, cy, cz) -> LinearForm:
-    return LinearForm(cx, cy, cz)
-
-
-FORM_S2X = _form(SQRT2, _R0, _R0)  # sqrt2 * x
-FORM_S2Y = _form(_R0, SQRT2, _R0)
-FORM_S2Z = _form(_R0, _R0, SQRT2)
-FORM_XYZ_OVER_S2 = _form(HALF_SQRT2, HALF_SQRT2, HALF_SQRT2)  # (x+y+z)/sqrt2
-
-
-def _den_2cos2_xyz(cap: int) -> TriSeries:
-    c = trig_series("cos", FORM_XYZ_OVER_S2, cap)
-    return (c * c).scale(2)
+FORM_S2X = LinearForm(SQRT2, ZERO, ZERO)  # sqrt2 * x
+FORM_S2Y = LinearForm(ZERO, SQRT2, ZERO)
+FORM_S2Z = LinearForm(ZERO, ZERO, SQRT2)
+FORM_XYZ_OVER_S2 = LinearForm(HALF_SQRT2, HALF_SQRT2, HALF_SQRT2)  # (x+y+z)/sqrt2
 
 
 # ---------------------------------------------------------------------------
@@ -75,22 +59,27 @@ def _den_2cos2_xyz(cap: int) -> TriSeries:
 # ---------------------------------------------------------------------------
 
 
+def _over_2cos2_xyz(num: TriSeries, triangle: str) -> TriSeries:
+    """num / (2 cos^2((x+y+z)/sqrt2)), whose sqrt2-parts must cancel."""
+    c = trig_series("cos", FORM_XYZ_OVER_S2, num.cap)
+    out = num * reciprocal((c * c).scale(2))
+    if not out.is_rational():
+        raise ArithmeticError(f"sqrt2-parts must cancel in the {triangle}-triangle series")
+    return out
+
+
 def lambda_rhs(cap: int) -> TriSeries:
     """(cos(sqrt2 x) + cos(sqrt2 y) cos(sqrt2 z)) / (2 cos^2((x+y+z)/sqrt2))."""
-    num = trig_series("cos", FORM_S2X, cap) + mul(
-        trig_series("cos", FORM_S2Y, cap), trig_series("cos", FORM_S2Z, cap)
-    )
-    out = mul(num, reciprocal(_den_2cos2_xyz(cap)))
-    assert out.is_rational(), "sqrt2-parts must cancel in the lower-triangle series"
-    return out
+    num = trig_series("cos", FORM_S2X, cap) + trig_series(
+        "cos", FORM_S2Y, cap
+    ) * trig_series("cos", FORM_S2Z, cap)
+    return _over_2cos2_xyz(num, "lower")
 
 
 def omega_rhs(cap: int) -> TriSeries:
     """sin(sqrt2 x) sin(sqrt2 z) / (2 cos^2((x+y+z)/sqrt2))."""
-    num = mul(trig_series("sin", FORM_S2X, cap), trig_series("sin", FORM_S2Z, cap))
-    out = mul(num, reciprocal(_den_2cos2_xyz(cap)))
-    assert out.is_rational(), "sqrt2-parts must cancel in the upper-triangle series"
-    return out
+    num = trig_series("sin", FORM_S2X, cap) * trig_series("sin", FORM_S2Z, cap)
+    return _over_2cos2_xyz(num, "upper")
 
 
 def required_matrix_count(cap: int) -> int:
@@ -98,45 +87,40 @@ def required_matrix_count(cap: int) -> int:
     return (cap + 2) // 2
 
 
-def lambda_lhs(cap: int, matrices: Sequence[DeltaMatrix]) -> TriSeries:
-    """Assemble the lower-triangle series directly from matrix entries."""
+def _triangle_series(
+    cap: int,
+    matrices: Sequence[DeltaMatrix],
+    exponents: Callable[[int, int, int], Optional[Monomial]],
+) -> TriSeries:
+    """sum f_n(m,k) x^i y^j z^l / (i! j! l!) over the cells where
+    exponents(2n, m, k) gives (i, j, l); each monomial comes from one cell."""
     coeffs: Dict[Monomial, RootTwoScalar] = {}
     for n in range(1, required_matrix_count(cap) + 1):
         mat = _lookup(matrices, n)
-        if 2 * n - 2 > cap:
-            continue
-        for m in range(2, 2 * n + 1):
-            for k in range(1, m):
-                v = mat.value(m, k)
-                if v == 0:
-                    continue
-                i, j, l = m - k - 1, k - 1, 2 * n - m
-                q = Fraction(v, factorial(i) * factorial(j) * factorial(l))
-                mono = (i, j, l)
-                prev = coeffs.get(mono, _zero_rt())
-                coeffs[mono] = prev + RootTwoScalar(q)
+        for m, row in enumerate(mat.rows, 1):
+            for k, v in enumerate(row, 1):
+                mono = exponents(2 * n, m, k)
+                if v and mono is not None:
+                    i, j, l = mono
+                    coeffs[mono] = RootTwoScalar(
+                        Fraction(v, factorial(i) * factorial(j) * factorial(l))
+                    )
     return TriSeries(cap, coeffs)
+
+
+def lambda_lhs(cap: int, matrices: Sequence[DeltaMatrix]) -> TriSeries:
+    """Assemble the lower-triangle series directly from matrix entries."""
+    return _triangle_series(
+        cap, matrices, lambda w, m, k: (m - k - 1, k - 1, w - m) if k < m else None
+    )
 
 
 def omega_lhs(cap: int, matrices: Sequence[DeltaMatrix]) -> TriSeries:
     """Assemble the upper-triangle series (column 2n is zero, so summing the
     full upper triangle matches the k <= 2n-1 statement)."""
-    coeffs: Dict[Monomial, RootTwoScalar] = {}
-    for n in range(1, required_matrix_count(cap) + 1):
-        mat = _lookup(matrices, n)
-        if 2 * n - 2 > cap:
-            continue
-        for m in range(1, 2 * n):
-            for k in range(m + 1, 2 * n + 1):
-                v = mat.value(m, k)
-                if v == 0:
-                    continue
-                i, j, l = 2 * n - k, k - m - 1, m - 1
-                q = Fraction(v, factorial(i) * factorial(j) * factorial(l))
-                mono = (i, j, l)
-                prev = coeffs.get(mono, _zero_rt())
-                coeffs[mono] = prev + RootTwoScalar(q)
-    return TriSeries(cap, coeffs)
+    return _triangle_series(
+        cap, matrices, lambda w, m, k: (w - k, k - m - 1, m - 1) if m < k else None
+    )
 
 
 def swap_variables(series: TriSeries, perm: Tuple[int, int, int]) -> TriSeries:
@@ -214,67 +198,29 @@ def boundary_relations_check(
 # ---------------------------------------------------------------------------
 
 
-def lambda_grid_egf(p: int, cap: int, matrices: Sequence[DeltaMatrix]) -> TriSeries:
-    """sum lambda^(p)_{i,j} x^i y^j / (i! j!) to total degree cap."""
+def _bivariate_egf(value: Callable[[int, int], int], cap: int) -> TriSeries:
+    """sum value(i, j) x^i y^j / (i! j!) to total degree cap.  With
+    value(i, j) = c(i + j) this is sum_t c(t) (x+y)^t / t!."""
     coeffs: Dict[Monomial, RootTwoScalar] = {}
     for i in range(cap + 1):
         for j in range(cap + 1 - i):
-            v = lambda_entry(p, i, j, matrices)
+            v = value(i, j)
             if v:
-                coeffs[(i, j, 0)] = RootTwoScalar(
-                    Fraction(v, factorial(i) * factorial(j))
-                )
+                coeffs[(i, j, 0)] = RootTwoScalar(Fraction(v, factorial(i) * factorial(j)))
     return TriSeries(cap, coeffs)
 
 
-def omega_grid_egf(p: int, cap: int, matrices: Sequence[DeltaMatrix]) -> TriSeries:
-    coeffs: Dict[Monomial, RootTwoScalar] = {}
-    for i in range(cap + 1):
-        for j in range(cap + 1 - i):
-            v = omega_entry(p, i, j, matrices)
-            if v:
-                coeffs[(i, j, 0)] = RootTwoScalar(
-                    Fraction(v, factorial(i) * factorial(j))
-                )
-    return TriSeries(cap, coeffs)
+def grid_egf(
+    entry: Callable[..., int], p: int, cap: int, matrices: Sequence[DeltaMatrix]
+) -> TriSeries:
+    """sum g^(p)_{i,j} x^i y^j / (i! j!) to total degree cap, where g is
+    lambda_entry or omega_entry."""
+    return _bivariate_egf(lambda i, j: entry(p, i, j, matrices), cap)
 
 
-def _lambda_column_at_xy(q: int, cap: int, matrices: Sequence[DeltaMatrix]) -> TriSeries:
-    """Column-q exponential generating function of lambda^(1), composed at
-    x+y: sum_i lambda^(1)_{i,q} (x+y)^i / i!."""
-    coeffs: Dict[Monomial, RootTwoScalar] = {}
-    for total in range(cap + 1):
-        v = lambda_entry(1, total, q, matrices)
-        if not v:
-            continue
-        for a in range(total + 1):
-            b = total - a
-            mono = (a, b, 0)
-            add = RootTwoScalar(Fraction(v, factorial(a) * factorial(b)))
-            prev = coeffs.get(mono, _zero_rt())
-            coeffs[mono] = prev + add
-    return TriSeries(cap, coeffs)
-
-
-def _omega_row_at_xy(p: int, cap: int, matrices: Sequence[DeltaMatrix]) -> TriSeries:
-    """Row-1 exponential generating function of omega^(p) composed at x+y."""
-    coeffs: Dict[Monomial, RootTwoScalar] = {}
-    for total in range(cap + 1):
-        v = omega_entry(p, 1, total, matrices)
-        if not v:
-            continue
-        for a in range(total + 1):
-            b = total - a
-            mono = (a, b, 0)
-            add = RootTwoScalar(Fraction(v, factorial(a) * factorial(b)))
-            prev = coeffs.get(mono, _zero_rt())
-            coeffs[mono] = prev + add
-    return TriSeries(cap, coeffs)
-
-
-FORM_XY_OVER_S2 = _form(HALF_SQRT2, HALF_SQRT2, _R0)  # (x+y)/sqrt2
-FORM_XmY_OVER_S2 = _form(HALF_SQRT2, -HALF_SQRT2, _R0)  # (x-y)/sqrt2
-FORM_S2_XY = _form(SQRT2, SQRT2, _R0)  # sqrt2*(x+y)
+FORM_XY_OVER_S2 = LinearForm(HALF_SQRT2, HALF_SQRT2, ZERO)  # (x+y)/sqrt2
+FORM_XmY_OVER_S2 = LinearForm(HALF_SQRT2, -HALF_SQRT2, ZERO)  # (x-y)/sqrt2
+FORM_S2_XY = LinearForm(SQRT2, SQRT2, ZERO)  # sqrt2*(x+y)
 
 
 def lambda1_closed_forms(cap: int, matrices: Sequence[DeltaMatrix]) -> List[str]:
@@ -291,26 +237,24 @@ def lambda1_closed_forms(cap: int, matrices: Sequence[DeltaMatrix]) -> List[str]
     Returns failure descriptions; empty means all identities hold.
     """
     failures: List[str] = []
-    grid1 = lambda_grid_egf(1, cap, matrices)
+    grid1 = grid_egf(lambda_entry, 1, cap, matrices)
 
     cos_xy = trig_series("cos", FORM_XY_OVER_S2, cap)
-    form_a = mul(trig_series("cos", FORM_XmY_OVER_S2, cap), reciprocal(cos_xy))
+    form_a = trig_series("cos", FORM_XmY_OVER_S2, cap) * reciprocal(cos_xy)
     if form_a != grid1:
         failures.append("cos-ratio closed form != lambda^(1) grid series")
 
     # sine form has a non-unit denominator: compare by cross-multiplication
     sin_sum = trig_series("sin", FORM_S2X, cap) + trig_series("sin", FORM_S2Y, cap)
     sin_xy = trig_series("sin", FORM_S2_XY, cap)
-    if mul(grid1, sin_xy) != sin_sum:
+    if grid1 * sin_xy != sin_sum:
         failures.append("sine-ratio closed form != lambda^(1) grid series")
-    if mul(sin_sum, cos_xy) != mul(
-        trig_series("cos", FORM_XmY_OVER_S2, cap), sin_xy
-    ):
+    if sin_sum * cos_xy != trig_series("cos", FORM_XmY_OVER_S2, cap) * sin_xy:
         failures.append("sine-ratio and cos-ratio closed forms disagree")
 
     cos_sum = trig_series("cos", FORM_S2X, cap) + trig_series("cos", FORM_S2Y, cap)
     den = (cos_xy * cos_xy).scale(2)
-    form_c = mul(cos_sum, reciprocal(den))
+    form_c = cos_sum * reciprocal(den)
     if form_c != grid1:
         failures.append("cosine-sum closed form != lambda^(1) grid series")
 
@@ -321,11 +265,8 @@ def lambda1_closed_forms(cap: int, matrices: Sequence[DeltaMatrix]) -> List[str]
         failures.append("lambda^(1)(x,0) or lambda^(1)(0,y) differs from 1")
 
     # omega^(1): sin(sqrt2 x) / (sqrt2 cos^2((x+y)/sqrt2))
-    omega1 = omega_grid_egf(1, cap, matrices)
-    om_closed = mul(
-        trig_series("sin", FORM_S2X, cap),
-        reciprocal((cos_xy * cos_xy).scale(SQRT2)),
-    )
+    omega1 = grid_egf(omega_entry, 1, cap, matrices)
+    om_closed = trig_series("sin", FORM_S2X, cap) * reciprocal((cos_xy * cos_xy).scale(SQRT2))
     if om_closed != omega1:
         failures.append("omega^(1) closed form != omega^(1) grid series")
 
@@ -333,15 +274,20 @@ def lambda1_closed_forms(cap: int, matrices: Sequence[DeltaMatrix]) -> List[str]
     cos_s2y = trig_series("cos", FORM_S2Y, cap)
     sin_s2y_over = trig_series("sin", FORM_S2Y, cap).scale(HALF_SQRT2)
     sin_s2x_over = trig_series("sin", FORM_S2X, cap).scale(HALF_SQRT2)
+
+    def lambda1_column_at_xy(q: int) -> TriSeries:
+        return _bivariate_egf(lambda i, j: lambda_entry(1, i + j, q, matrices), cap)
+
+    def omega_row1_at_xy(p: int) -> TriSeries:
+        return _bivariate_egf(lambda i, j: omega_entry(p, 1, i + j, matrices), cap)
+
     for p in range(1, 5):
-        gridp = lambda_grid_egf(p, cap, matrices)
-        composed = mul(_lambda_column_at_xy(p - 1, cap, matrices), cos_s2y) + mul(
-            _lambda_column_at_xy(p, cap, matrices), sin_s2y_over
+        composed = (
+            lambda1_column_at_xy(p - 1) * cos_s2y + lambda1_column_at_xy(p) * sin_s2y_over
         )
-        if composed != gridp:
+        if composed != grid_egf(lambda_entry, p, cap, matrices):
             failures.append(f"column composition fails for lambda^({p})")
-        ogridp = omega_grid_egf(p, cap, matrices)
-        ocomposed = mul(sin_s2x_over, _omega_row_at_xy(p, cap, matrices))
-        if ocomposed != ogridp:
+        ocomposed = sin_s2x_over * omega_row1_at_xy(p)
+        if ocomposed != grid_egf(omega_entry, p, cap, matrices):
             failures.append(f"row composition fails for omega^({p})")
     return failures

@@ -38,9 +38,6 @@ class VerifyReport:
     def add(self, record: CheckRecord) -> None:
         self.checks.append(record)
 
-    def extend(self, records: List[CheckRecord]) -> None:
-        self.checks.extend(records)
-
     def sorted_checks(self) -> List[CheckRecord]:
         return sorted(self.checks, key=lambda r: (r.name, json.dumps(r.params, sort_keys=True)))
 

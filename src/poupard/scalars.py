@@ -23,20 +23,6 @@ class RootTwoScalar:
         self.a = Fraction(a)
         self.b = Fraction(b)
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "RootTwoScalar":
-        return RootTwoScalar(0, 0)
-
-    @staticmethod
-    def one() -> "RootTwoScalar":
-        return RootTwoScalar(1, 0)
-
-    @staticmethod
-    def sqrt2() -> "RootTwoScalar":
-        return RootTwoScalar(0, 1)
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "RootTwoScalar") -> "RootTwoScalar":
@@ -93,7 +79,7 @@ class RootTwoScalar:
         return f"{self.a}+{self.b}*sqrt2"
 
 
-ZERO = RootTwoScalar.zero()
-ONE = RootTwoScalar.one()
-SQRT2 = RootTwoScalar.sqrt2()
+ZERO = RootTwoScalar(0, 0)
+ONE = RootTwoScalar(1, 0)
+SQRT2 = RootTwoScalar(0, 1)
 HALF_SQRT2 = RootTwoScalar(0, Fraction(1, 2))  # 1/sqrt(2)

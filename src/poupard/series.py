@@ -140,11 +140,6 @@ class TriSeries:
         return TriSeries(self.cap, {m: c * value for m, c in self.coeffs.items()})
 
 
-def mul(a: TriSeries, b: TriSeries) -> TriSeries:
-    """Exact truncated product; equal caps required."""
-    return a * b
-
-
 def reciprocal(a: TriSeries) -> TriSeries:
     """Multiplicative inverse up to the cap.
 

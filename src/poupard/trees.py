@@ -25,7 +25,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .triangle import tangent_numbers
+from .delta import DeltaMatrix
+from .triangle import poupard_triangle
 
 # Largest shape size kept in the memo table; bigger sizes stream recursively.
 _MEMO_MAX_SIZE = 11
@@ -128,17 +129,6 @@ class Tree:
             children[int(head)] = (min(ca, cb), max(ca, cb))
         return Tree(n=n, children=children)
 
-    def in_subtree(self, label: int, root: int) -> bool:
-        """True iff `label` lies in the subtree rooted at `root`."""
-        par = self.parents()
-        w = label
-        while True:
-            if w == root:
-                return True
-            if w == 1:
-                return False
-            w = par[w]
-
 
 # ---------------------------------------------------------------------------
 # Enumeration
@@ -200,13 +190,11 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
 
 
 def tree_count(n: int) -> int:
-    """|T_{2n+1}| = T_{2n+1} / 2^n, computed without enumeration."""
+    """|T_{2n+1}| = T_{2n+1} / 2^n: the sum of row n of the Poupard triangle,
+    computed without enumeration."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    t = tangent_numbers(n + 1)[n]
-    q, r = divmod(t, 2**n)
-    assert r == 0, "tangent number not divisible by 2^n"
-    return q
+    return sum(poupard_triangle(n).row(n))
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +226,6 @@ def pom(t: Tree) -> int:
     return t.parents()[2 * t.n + 1]
 
 
-@dataclass(frozen=True)
-class TreeStats:
-    """Both statistics of one tree together with its minimal chain."""
-
-    eoc: int
-    pom: int
-    chain: Tuple[int, ...]
-
-
-def tree_stats(t: Tree) -> TreeStats:
-    chain = minimal_chain(t)
-    return TreeStats(eoc=eoc(t), pom=pom(t), chain=tuple(chain))
-
-
 def ha12_map(t: Tree) -> Tree:
     """The chain-shift bijection with eoc(t) = pom(ha12_map(t)) + 1.
 
@@ -278,22 +252,6 @@ def ha12_map(t: Tree) -> Tree:
 # ---------------------------------------------------------------------------
 # Joint distribution and structural censuses
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CountMatrix:
-    """(2n)x(2n) grid; entry (m, k), 1-based, counts trees with eoc=m, pom=k."""
-
-    n: int
-    counts: Tuple[Tuple[int, ...], ...]
-
-    def value(self, m: int, k: int) -> int:
-        if 1 <= m <= 2 * self.n and 1 <= k <= 2 * self.n:
-            return self.counts[m - 1][k - 1]
-        return 0
-
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
 
 
 #: structural_census condition tags
@@ -382,10 +340,10 @@ def census_tables(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> CensusTable
     return CensusTables(n, freeze(joint), freeze(r1w), freeze(r2o), freeze(r2i))
 
 
-def joint_distribution(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> CountMatrix:
-    """Exact joint (eoc, pom) counts on T_{2n+1} by full enumeration."""
-    tables = census_tables(n, limit)
-    return CountMatrix(n, tables.joint)
+def joint_distribution(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> DeltaMatrix:
+    """Exact joint (eoc, pom) counts on T_{2n+1} by full enumeration; entry
+    (m, k) counts the trees with eoc = m and pom = k."""
+    return DeltaMatrix(n, census_tables(n, limit).joint)
 
 
 def structural_census(

@@ -7,8 +7,7 @@ The triangle rows f_n(1..2n+1) solve the one-dimensional difference system
 
 with f_0 = [1], f_n(1) = 0 and f_n(2) = sum of row n-1.  Row sums are the
 odd tangent numbers divided by powers of two (A008301 reads the rows
-flattened).  Tangent numbers come from exact division of the sine and cosine
-Taylor series, so there is a single source of truth for them in the package.
+flattened), and they are the package's single source of tangent numbers.
 """
 
 from __future__ import annotations
@@ -16,9 +15,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
-
-from .scalars import ONE, RootTwoScalar
-from .series import LinearForm, mul, reciprocal, trig_series
 
 
 @dataclass(frozen=True)
@@ -76,23 +72,10 @@ def poupard_triangle(n_max: int) -> Triangle:
 
 
 def tangent_numbers(count: int) -> List[int]:
-    """T_1, T_3, ..., T_{2*count-1} from the exact series tan = sin / cos."""
+    """T_1, T_3, ..., T_{2*count-1}, each 2^n times the sum of triangle row n."""
     if count < 1:
         raise ValueError("count must be positive")
-    cap = 2 * count - 1
-    u = LinearForm(ONE, RootTwoScalar(0), RootTwoScalar(0))
-    tan = mul(trig_series("sin", u, cap), reciprocal(trig_series("cos", u, cap)))
-    out = []
-    fact = 1
-    for k in range(1, cap + 1):
-        fact *= k
-        if k % 2 == 1:
-            c = tan.coefficient((k, 0, 0))
-            assert c.is_rational(), "tangent coefficients must be rational"
-            t = c.a * fact
-            assert t.denominator == 1, "tangent numbers must be integers"
-            out.append(int(t))
-    return out
+    return [sum(row) * 2**n for n, row in enumerate(poupard_triangle(count - 1).rows)]
 
 
 class PoupardCheck(NamedTuple):

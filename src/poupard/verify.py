@@ -11,19 +11,23 @@ import json
 from pathlib import Path
 from typing import Sequence
 
-from . import gf, trees
+from . import gf
 from .delta import (
     STRATEGIES,
     DeltaMatrix,
     build_matrix,
+    counter_diagonal_failure,
+    crossing_failure,
     delta_matrices,
-    eoc_pom_polynomial,
-    matrix_properties_check,
-    region_cells,
+    marginals_failure,
+    recurrence_failure,
+    recurrence_residuals,
+    sub_super_diagonal_failure,
 )
 from .report import SKIPPED, CheckRecord, VerifyReport, timed_check
 from .triangle import is_poupard_matrix, poupard_triangle
 from .trees import (
+    Tree,
     census_tables,
     enumerate_trees,
     eoc,
@@ -50,15 +54,16 @@ ALL_CHECKS = (
     "closed-forms",
 )
 
-ENUMERATION_CAP = 6  # default ceiling for enumeration-backed suites
+#: default n ceilings of the enumeration-backed suites; --force lifts them
+ENUMERATION_CAPS = {"enumeration": 6, "bijection": 5, "census": 5}
 
 
 def load_fixture_matrix(n: int) -> DeltaMatrix:
     return DeltaMatrix.from_json((FIXTURES / f"matrix_{n}.json").read_text())
 
 
-def _enum_limit(n_max: int, force: bool) -> int:
-    return n_max if force else min(n_max, ENUMERATION_CAP)
+def _enum_limit(n_max: int, force: bool, cap: int) -> int:
+    return n_max if force else min(n_max, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +89,7 @@ def check_golden(report: VerifyReport, n_max: int) -> None:
 
     with timed_check(report, "golden/bijection-pair", {}) as failures:
         pair = json.loads((FIXTURES / "bijection_pair.json").read_text())
-        src = trees.Tree.deserialize(pair["source"])
+        src = Tree.deserialize(pair["source"])
         image = ha12_map(src)
         if image.serialize() != pair["image"]:
             failures.append(f"map image {image.serialize()!r} != fixture {pair['image']!r}")
@@ -106,7 +111,7 @@ def check_equivalence(report: VerifyReport, n_max: int) -> None:
 
 
 def check_enumeration(report: VerifyReport, n_max: int, force: bool) -> None:
-    limit = _enum_limit(n_max, force)
+    limit = _enum_limit(n_max, force, ENUMERATION_CAPS["enumeration"])
     totals = []
     for n in range(1, n_max + 1):
         if n > limit:
@@ -123,7 +128,7 @@ def check_enumeration(report: VerifyReport, n_max: int, force: bool) -> None:
             if dist.total() != expected:
                 failures.append(f"enumerated {dist.total()} trees, expected {expected}")
             mat = build_matrix(n, "D1")
-            if dist.counts != mat.rows:
+            if dist != mat:
                 failures.append("joint (eoc, pom) counts differ from the built matrix")
             totals.append(dist.total())
     with timed_check(
@@ -134,42 +139,27 @@ def check_enumeration(report: VerifyReport, n_max: int, force: bool) -> None:
             failures.append(f"totals {totals} != {expected}")
 
 
+def _check_each(
+    report: VerifyReport, name: str, n_min: int, n_max: int, predicate
+) -> None:
+    """One check per n, recording the first failure of predicate(M_n)."""
+    for n in range(n_min, n_max + 1):
+        with timed_check(report, name, {"n": n}) as failures:
+            failure = predicate(build_matrix(n, "D1"))
+            if failure is not None:
+                failures.append(failure)
+
+
 def check_symmetry(report: VerifyReport, n_max: int) -> None:
-    for n in range(1, n_max + 1):
-        with timed_check(report, "symmetry/counter-diagonal", {"n": n}) as failures:
-            mat = build_matrix(n, "D1")
-            w = 2 * n
-            for m in range(1, w + 1):
-                for k in range(1, w + 1):
-                    if mat.value(m, k) != mat.value(w + 1 - k, w + 1 - m):
-                        failures.append(f"(m,k)=({m},{k})")
-                        break
-                if failures:
-                    break
-            eoc_pom_polynomial(mat)  # raises if the reversed grid is asymmetric
+    _check_each(report, "symmetry/counter-diagonal", 1, n_max, counter_diagonal_failure)
 
 
 def check_diagonals(report: VerifyReport, n_max: int) -> None:
-    for n in range(2, n_max + 1):
-        with timed_check(report, "diagonals/sub-super", {"n": n}) as failures:
-            mat = build_matrix(n, "D1")
-            for k in range(1, 2 * n):
-                if mat.value(k + 1, k) != mat.value(k, k + 1):
-                    failures.append(f"k={k}")
-                    break
+    _check_each(report, "diagonals/sub-super", 2, n_max, sub_super_diagonal_failure)
 
 
 def check_crossing(report: VerifyReport, n_max: int) -> None:
-    for n in range(2, n_max + 1):
-        with timed_check(report, "crossing/equalities", {"n": n}) as failures:
-            mat = build_matrix(n, "D1")
-            for k in range(2, 2 * n):
-                s1 = mat.value(k + 1, k - 1) + mat.value(k - 1, k + 1)
-                s2 = mat.value(k + 1, k) + mat.value(k - 1, k)
-                s3 = mat.value(k, k + 1) + mat.value(k, k - 1)
-                if not (s1 == s2 == s3):
-                    failures.append(f"k={k}: {s1}, {s2}, {s3}")
-                    break
+    _check_each(report, "crossing/equalities", 2, n_max, crossing_failure)
 
 
 def check_marginals(report: VerifyReport, n_max: int) -> None:
@@ -178,8 +168,9 @@ def check_marginals(report: VerifyReport, n_max: int) -> None:
         with timed_check(report, "marginals/identities", {"n": n}) as failures:
             mat = build_matrix(n, "D1")
             prev = build_matrix(n - 1, "D1") if n >= 2 else None
-            result = matrix_properties_check(mat, prev, tri.row(n))
-            failures.extend(result.failures)
+            failure = marginals_failure(mat, prev, tri.row(n))
+            if failure is not None:
+                failures.append(failure)
 
     # The stated doubled initial condition contradicts the data; record the
     # demonstration (pass = the doubled form fails AND the plain form holds).
@@ -209,7 +200,7 @@ def check_marginals(report: VerifyReport, n_max: int) -> None:
 
 
 def check_bijection(report: VerifyReport, n_max: int, force: bool) -> None:
-    limit = n_max if force else min(n_max, 5)
+    limit = _enum_limit(n_max, force, ENUMERATION_CAPS["bijection"])
     for n in range(1, limit + 1):
         with timed_check(report, "bijection/chain-shift", {"n": n}) as failures:
             seen = set()
@@ -232,69 +223,28 @@ def check_bijection(report: VerifyReport, n_max: int, force: bool) -> None:
 
 
 def check_census(report: VerifyReport, n_max: int, force: bool) -> None:
-    limit = _enum_limit(min(n_max, 5), force)
+    limit = _enum_limit(n_max, force, ENUMERATION_CAPS["census"])
     # enumeration-backed second differences against structural witnesses
     for n in range(2, limit + 1):
         with timed_check(report, "census/second-difference", {"n": n}) as failures:
-            tables = census_tables(n, limit=max(limit, n))
-            joint = trees.CountMatrix(n, tables.joint)
-
-            def d2m(m, k):
-                return joint.value(m + 2, k) - 2 * joint.value(m + 1, k) + joint.value(m, k)
-
-            def d2k(m, k):
-                return joint.value(m, k + 2) - 2 * joint.value(m, k + 1) + joint.value(m, k)
-
-            for (m, k) in list(region_cells("L1", n)) + list(region_cells("U2", n)):
-                witness = tables.r1_witness[m - 1][k - 1]
-                if d2m(m, k) + 2 * witness != 0:
-                    failures.append(f"row second difference at (m,k)=({m},{k})")
+            tables = census_tables(n, limit=limit)
+            # R1/R3 are row second differences, R2/R4 column ones
+            for inst, d2 in recurrence_residuals(DeltaMatrix(n, tables.joint), None):
+                m, k = inst.cells[0]
+                if inst.tag in ("R1", "R3"):
+                    witness = tables.r1_witness[m - 1][k - 1]
+                else:
+                    witness = tables.r2_outside[m - 1][k - 1] + tables.r2_inside[m - 1][k - 1]
+                if d2 + 2 * witness != 0:
+                    failures.append(f"{inst.tag} second difference at (m,k)=({m},{k})")
                     break
-            if not failures:
-                for (m, k) in list(region_cells("L2", n)) + list(region_cells("U1", n)):
-                    out = tables.r2_outside[m - 1][k - 1]
-                    ins = tables.r2_inside[m - 1][k - 1]
-                    if d2k(m, k) + 2 * (out + ins) != 0:
-                        failures.append(f"column second difference at (m,k)=({m},{k})")
-                        break
 
     # the reduced recurrences as pure matrix identities
     for n in range(2, n_max + 1):
         with timed_check(report, "census/matrix-recurrences", {"n": n}) as failures:
-            mat = build_matrix(n, "D1")
-            prev = build_matrix(n - 1, "D1")
-            for (m, k) in region_cells("L1", n):
-                if (
-                    mat.value(m + 2, k) - 2 * mat.value(m + 1, k) + mat.value(m, k)
-                    + 2 * prev.value(m, k)
-                    != 0
-                ):
-                    failures.append(f"lower row recurrence at ({m},{k})")
-                    break
-            for (m, k) in region_cells("U2", n):
-                if (
-                    mat.value(m + 2, k) - 2 * mat.value(m + 1, k) + mat.value(m, k)
-                    + 2 * prev.value(m, k - 2)
-                    != 0
-                ):
-                    failures.append(f"upper row recurrence at ({m},{k})")
-                    break
-            for (m, k) in region_cells("L2", n):
-                if (
-                    mat.value(m, k + 2) - 2 * mat.value(m, k + 1) + mat.value(m, k)
-                    + 2 * prev.value(m - 2, k)
-                    != 0
-                ):
-                    failures.append(f"lower column recurrence at ({m},{k})")
-                    break
-            for (m, k) in region_cells("U1", n):
-                if (
-                    mat.value(m, k + 2) - 2 * mat.value(m, k + 1) + mat.value(m, k)
-                    + 2 * prev.value(m, k)
-                    != 0
-                ):
-                    failures.append(f"upper column recurrence at ({m},{k})")
-                    break
+            failure = recurrence_failure(build_matrix(n, "D1"), build_matrix(n - 1, "D1"))
+            if failure is not None:
+                failures.append(failure)
 
 
 def check_gf(report: VerifyReport, cap: int) -> None:
@@ -356,6 +306,8 @@ def run_checks(
     selected = list(dict.fromkeys(checks))
     if "all" in selected:
         selected = list(ALL_CHECKS)
+    if not selected:
+        raise ValueError(f"no checks selected; available: {ALL_CHECKS}")
     unknown = [c for c in selected if c not in ALL_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {ALL_CHECKS}")

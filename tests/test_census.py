@@ -2,12 +2,9 @@
 
 import pytest
 
-from poupard.delta import build_matrix, region_cells
-from poupard.trees import (
-    CountMatrix,
-    census_tables,
-    structural_census,
-)
+from poupard.delta import DeltaMatrix, build_matrix, region_cells
+from poupard.trees import census_tables, structural_census
+from poupard.verify import run_checks
 
 
 def test_structural_census_examples():
@@ -27,7 +24,7 @@ def test_unknown_condition_rejected():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_row_second_difference_identity(n):
     tables = census_tables(n)
-    joint = CountMatrix(n, tables.joint)
+    joint = DeltaMatrix(n, tables.joint)
     for (m, k) in list(region_cells("L1", n)) + list(region_cells("U2", n)):
         d2 = joint.value(m + 2, k) - 2 * joint.value(m + 1, k) + joint.value(m, k)
         assert d2 + 2 * tables.r1_witness[m - 1][k - 1] == 0, (n, m, k)
@@ -36,7 +33,7 @@ def test_row_second_difference_identity(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_column_second_difference_identity(n):
     tables = census_tables(n)
-    joint = CountMatrix(n, tables.joint)
+    joint = DeltaMatrix(n, tables.joint)
     for (m, k) in list(region_cells("L2", n)) + list(region_cells("U1", n)):
         d2 = joint.value(m, k + 2) - 2 * joint.value(m, k + 1) + joint.value(m, k)
         outside = tables.r2_outside[m - 1][k - 1]
@@ -98,3 +95,10 @@ def test_matrix_recurrences(n):
             + 2 * prev.value(m, k)
             == 0
         )
+
+
+def test_force_lifts_census_cap():
+    report = run_checks(["census"], n_max=6, force=True)
+    assert report.passed()
+    ns = {r.params["n"] for r in report.checks if r.name == "census/second-difference"}
+    assert ns == {2, 3, 4, 5, 6}

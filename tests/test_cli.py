@@ -1,5 +1,6 @@
 """Command-line behaviour: formats, exit codes, determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -99,10 +100,15 @@ def test_verify_json_report(capsys):
     assert "checks" in err  # human summary goes to stderr with --json
 
 
-def test_verify_unknown_check(capsys):
-    code, _, err = run_cli(capsys, "verify", "--checks", "nonsense")
+@pytest.mark.parametrize(
+    "checks, message",
+    [("nonsense", "unknown checks"), ("", "no checks selected"), (",,", "no checks selected")],
+    ids=["nonsense", "empty", "commas"],
+)
+def test_verify_unknown_check(capsys, checks, message):
+    code, _, err = run_cli(capsys, "verify", "--checks", checks)
     assert code == 2
-    assert "unknown checks" in err
+    assert message in err
 
 
 def test_verify_detects_corrupted_golden(tmp_path, monkeypatch, capsys):
@@ -139,6 +145,36 @@ def test_export_writes_artifacts(tmp_path, capsys):
     # round-trip one exported matrix
     data = json.loads((tmp_path / "art" / "matrix_2.json").read_text())
     assert data["rows"][2][0] == 1
+
+
+# sha256 of every file `poupard export --n-max 5 --cap 10` writes
+EXPORT_DIGESTS = {
+    "gf_lambda.txt": "970b6d337fa18ccf89a026a50c86b7d9f4a10841b87b988f0c6a12c3d2deaa69",
+    "gf_omega.txt": "2feb26a365798b8916434cd45f434ba6fcd103a400a7e7e28bbde59fcae71359",
+    "matrix_1.csv": "ff3e9d9ce882d8c488d120011c7d04cba28b8263e2f1d0e02c1f35268c852b2c",
+    "matrix_1.json": "0564e1d9d1f1c29a1224ea149aa6f944fa13fec2b5f45a5c9f6d545d2ba884cb",
+    "matrix_2.csv": "5517c7d1541792f518e99d96e7dd353e3a3c0fbbb6a061e9ac8b1f7a4d87ac3f",
+    "matrix_2.json": "a36f032930491eafe32c834e3cb33f1fee0ce1584ed6e14d0e39a54e191ae285",
+    "matrix_3.csv": "46cf150e24af372d64f085c7a0fde248e34bfacaa8b66c6ea74da281a0606cf0",
+    "matrix_3.json": "20731b94ef727e9519c7eb3a10bda062af7a3e64156083086e9b315ea6162341",
+    "matrix_4.csv": "d090e2bff6eaf3a52007d8cb5f55cde7268f44e22939fe57b8fc904fff3a1923",
+    "matrix_4.json": "cbc1e5aab2058b3c8941164580d3ced361627a2b4e74e150e1634db8f45d932f",
+    "matrix_5.csv": "b0aea8e309ae32f56fbe1e3e988dc6ed4e2f83fe2c1f374b1cd3f6834c673018",
+    "matrix_5.json": "c6a6f817406337dfa2f601088a51777742c414e8f8565c998d7dbeb662eec376",
+    "triangle.bfile": "ce68fc02503c5340ad84c680dfa9f08579d3409e8db79d2d4f214187f6604733",
+    "triangle.json": "383b8d21c089f080cc2c14a7155a188e0c3fe03ccee7e95bfe6bc4684314a74d",
+}
+
+
+def test_export_digests_pinned(tmp_path, capsys):
+    code, _, _ = run_cli(
+        capsys, "export", "--out", str(tmp_path), "--n-max", "5", "--cap", "10"
+    )
+    assert code == 0
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
+    }
+    assert digests == EXPORT_DIGESTS
 
 
 def test_usage_error_on_missing_subcommand(capsys):

@@ -10,9 +10,11 @@ from poupard.delta import (
     Unresolved,
     boundary_cells,
     build_matrix,
+    counter_diagonal_failure,
     eoc_pom_polynomial,
     in_region,
     matrix_properties_check,
+    recurrence_failure,
     recurrence_instances,
     region_cells,
     solve_constraints,
@@ -175,6 +177,16 @@ def test_properties_check_flags_damage():
     damaged = DeltaMatrix(3, tuple(tuple(r) for r in rows))
     result = matrix_properties_check(damaged, build_matrix(2, "D1"))
     assert not result.ok
+
+
+def test_predicates_flag_damaged_cell():
+    mat, prev = build_matrix(3, "D1"), build_matrix(2, "D1")
+    assert recurrence_failure(mat, prev) is None
+    rows = [list(r) for r in mat.rows]
+    rows[2][0] += 1  # f_3(3,1), an L1 anchor with mirror cell (6,4)
+    damaged = DeltaMatrix(3, tuple(tuple(r) for r in rows))
+    assert "(m,k)=(3,1)" in counter_diagonal_failure(damaged)
+    assert recurrence_failure(damaged, prev).startswith("R1 instance")
 
 
 def test_properties_check_dimension_mismatch():

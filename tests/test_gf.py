@@ -1,9 +1,14 @@
 """Generating functions: triple series, reindexed grids, closed forms."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import poupard
 from poupard import gf
 from poupard.delta import delta_matrices
 from poupard.scalars import RootTwoScalar
@@ -29,6 +34,28 @@ def test_omega_identity_small_cap(matrices):
     rhs = gf.omega_rhs(cap)
     assert lhs == rhs
     assert rhs.is_rational()
+
+
+def test_cancellation_check_survives_optimize():
+    # sin(sqrt2 x) sin(z) over 2cos^2 keeps a sqrt2-part; the check that
+    # rejects it must not vanish under `python -O`
+    script = (
+        "from poupard import gf\n"
+        "from poupard.scalars import ONE, ZERO\n"
+        "from poupard.series import LinearForm\n"
+        "gf.FORM_S2Z = LinearForm(ZERO, ZERO, ONE)\n"
+        "gf.omega_rhs(4)\n"
+    )
+    src = str(Path(poupard.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode != 0
+    assert "ArithmeticError: sqrt2-parts must cancel in the upper-triangle series" in proc.stderr
 
 
 def test_series_spot_coefficients(matrices):
@@ -98,6 +125,6 @@ def test_closed_forms_small_cap(matrices):
 
 
 def test_grid_egf_spot_value(matrices):
-    series = gf.lambda_grid_egf(1, 6, matrices)
+    series = gf.grid_egf(gf.lambda_entry, 1, 6, matrices)
     # coefficient of x^1 y^1 is lambda^(1)_{1,1} = f_2(4,2) = 1
     assert series.coefficient((1, 1, 0)) == RootTwoScalar(1)

@@ -13,7 +13,6 @@ from poupard.series import (
     TriSeries,
     ZeroConstantTerm,
     dump_lines,
-    mul,
     reciprocal,
     trig_series,
 )
@@ -41,20 +40,20 @@ def poly(cap, **monos):
 def test_product_of_binomials():
     one_plus = poly(4, c=1, x1=1)
     one_minus = poly(4, c=1, x1=-1)
-    assert mul(one_plus, one_minus) == poly(4, c=1, x2=-1)
+    assert one_plus * one_minus == poly(4, c=1, x2=-1)
 
 
 def test_pythagorean_identity():
     cap = 10
     s = trig_series("sin", S2X, cap)
     c = trig_series("cos", S2X, cap)
-    assert mul(s, s) + mul(c, c) == TriSeries.constant(1, cap)
+    assert s * s + c * c == TriSeries.constant(1, cap)
 
 
 def test_half_angle_identity():
     # cos^2 of the scaled sum, expanded two independent ways
     cap = 8
-    lhs = mul(trig_series("cos", XYZ_OVER_S2, cap), trig_series("cos", XYZ_OVER_S2, cap))
+    lhs = trig_series("cos", XYZ_OVER_S2, cap) * trig_series("cos", XYZ_OVER_S2, cap)
     rhs = (TriSeries.constant(1, cap) + trig_series("cos", S2_XYZ, cap)).scale(
         Fraction(1, 2)
     )
@@ -73,7 +72,7 @@ def test_reciprocal_of_cos_squared_constant_term():
     c = trig_series("cos", XYZ_OVER_S2, cap)
     inv = reciprocal((c * c).scale(2))
     assert inv.coefficient((0, 0, 0)) == RootTwoScalar(Fraction(1, 2))
-    assert mul(inv, (c * c).scale(2)) == TriSeries.constant(1, cap)
+    assert inv * (c * c).scale(2) == TriSeries.constant(1, cap)
 
 
 def test_reciprocal_rejects_zero_constant():
@@ -83,7 +82,7 @@ def test_reciprocal_rejects_zero_constant():
 
 def test_cap_mismatch_rejected():
     with pytest.raises(CapMismatch):
-        mul(poly(3, c=1), poly(4, c=1))
+        poly(3, c=1) * poly(4, c=1)
 
 
 def test_trig_coefficients():
@@ -92,8 +91,8 @@ def test_trig_coefficients():
     sin = trig_series("sin", S2X, 6)
     assert sin.coefficient((1, 0, 0)) == SQRT2
     # sqrt2*tan(x/sqrt2) has x^3 coefficient (T_3/2)/3! = 1/6
-    tan_scaled = mul(
-        trig_series("sin", X_OVER_S2, 9), reciprocal(trig_series("cos", X_OVER_S2, 9))
+    tan_scaled = (
+        trig_series("sin", X_OVER_S2, 9) * reciprocal(trig_series("cos", X_OVER_S2, 9))
     ).scale(SQRT2)
     assert tan_scaled.coefficient((3, 0, 0)) == RootTwoScalar(Fraction(1, 6))
     assert tan_scaled.coefficient((1, 0, 0)) == ONE
@@ -122,17 +121,17 @@ def small_series(draw, cap=4):
 @given(small_series(), small_series(), small_series())
 def test_series_ring_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
-    assert mul(mul(a, b), c) == mul(a, mul(b, c))
-    assert mul(a, b + c) == mul(a, b) + mul(a, c)
-    assert mul(a, b) == mul(b, a)
-    assert mul(a, TriSeries.constant(1, a.cap)) == a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * b == b * a
+    assert a * TriSeries.constant(1, a.cap) == a
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_series())
 def test_reciprocal_is_inverse_for_units(a):
     unit = a + TriSeries.constant(RootTwoScalar(1, 1), a.cap)  # force a unit
-    assert mul(unit, reciprocal(unit)) == TriSeries.constant(1, a.cap)
+    assert unit * reciprocal(unit) == TriSeries.constant(1, a.cap)
 
 
 def test_dump_format():

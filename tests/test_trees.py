@@ -14,7 +14,6 @@ from poupard.trees import (
     minimal_chain,
     pom,
     tree_count,
-    tree_stats,
 )
 
 # Worked pair: 1:{6,2} 2:{4,3} 4:{5,9} 3:{7,8} maps onto
@@ -74,17 +73,6 @@ def test_eoc_pom_examples():
     assert minimal_chain(SOURCE_TREE) == [1, 2, 3, 7]
 
 
-def test_tree_stats_bundle():
-    for n in range(1, 4):
-        for t in enumerate_trees(n):
-            stats = tree_stats(t)
-            assert stats.chain[0] == 1
-            assert stats.eoc == stats.chain[-1]
-            assert t.is_leaf(stats.eoc)
-            assert stats.pom == t.parents()[2 * n + 1]
-            assert stats.eoc != stats.pom
-
-
 def test_stats_reject_single_node_tree():
     t0 = Tree(0, {})
     with pytest.raises(StatisticUndefined):
@@ -99,6 +87,7 @@ def test_stat_ranges():
     for n in range(1, 5):
         for t in enumerate_trees(n):
             assert 2 <= eoc(t) <= 2 * n
+            assert t.is_leaf(eoc(t))
             assert 1 <= pom(t) <= 2 * n - 1
             assert eoc(t) != pom(t)
 
@@ -133,9 +122,9 @@ def test_serialization_roundtrip():
 
 def test_joint_distribution_small():
     d1 = joint_distribution(1)
-    assert d1.counts == ((0, 0), (1, 0))
+    assert d1.rows == ((0, 0), (1, 0))
     d2 = joint_distribution(2)
-    assert d2.counts == ((0, 0, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0), (0, 1, 0, 0))
+    assert d2.rows == ((0, 0, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0), (0, 1, 0, 0))
     d4 = joint_distribution(4)
     assert d4.total() == 496
 
@@ -152,10 +141,3 @@ def test_joint_distribution_structure():
 def test_enumeration_limit_guard():
     with pytest.raises(EnumerationLimitError):
         joint_distribution(DEFAULT_ENUMERATION_LIMIT + 1)
-
-
-def test_in_subtree():
-    assert SOURCE_TREE.in_subtree(9, 4)
-    assert SOURCE_TREE.in_subtree(7, 2)
-    assert not SOURCE_TREE.in_subtree(6, 2)
-    assert SOURCE_TREE.in_subtree(5, 1)

@@ -1,7 +1,11 @@
 """Triangle rows, tangent numbers, and the Poupard-matrix predicate."""
 
+from math import factorial
+
 import pytest
 
+from poupard.scalars import ONE, ZERO
+from poupard.series import LinearForm, reciprocal, trig_series
 from poupard.triangle import (
     Triangle,
     is_poupard_matrix,
@@ -60,6 +64,18 @@ def test_tangent_against_sympy():
         int(series.coeff(u, k) * sympy.factorial(k)) for k in range(1, 16, 2)
     ]
     assert tangent_numbers(8) == expected
+
+
+def test_tangent_against_series_division():
+    # tan = sin / cos as exact univariate series, independent of the triangle
+    count = 10
+    cap = 2 * count - 1
+    u = LinearForm(ONE, ZERO, ZERO)
+    tan = trig_series("sin", u, cap) * reciprocal(trig_series("cos", u, cap))
+    assert tan.is_rational()
+    expected = [tan.coefficient((k, 0, 0)).a * factorial(k) for k in range(1, cap + 1, 2)]
+    assert all(t.denominator == 1 for t in expected)
+    assert tangent_numbers(count) == expected
 
 
 def test_tangent_power_of_two_divisibility():
