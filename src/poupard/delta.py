@@ -88,11 +88,15 @@ class DeltaMatrix:
     @staticmethod
     def from_json(text: str) -> "DeltaMatrix":
         data = json.loads(text)
-        n = int(data["n"])
-        rows = tuple(tuple(int(v) for v in row) for row in data["rows"])
-        if len(rows) != 2 * n or any(len(r) != 2 * n for r in rows):
-            raise ValueError(f"expected a {2*n}x{2*n} grid")
-        return DeltaMatrix(n, rows)
+        if not isinstance(data, dict) or not {"n", "rows"} <= data.keys():
+            raise ValueError('expected a JSON object with keys "n" and "rows"')
+        n, rows = data["n"], data["rows"]
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError('"rows" must be a list of lists')
+        # exact entries only: no floats, strings or booleans to coerce
+        if any(type(v) is not int for v in [n, *(v for r in rows for v in r)]):
+            raise ValueError('"n" and every entry must be JSON integers')
+        return DeltaMatrix._checked(n, tuple(tuple(r) for r in rows))
 
     def to_csv(self) -> str:
         return "\n".join(",".join(str(v) for v in row) for row in self.rows)
@@ -104,6 +108,12 @@ class DeltaMatrix:
         )
         if n is None:
             n = len(rows) // 2
+        return DeltaMatrix._checked(n, rows)
+
+    @staticmethod
+    def _checked(n: int, rows: Tuple[Tuple[int, ...], ...]) -> "DeltaMatrix":
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         if len(rows) != 2 * n or any(len(r) != 2 * n for r in rows):
             raise ValueError(f"expected a {2*n}x{2*n} grid")
         return DeltaMatrix(n, rows)
@@ -369,7 +379,10 @@ def _build_chain(n: int, tag: str) -> DeltaMatrix:
     if n == 1:
         return M1
     strategy = STRATEGIES[tag]
-    prev = _build_chain(n - 1, tag)
+    # fill the cache upward, so each miss below n recurses one level only
+    prev = M1
+    for k in range(2, n):
+        prev = _build_chain(k, tag)
     known = _known_for(strategy, n, prev)
     return solve_constraints(n, known, strategy.recurrences, prev)
 

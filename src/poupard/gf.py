@@ -238,23 +238,27 @@ def lambda1_closed_forms(cap: int, matrices: Sequence[DeltaMatrix]) -> List[str]
     """
     failures: List[str] = []
     grid1 = grid_egf(lambda_entry, 1, cap, matrices)
-
+    sin_s2x = trig_series("sin", FORM_S2X, cap)
+    sin_s2y = trig_series("sin", FORM_S2Y, cap)
+    cos_s2y = trig_series("cos", FORM_S2Y, cap)
+    cos_xmy = trig_series("cos", FORM_XmY_OVER_S2, cap)
     cos_xy = trig_series("cos", FORM_XY_OVER_S2, cap)
-    form_a = trig_series("cos", FORM_XmY_OVER_S2, cap) * reciprocal(cos_xy)
+    cos2_xy = cos_xy * cos_xy
+
+    form_a = cos_xmy * reciprocal(cos_xy)
     if form_a != grid1:
         failures.append("cos-ratio closed form != lambda^(1) grid series")
 
     # sine form has a non-unit denominator: compare by cross-multiplication
-    sin_sum = trig_series("sin", FORM_S2X, cap) + trig_series("sin", FORM_S2Y, cap)
+    sin_sum = sin_s2x + sin_s2y
     sin_xy = trig_series("sin", FORM_S2_XY, cap)
     if grid1 * sin_xy != sin_sum:
         failures.append("sine-ratio closed form != lambda^(1) grid series")
-    if sin_sum * cos_xy != trig_series("cos", FORM_XmY_OVER_S2, cap) * sin_xy:
+    if sin_sum * cos_xy != cos_xmy * sin_xy:
         failures.append("sine-ratio and cos-ratio closed forms disagree")
 
-    cos_sum = trig_series("cos", FORM_S2X, cap) + trig_series("cos", FORM_S2Y, cap)
-    den = (cos_xy * cos_xy).scale(2)
-    form_c = cos_sum * reciprocal(den)
+    cos_sum = trig_series("cos", FORM_S2X, cap) + cos_s2y
+    form_c = cos_sum * reciprocal(cos2_xy.scale(2))
     if form_c != grid1:
         failures.append("cosine-sum closed form != lambda^(1) grid series")
 
@@ -266,25 +270,24 @@ def lambda1_closed_forms(cap: int, matrices: Sequence[DeltaMatrix]) -> List[str]
 
     # omega^(1): sin(sqrt2 x) / (sqrt2 cos^2((x+y)/sqrt2))
     omega1 = grid_egf(omega_entry, 1, cap, matrices)
-    om_closed = trig_series("sin", FORM_S2X, cap) * reciprocal((cos_xy * cos_xy).scale(SQRT2))
+    om_closed = sin_s2x * reciprocal(cos2_xy.scale(SQRT2))
     if om_closed != omega1:
         failures.append("omega^(1) closed form != omega^(1) grid series")
 
     # column composition for lambda^(p), row composition for omega^(p)
-    cos_s2y = trig_series("cos", FORM_S2Y, cap)
-    sin_s2y_over = trig_series("sin", FORM_S2Y, cap).scale(HALF_SQRT2)
-    sin_s2x_over = trig_series("sin", FORM_S2X, cap).scale(HALF_SQRT2)
+    sin_s2y_over = sin_s2y.scale(HALF_SQRT2)
+    sin_s2x_over = sin_s2x.scale(HALF_SQRT2)
 
     def lambda1_column_at_xy(q: int) -> TriSeries:
         return _bivariate_egf(lambda i, j: lambda_entry(1, i + j, q, matrices), cap)
+
+    lambda1_columns = [lambda1_column_at_xy(q) for q in range(5)]
 
     def omega_row1_at_xy(p: int) -> TriSeries:
         return _bivariate_egf(lambda i, j: omega_entry(p, 1, i + j, matrices), cap)
 
     for p in range(1, 5):
-        composed = (
-            lambda1_column_at_xy(p - 1) * cos_s2y + lambda1_column_at_xy(p) * sin_s2y_over
-        )
+        composed = lambda1_columns[p - 1] * cos_s2y + lambda1_columns[p] * sin_s2y_over
         if composed != grid_egf(lambda_entry, p, cap, matrices):
             failures.append(f"column composition fails for lambda^({p})")
         ocomposed = sin_s2x_over * omega_row1_at_xy(p)

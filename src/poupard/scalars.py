@@ -41,10 +41,6 @@ class RootTwoScalar:
             self.a * other.b + self.b * other.a,
         )
 
-    def scale(self, q: RationalLike) -> "RootTwoScalar":
-        q = Fraction(q)
-        return RootTwoScalar(self.a * q, self.b * q)
-
     def inverse(self) -> "RootTwoScalar":
         """Multiplicative inverse; the norm a^2 - 2b^2 never vanishes for
         a nonzero element."""

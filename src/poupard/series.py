@@ -6,19 +6,20 @@ is exact; the only approximation anywhere is the total-degree truncation.
 Bivariate and univariate series are the same type with unused exponents
 pinned to zero.
 
-Trigonometric constructors expand cos/sin of a *linear* form ax+by+cz via
-multinomial powers; no general series composition is provided (none is
-needed: every closed form in scope has linear arguments).
+Trigonometric constructors expand cos/sin of a *linear* form ax+by+cz by
+stepping through its powers with the series product; no general series
+composition is provided (none is needed: every closed form in scope has
+linear arguments).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Dict, Iterable, Tuple
 
-from .scalars import ONE, ZERO, RootTwoScalar
+from .scalars import ZERO, RootTwoScalar
 
 Monomial = Tuple[int, int, int]
 
@@ -172,44 +173,22 @@ def reciprocal(a: TriSeries) -> TriSeries:
     return TriSeries(cap, out)
 
 
-def linear_form_power(form: LinearForm, power: int, cap: int) -> TriSeries:
-    """(alpha*x + beta*y + gamma*z)^power expanded multinomially."""
-    if power > cap:
-        return TriSeries.zero(cap)
-    alpha, beta, gamma = form.coefficients()
-    out: Dict[Monomial, RootTwoScalar] = {}
-    for i in range(power + 1):
-        ai = _pow(alpha, i)
-        if ai.is_zero() and i > 0:
-            continue
-        for j in range(power - i + 1):
-            k = power - i - j
-            coef = ai * _pow(beta, j) * _pow(gamma, k)
-            if coef.is_zero():
-                continue
-            out[(i, j, k)] = coef.scale(
-                Fraction(comb(power, i) * comb(power - i, j))
-            )
-    return TriSeries(cap, out)
-
-
-def _pow(s: RootTwoScalar, e: int) -> RootTwoScalar:
-    acc = ONE
-    for _ in range(e):
-        acc = acc * s
-    return acc
-
-
 def trig_series(kind: str, form: LinearForm, cap: int) -> TriSeries:
-    """Exact Taylor expansion of cos(L) or sin(L) for a linear form L."""
+    """Exact Taylor expansion of cos(L) or sin(L) for a linear form L: the
+    sum of (-1)^floor(s/2) L^s / s! over even (cos) or odd (sin) s <= cap."""
     if kind not in ("cos", "sin"):
         raise ValueError(f"kind must be 'cos' or 'sin', not {kind!r}")
-    start = 0 if kind == "cos" else 1
-    total = TriSeries.zero(cap)
-    for s in range(start, cap + 1, 2):
-        sign = -1 if ((s - start) // 2) % 2 else 1
-        term = linear_form_power(form, s, cap).scale(Fraction(sign, factorial(s)))
-        total = total + term
+    odd = kind == "sin"
+    total = TriSeries.constant(0 if odd else 1, cap)
+    if cap == 0:
+        return total  # L itself is truncated away
+    lin = TriSeries(cap, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), form.coefficients())))
+    power = lin
+    for s in range(1, cap + 1):
+        if s % 2 == odd:
+            total = total + power.scale(Fraction((-1) ** (s // 2), factorial(s)))
+        if s < cap:
+            power = power * lin
     return total
 
 

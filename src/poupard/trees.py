@@ -72,6 +72,8 @@ class Tree:
 
     def validate(self) -> None:
         """Check every axiom; raises ValueError on the first violation."""
+        if self.n < 0:
+            raise ValueError(f"tree size n must be nonnegative, got {self.n}")
         size = self.size()
         labels = set(range(1, size + 1))
         seen_children = []
@@ -126,8 +128,13 @@ class Tree:
             head, _, tail = item.partition(":")
             a, b = tail.strip().lstrip("(").rstrip(")").split(",")
             ca, cb = int(a), int(b)
-            children[int(head)] = (min(ca, cb), max(ca, cb))
-        return Tree(n=n, children=children)
+            parent = int(head)
+            if parent in children:
+                raise ValueError(f"parent {parent} listed twice in {text!r}")
+            children[parent] = (min(ca, cb), max(ca, cb))
+        tree = Tree(n=n, children=children)
+        tree.validate()
+        return tree
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +326,21 @@ def _accumulate_census(t: Tree, size: int, joint, r1w, r2o, r2i) -> None:
                 r2i[e - 1][k - 1] += 1
 
 
-@lru_cache(maxsize=4)
 def census_tables(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> CensusTables:
-    """Enumerate T_{2n+1} once, accumulating every per-(m,k) counter."""
+    """Every per-(m,k) counter of T_{2n+1}; the trees of each n are
+    enumerated once per process, whatever limit the callers pass."""
     if n < 1:
         raise ValueError("census requires n >= 1")
     if n > limit:
         raise EnumerationLimitError(
             f"n={n} exceeds the enumeration bound {limit}; pass a larger limit"
         )
+    return _census(n)
+
+
+# Keyed on n alone: a table is a few (2n)x(2n) grids, so keeping every n is cheap.
+@lru_cache(maxsize=None)
+def _census(n: int) -> CensusTables:
     size = 2 * n + 1
     w = 2 * n
     joint = [[0] * w for _ in range(w)]
@@ -338,6 +351,9 @@ def census_tables(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> CensusTable
         _accumulate_census(t, size, joint, r1w, r2o, r2i)
     freeze = lambda g: tuple(tuple(row) for row in g)
     return CensusTables(n, freeze(joint), freeze(r1w), freeze(r2o), freeze(r2i))
+
+
+census_tables.cache_clear = _census.cache_clear
 
 
 def joint_distribution(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> DeltaMatrix:

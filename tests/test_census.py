@@ -2,8 +2,9 @@
 
 import pytest
 
+from poupard import trees
 from poupard.delta import DeltaMatrix, build_matrix, region_cells
-from poupard.trees import census_tables, structural_census
+from poupard.trees import EnumerationLimitError, census_tables, structural_census
 from poupard.verify import run_checks
 
 
@@ -102,3 +103,27 @@ def test_force_lifts_census_cap():
     assert report.passed()
     ns = {r.params["n"] for r in report.checks if r.name == "census/second-difference"}
     assert ns == {2, 3, 4, 5, 6}
+
+
+def test_census_enumerates_each_n_once(monkeypatch):
+    # the enumeration and census suites pass different limits; both must
+    # share one walk of T_{2n+1}
+    walked = []
+
+    def counting(n):
+        walked.append(n)
+        return enumerate_trees(n)
+
+    enumerate_trees = trees.enumerate_trees
+    monkeypatch.setattr(trees, "enumerate_trees", counting)
+    census_tables.cache_clear()
+    first = census_tables(3, limit=5)
+    assert census_tables(3, limit=6) is first
+    assert trees.joint_distribution(3, limit=4).rows == first.joint
+    assert trees.structural_census(3, 3, 1, "R1Witness", limit=3) == 1
+    assert walked == [3]
+    with pytest.raises(EnumerationLimitError):
+        census_tables(3, limit=2)
+    census_tables.cache_clear()
+    census_tables(3)
+    assert walked == [3, 3]

@@ -1,6 +1,13 @@
 """Matrix construction, solver behaviour, and matrix-level identities."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import poupard
 
 from poupard.delta import (
     M1,
@@ -220,6 +227,66 @@ def test_csv_roundtrip_bit_exact():
         again = DeltaMatrix.from_csv(text)
         assert again == mat
         assert again.to_csv() == text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n":0,"rows":[]}',
+        '{"n":-1,"rows":[]}',
+        "[]",
+        '{"n":1}',
+        '{"rows":[[0,0],[1,0]]}',
+        '{"n":1,"rows":5}',
+        '{"n":1,"rows":[[0,0],[1,null]]}',
+        '{"n":1,"rows":[[0,0],[1]]}',
+        '{"n":1,"rows":[[0,0],[1.9,0]]}',
+        '{"n":1.5,"rows":[[0,0],[1,0]]}',
+        '{"n":"1","rows":[[0,0],[1,0]]}',
+        '{"n":1,"rows":[[0,0],[true,0]]}',
+        '{"n":2,"rows":[[0,0],[1,0]]}',
+        "not json",
+    ],
+)
+def test_from_json_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        DeltaMatrix.from_json(text)
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        ("", None),
+        ("0,0\n1,0", 0),
+        ("0,0\n1", None),
+        ("0,0,0\n1,0,0\n0,0,0", None),
+        ("0,0\n1,x", None),
+        ("0,0\n1,0", 2),
+    ],
+)
+def test_from_csv_rejects_malformed(text, n):
+    with pytest.raises(ValueError):
+        DeltaMatrix.from_csv(text, n)
+
+
+def test_chain_build_depth_does_not_grow_with_n():
+    # the recursion limit is lowered in a child process only
+    script = (
+        "import sys\n"
+        "from poupard.delta import build_matrix\n"
+        "sys.setrecursionlimit(20)\n"
+        "print(build_matrix(24, 'D1').n)\n"
+    )
+    src = str(Path(poupard.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "24"
 
 
 def test_unknown_strategy_rejected():

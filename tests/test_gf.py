@@ -1,5 +1,6 @@
 """Generating functions: triple series, reindexed grids, closed forms."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import poupard
 from poupard import gf
 from poupard.delta import delta_matrices
 from poupard.scalars import RootTwoScalar
+from poupard.series import TriSeries
 from poupard.triangle import is_poupard_matrix
 
 
@@ -56,6 +58,36 @@ def test_cancellation_check_survives_optimize():
     )
     assert proc.returncode != 0
     assert "ArithmeticError: sqrt2-parts must cancel in the upper-triangle series" in proc.stderr
+
+
+def test_no_bare_assert_in_src():
+    # an invariant written as `assert` vanishes under `python -O`
+    package = Path(poupard.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_rhs_at_cap_zero():
+    assert gf.lambda_rhs(0) == TriSeries.constant(1, 0)
+    assert gf.omega_rhs(0) == TriSeries.zero(0)
+
+
+def test_closed_forms_build_each_trig_series_once(matrices, monkeypatch):
+    built = []
+    trig_series = gf.trig_series
+
+    def counting(kind, form, cap):
+        built.append((kind, form))
+        return trig_series(kind, form, cap)
+
+    monkeypatch.setattr(gf, "trig_series", counting)
+    assert gf.lambda1_closed_forms(6, matrices) == []
+    assert len(built) == len(set(built)) == 7
 
 
 def test_series_spot_coefficients(matrices):

@@ -98,6 +98,40 @@ def test_trig_coefficients():
     assert tan_scaled.coefficient((1, 0, 0)) == ONE
 
 
+ORACLE_FORMS = {
+    "(x+y+z)/sqrt2": XYZ_OVER_S2,
+    "(x-y)/sqrt2": LinearForm(HALF_SQRT2, -HALF_SQRT2, R0),
+    "sqrt2(x+y)": LinearForm(SQRT2, SQRT2, R0),
+    "(1+sqrt2)x-y/sqrt2+3z/2": LinearForm(
+        RootTwoScalar(1, 1), RootTwoScalar(0, Fraction(-1, 2)), RootTwoScalar(Fraction(3, 2))
+    ),
+}
+
+
+@pytest.mark.parametrize("cap", [0, 1, 8])
+@pytest.mark.parametrize("name", sorted(ORACLE_FORMS))
+def test_trig_series_against_sympy(name, cap):
+    sympy = pytest.importorskip("sympy")
+    x, y, z, t = sympy.symbols("x y z t")
+
+    def sym(c):
+        return sympy.Rational(c.a.numerator, c.a.denominator) + sympy.Rational(
+            c.b.numerator, c.b.denominator
+        ) * sympy.sqrt(2)
+
+    form = ORACLE_FORMS[name]
+    arg = sum(sym(c) * v for c, v in zip(form.coefficients(), (x, y, z)))
+    for kind, fn in (("cos", sympy.cos), ("sin", sympy.sin)):
+        # the degree-d part of fn(L) is the t^d coefficient of fn(t L)
+        taylor = sympy.series(fn(t * arg), t, 0, cap + 1).removeO().subs(t, 1)
+        poly = sympy.Poly(sympy.expand(taylor), x, y, z)
+        expected = {mono: c for mono, c in poly.terms() if c != 0}
+        ours = trig_series(kind, form, cap)
+        assert {mono for mono, _ in ours.monomials()} == set(expected), (kind, name)
+        for mono, c in ours.monomials():
+            assert sympy.expand(sym(c) - expected[mono]) == 0, (kind, name, mono)
+
+
 small_scalars = st.builds(
     RootTwoScalar,
     st.fractions(min_value=-3, max_value=3, max_denominator=6),

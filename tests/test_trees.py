@@ -120,6 +120,25 @@ def test_serialization_roundtrip():
     assert Tree.deserialize("n=0") == Tree(0, {})
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "1:(2,3)",
+        "n=-3",
+        "n=x",
+        "n=2; 1:(2,3); 1:(4,5)",
+        "n=1; 1:(2)",
+        "n=1; 1:(2,x)",
+        "n=3; 1:(2,3)",
+        "n=1; 2:(1,3)",
+    ],
+)
+def test_deserialize_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        Tree.deserialize(text)
+
+
 def test_joint_distribution_small():
     d1 = joint_distribution(1)
     assert d1.rows == ((0, 0), (1, 0))
