@@ -28,7 +28,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .delta import DeltaMatrix
 from .scalars import HALF_SQRT2, SQRT2, ZERO, RootTwoScalar
-from .series import LinearForm, Monomial, TriSeries, reciprocal, trig_series
+from .series import LinearForm, Monomial, TriSeries, of_linear_form, reciprocal
+from .series import trig_in_x, trig_series
 
 Grid = Tuple[Tuple[int, ...], ...]
 
@@ -60,9 +61,10 @@ FORM_XYZ_OVER_S2 = LinearForm(HALF_SQRT2, HALF_SQRT2, HALF_SQRT2)  # (x+y+z)/sqr
 
 
 def _over_2cos2_xyz(num: TriSeries, triangle: str) -> TriSeries:
-    """num / (2 cos^2((x+y+z)/sqrt2)), whose sqrt2-parts must cancel."""
-    c = trig_series("cos", FORM_XYZ_OVER_S2, num.cap)
-    out = num * reciprocal((c * c).scale(2))
+    """num / (2 cos^2((x+y+z)/sqrt2)), whose sqrt2-parts must cancel.  The
+    denominator is inverted in x alone and (x+y+z)/sqrt2 substituted after."""
+    c = trig_in_x("cos", num.cap)
+    out = num * of_linear_form(reciprocal((c * c).scale(2)), FORM_XYZ_OVER_S2)
     if not out.is_rational():
         raise ArithmeticError(f"sqrt2-parts must cancel in the {triangle}-triangle series")
     return out
@@ -125,6 +127,8 @@ def omega_lhs(cap: int, matrices: Sequence[DeltaMatrix]) -> TriSeries:
 
 def swap_variables(series: TriSeries, perm: Tuple[int, int, int]) -> TriSeries:
     """Permute exponent axes, e.g. perm=(0,2,1) swaps y and z."""
+    if sorted(perm) != [0, 1, 2]:
+        raise ValueError(f"perm must be a permutation of (0, 1, 2), not {perm!r}")
     out: Dict[Monomial, RootTwoScalar] = {}
     for mono, c in series.monomials():
         out[(mono[perm[0]], mono[perm[1]], mono[perm[2]])] = c
@@ -243,9 +247,14 @@ def lambda1_closed_forms(cap: int, matrices: Sequence[DeltaMatrix]) -> List[str]
     cos_s2y = trig_series("cos", FORM_S2Y, cap)
     cos_xmy = trig_series("cos", FORM_XmY_OVER_S2, cap)
     cos_xy = trig_series("cos", FORM_XY_OVER_S2, cap)
-    cos2_xy = cos_xy * cos_xy
+    # denominators in cos((x+y)/sqrt2): invert in x alone, substitute after
+    cos_x = trig_in_x("cos", cap)
+    cos2_x = cos_x * cos_x
 
-    form_a = cos_xmy * reciprocal(cos_xy)
+    def over_xy(denominator: TriSeries) -> TriSeries:
+        return of_linear_form(reciprocal(denominator), FORM_XY_OVER_S2)
+
+    form_a = cos_xmy * over_xy(cos_x)
     if form_a != grid1:
         failures.append("cos-ratio closed form != lambda^(1) grid series")
 
@@ -258,7 +267,7 @@ def lambda1_closed_forms(cap: int, matrices: Sequence[DeltaMatrix]) -> List[str]
         failures.append("sine-ratio and cos-ratio closed forms disagree")
 
     cos_sum = trig_series("cos", FORM_S2X, cap) + cos_s2y
-    form_c = cos_sum * reciprocal(cos2_xy.scale(2))
+    form_c = cos_sum * over_xy(cos2_x.scale(2))
     if form_c != grid1:
         failures.append("cosine-sum closed form != lambda^(1) grid series")
 
@@ -270,7 +279,7 @@ def lambda1_closed_forms(cap: int, matrices: Sequence[DeltaMatrix]) -> List[str]
 
     # omega^(1): sin(sqrt2 x) / (sqrt2 cos^2((x+y)/sqrt2))
     omega1 = grid_egf(omega_entry, 1, cap, matrices)
-    om_closed = sin_s2x * reciprocal(cos2_xy.scale(SQRT2))
+    om_closed = sin_s2x * over_xy(cos2_x.scale(SQRT2))
     if om_closed != omega1:
         failures.append("omega^(1) closed form != omega^(1) grid series")
 

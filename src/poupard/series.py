@@ -6,10 +6,12 @@ is exact; the only approximation anywhere is the total-degree truncation.
 Bivariate and univariate series are the same type with unused exponents
 pinned to zero.
 
-Trigonometric constructors expand cos/sin of a *linear* form ax+by+cz by
-stepping through its powers with the series product; no general series
-composition is provided (none is needed: every closed form in scope has
-linear arguments).
+`of_linear_form(u, L)` substitutes a linear form L = ax+by+cz into a series
+u in x alone, stepping through the powers of L with the series product.
+Every function of one linear form is built that way: cos/sin of L
+(`trig_series`), and the closed forms' denominators, which are squared and
+inverted in x alone before L is substituted once.  No other composition is
+needed: every closed form in scope has linear arguments.
 """
 
 from __future__ import annotations
@@ -173,23 +175,42 @@ def reciprocal(a: TriSeries) -> TriSeries:
     return TriSeries(cap, out)
 
 
-def trig_series(kind: str, form: LinearForm, cap: int) -> TriSeries:
-    """Exact Taylor expansion of cos(L) or sin(L) for a linear form L: the
-    sum of (-1)^floor(s/2) L^s / s! over even (cos) or odd (sin) s <= cap."""
-    if kind not in ("cos", "sin"):
-        raise ValueError(f"kind must be 'cos' or 'sin', not {kind!r}")
-    odd = kind == "sin"
-    total = TriSeries.constant(0 if odd else 1, cap)
+def of_linear_form(u: TriSeries, form: LinearForm) -> TriSeries:
+    """u(L) = sum u_s L^s for a series u in x alone and a linear form L."""
+    if any(j or k for _, j, k in u.coeffs):
+        raise ValueError("of_linear_form needs a series in x alone")
+    cap = u.cap
+    total = TriSeries.constant(u.coefficient((0, 0, 0)), cap)
     if cap == 0:
         return total  # L itself is truncated away
     lin = TriSeries(cap, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), form.coefficients())))
     power = lin
     for s in range(1, cap + 1):
-        if s % 2 == odd:
-            total = total + power.scale(Fraction((-1) ** (s // 2), factorial(s)))
+        c = u.coefficient((s, 0, 0))
+        if c:
+            total = total + power.scale(c)
         if s < cap:
             power = power * lin
     return total
+
+
+def trig_in_x(kind: str, cap: int) -> TriSeries:
+    """cos(x) or sin(x) as a series in x alone: (-1)^floor(s/2) x^s / s!
+    over even (cos) or odd (sin) s <= cap."""
+    if kind not in ("cos", "sin"):
+        raise ValueError(f"kind must be 'cos' or 'sin', not {kind!r}")
+    return TriSeries(
+        cap,
+        {
+            (s, 0, 0): RootTwoScalar(Fraction((-1) ** (s // 2), factorial(s)))
+            for s in range(kind == "sin", cap + 1, 2)
+        },
+    )
+
+
+def trig_series(kind: str, form: LinearForm, cap: int) -> TriSeries:
+    """Exact Taylor expansion of cos(L) or sin(L) for a linear form L."""
+    return of_linear_form(trig_in_x(kind, cap), form)
 
 
 def dump_lines(series: TriSeries) -> list[str]:

@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,8 +13,8 @@ import pytest
 import poupard
 from poupard import gf
 from poupard.delta import delta_matrices
-from poupard.scalars import RootTwoScalar
-from poupard.series import TriSeries
+from poupard.scalars import SQRT2, RootTwoScalar
+from poupard.series import TriSeries, of_linear_form, reciprocal, trig_in_x, trig_series
 from poupard.triangle import is_poupard_matrix
 
 
@@ -88,6 +89,61 @@ def test_closed_forms_build_each_trig_series_once(matrices, monkeypatch):
     monkeypatch.setattr(gf, "trig_series", counting)
     assert gf.lambda1_closed_forms(6, matrices) == []
     assert len(built) == len(set(built)) == 7
+
+
+def test_identities_at_cap_24():
+    # criterion 10 at a cap the trivariate inverse could not reach in budget
+    cap = 24
+    start = time.perf_counter()
+    matrices = delta_matrices(gf.required_matrix_count(cap))
+    for lhs, rhs in ((gf.lambda_lhs, gf.lambda_rhs), (gf.omega_lhs, gf.omega_rhs)):
+        closed = rhs(cap)
+        assert lhs(cap, matrices) == closed
+        assert closed.is_rational()
+    assert time.perf_counter() - start < 30
+
+
+DENOMINATORS = {
+    "2cos^2((x+y+z)/sqrt2)": (gf.FORM_XYZ_OVER_S2, 2, 2),
+    "cos((x+y)/sqrt2)": (gf.FORM_XY_OVER_S2, 1, 1),
+    "2cos^2((x+y)/sqrt2)": (gf.FORM_XY_OVER_S2, 2, 2),
+    "sqrt2 cos^2((x+y)/sqrt2)": (gf.FORM_XY_OVER_S2, SQRT2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENOMINATORS))
+def test_univariate_inverse_matches_trivariate_reciprocal(name):
+    form, factor, power = DENOMINATORS[name]
+
+    def denominator(cos):
+        return (cos * cos if power == 2 else cos).scale(factor)
+
+    for cap in range(11):
+        trivariate = reciprocal(denominator(trig_series("cos", form, cap)))
+        univariate = of_linear_form(reciprocal(denominator(trig_in_x("cos", cap))), form)
+        assert univariate == trivariate, cap
+
+
+def test_denominators_are_inverted_in_x_alone(matrices, monkeypatch):
+    inverted = []
+
+    def recording(series):
+        inverted.append(series)
+        return reciprocal(series)
+
+    monkeypatch.setattr(gf, "reciprocal", recording)
+    gf.lambda_rhs(6)
+    gf.omega_rhs(6)
+    assert gf.lambda1_closed_forms(6, matrices) == []
+    assert len(inverted) == 5
+    assert all(j == k == 0 for series in inverted for _, j, k in series.coeffs)
+
+
+@pytest.mark.parametrize("perm", [(0, 0, 0), (0, 1), (0, 1, 3), (1, 2, 0, 0)])
+def test_swap_variables_rejects_non_permutations(perm):
+    series = TriSeries(2, {(1, 0, 0): RootTwoScalar(1), (1, 0, 1): RootTwoScalar(2)})
+    with pytest.raises(ValueError, match="permutation"):
+        gf.swap_variables(series, perm)
 
 
 def test_series_spot_coefficients(matrices):

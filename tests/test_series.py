@@ -13,6 +13,7 @@ from poupard.series import (
     TriSeries,
     ZeroConstantTerm,
     dump_lines,
+    of_linear_form,
     reciprocal,
     trig_series,
 )
@@ -96,6 +97,26 @@ def test_trig_coefficients():
     ).scale(SQRT2)
     assert tan_scaled.coefficient((3, 0, 0)) == RootTwoScalar(Fraction(1, 6))
     assert tan_scaled.coefficient((1, 0, 0)) == ONE
+
+
+def test_of_linear_form_rejects_y_and_z_exponents():
+    for bad in (poly(4, c=1, y1=1), poly(4, x2=1, z1=3), poly(4, x1=1, y3=-1)):
+        with pytest.raises(ValueError, match="x alone"):
+            of_linear_form(bad, XYZ_OVER_S2)
+
+
+def test_of_linear_form_cap_zero_keeps_constant_term():
+    u = TriSeries.constant(RootTwoScalar(3, -1), 0)
+    assert of_linear_form(u, S2_XYZ) == u
+    assert of_linear_form(TriSeries.zero(0), S2_XYZ) == TriSeries.zero(0)
+
+
+def test_of_linear_form_substitutes_powers():
+    # 1/(1 - x) at x = sqrt2*x + sqrt2*y + sqrt2*z is 1/(1 - L)
+    cap = 5
+    inv = reciprocal(poly(cap, c=1, x1=-1))
+    expected = reciprocal(TriSeries.constant(1, cap) - of_linear_form(poly(cap, x1=1), S2_XYZ))
+    assert of_linear_form(inv, S2_XYZ) == expected
 
 
 ORACLE_FORMS = {
