@@ -15,9 +15,10 @@ over the four index triangles
 
 plus boundary data taken from the marginals of M_{n-1} (conditions I1-I4 on
 the outermost rows/columns, or just the 2x2 SW / NE corners).  Nine catalog
-strategies combine these; all are solved by one generic propagation engine
-that repeatedly resolves any recurrence instance with a single unknown cell,
-flagging under-determination (Unresolved) and contradictions (Inconsistent)
+strategies combine these; all are solved by one generic propagation engine, a
+worklist that revisits a recurrence instance only when one of its cells has
+just become known and solves any instance with a single unknown cell.  It
+flags under-determination (Unresolved) and contradictions (Inconsistent)
 instead of trusting any particular fill order.
 """
 
@@ -73,7 +74,7 @@ class DeltaMatrix:
         return tuple(sum(r) for r in self.rows)
 
     def col_sums(self) -> Tuple[int, ...]:
-        return tuple(sum(r[j] for r in self.rows) for j in range(2 * self.n))
+        return tuple(map(sum, zip(*self.rows)))
 
     def total(self) -> int:
         return sum(sum(r) for r in self.rows)
@@ -129,23 +130,40 @@ class DeltaMatrix:
 
 REGION_TAGS = ("L1", "L2", "U1", "U2")
 
+#: region tag -> (below the diagonal?, gap d, top offset t): a lower region is
+#: {1 <= k, k+d <= m <= 2n+t}, an upper one {1 <= m, m+d <= k <= 2n+t}
+_REGIONS: Dict[str, Tuple[bool, int, int]] = {
+    "L1": (True, 1, -2),
+    "L2": (True, 3, 0),
+    "U1": (False, 1, -2),
+    "U2": (False, 3, 0),
+}
+
+
+def _region(tag: str) -> Tuple[bool, int, int]:
+    if tag not in _REGIONS:
+        raise ValueError(f"unknown region {tag!r}")
+    return _REGIONS[tag]
+
 
 def in_region(tag: str, n: int, m: int, k: int) -> bool:
-    if tag == "L1":
-        return 2 <= k + 1 <= m <= 2 * n - 2
-    if tag == "L2":
-        return 4 <= k + 3 <= m <= 2 * n
-    if tag == "U1":
-        return 2 <= m + 1 <= k <= 2 * n - 2
-    if tag == "U2":
-        return 4 <= m + 3 <= k <= 2 * n
-    raise ValueError(f"unknown region {tag!r}")
+    lower, d, t = _region(tag)
+    if not lower:
+        m, k = k, m
+    return 1 <= k and k + d <= m <= 2 * n + t
 
 
 def region_cells(tag: str, n: int) -> Iterator[Cell]:
-    for m in range(1, 2 * n + 1):
-        for k in range(1, 2 * n + 1):
-            if in_region(tag, n, m, k):
+    """The cells of one region in (m, k) order."""
+    lower, d, t = _region(tag)
+    top = 2 * n + t
+    if lower:
+        for m in range(1 + d, top + 1):
+            for k in range(1, m - d + 1):
+                yield (m, k)
+    else:
+        for m in range(1, top - d + 1):
+            for k in range(m + d, top + 1):
                 yield (m, k)
 
 
@@ -156,6 +174,12 @@ _RECURRENCES: Dict[str, Tuple[str, bool, Tuple[int, int]]] = {
     "R3": ("U2", True, (0, -2)),
     "R4": ("L2", False, (-2, 0)),
 }
+
+
+def _recurrence(tag: str) -> Tuple[str, bool, Tuple[int, int]]:
+    if tag not in _RECURRENCES:
+        raise ValueError(f"unknown recurrence {tag!r}")
+    return _RECURRENCES[tag]
 
 
 @dataclass(frozen=True)
@@ -176,7 +200,7 @@ def recurrence_instances(
 ) -> List[Instance]:
     out: List[Instance] = []
     for tag in sorted(recurrences):
-        region, vertical, (dm, dk) = _RECURRENCES[tag]
+        region, vertical, (dm, dk) = _recurrence(tag)
         for (m, k) in region_cells(region, n):
             if vertical:
                 cells = ((m, k), (m + 1, k), (m + 2, k))
@@ -191,25 +215,23 @@ def recurrence_instances(
 # Boundary conditions
 # ---------------------------------------------------------------------------
 
-def _marginal_row(prev: DeltaMatrix, width: int) -> List[int]:
-    # f_{n-1}(1,.), ..., f_{n-1}(2n-2,.), 0, 0 padded to 2n entries
-    sums = list(prev.row_sums())
-    return sums + [0] * (width - len(sums))
-
-
 def boundary_cells(tag: str, n: int, prev: DeltaMatrix) -> Dict[Cell, int]:
     """Known-cell assignments contributed by one boundary condition."""
-    w = 2 * n
-    rs = prev.row_sums()  # f_{n-1}(m, .), m = 1..2n-2
-    cs = prev.col_sums()  # f_{n-1}(., k), k = 1..2n-2
+    return _boundary_cells(tag, 2 * n, prev.row_sums(), prev.col_sums())
+
+
+def _boundary_cells(
+    tag: str, w: int, rs: Tuple[int, ...], cs: Tuple[int, ...]
+) -> Dict[Cell, int]:
+    # rs[m-1] = f_{n-1}(m, .) and cs[k-1] = f_{n-1}(., k), for 1..2n-2
     out: Dict[Cell, int] = {}
     if tag == "I1":
-        col = _marginal_row(prev, w)
+        col = rs + (0,) * (w - len(rs))  # zero-padded to 2n entries
         for m in range(1, w + 1):
             out[(m, w)] = 0
             out[(m, w - 1)] = col[m - 1]
     elif tag == "I2":
-        row = _marginal_row(prev, w)
+        row = rs + (0,) * (w - len(rs))
         for k in range(1, w + 1):
             out[(w, k)] = row[k - 1]
             out[(w - 1, k)] = (
@@ -290,82 +312,98 @@ def solve_constraints(
     """Determine M_n from known-cell assignments plus recurrence instances.
 
     `known` is a mapping or an iterable of ((m, k), value) pairs; duplicate
-    assignments with different values raise Inconsistent.  Propagation
-    repeatedly solves any instance with exactly one unknown cell until a
-    fixpoint.  Raises Unresolved if cells remain unknown, Inconsistent if a
-    fully determined instance has nonzero residual.
+    assignments with different values raise Inconsistent.  Propagation runs a
+    worklist: every instance is queued once, and re-queued only when one of
+    its cells has just become known; a popped instance with exactly one
+    unknown cell solves it.  A final sweep checks every fully determined
+    instance, so Inconsistent (a nonzero residual or an odd middle value)
+    takes precedence over Unresolved (cells left unknown).
     """
     w = 2 * n
     pairs = known.items() if hasattr(known, "items") else known
-    values: Dict[Cell, int] = {}
+    vals: List[Optional[int]] = [None] * (w * w)  # vals[(m-1)*w + k-1] = f_n(m, k)
     for cell, v in pairs:
         m, k = cell
         if not (1 <= m <= w and 1 <= k <= w):
             raise ValueError(f"known cell {cell} outside the {w}x{w} grid")
-        if cell in values and values[cell] != v:
-            raise Inconsistent(n, f"conflicting known values at {cell}: {values[cell]} vs {v}")
-        values[cell] = v
+        i = (m - 1) * w + k - 1
+        if vals[i] is not None and vals[i] != v:
+            raise Inconsistent(n, f"conflicting known values at {cell}: {vals[i]} vs {v}")
+        vals[i] = v
 
-    instances = recurrence_instances(n, prev, frozenset(recurrences))
+    # Instance r at anchor a reads vals[a] - 2 vals[a+s] + vals[a+2s] + const,
+    # s the step of recurrence r; it is encoded as the int a * nrec + r.
+    tags = sorted(frozenset(recurrences))
+    nrec = len(tags)
+    specs = [_recurrence(tag) for tag in tags]
+    steps = [w if vertical else 1 for _, vertical, _ in specs]
+    masks: List[bytearray] = []  # masks[r][a] == 1 iff a anchors an instance of r
+    instances: List[int] = []
+    for r, (region, _, _) in enumerate(specs):
+        mask = bytearray(w * w)
+        for m, k in region_cells(region, n):
+            a = (m - 1) * w + k - 1
+            mask[a] = 1
+            instances.append(a * nrec + r)
+        masks.append(mask)
+    touching = list(enumerate(zip(steps, masks)))
 
-    def unknowns(inst: Instance) -> List[Cell]:
-        return [c for c in inst.cells if c not in values]
+    def const(a: int, r: int) -> int:
+        if prev is None:
+            return 0
+        dm, dk = specs[r][2]
+        return 2 * prev.value(a // w + 1 + dm, a % w + 1 + dk)
 
-    pending = list(range(len(instances)))
-    while pending:
-        progressed = []
-        stuck = []
-        for idx in pending:
-            inst = instances[idx]
-            missing = unknowns(inst)
-            if not missing:
-                r = inst.residual(values)
-                if r != 0:
-                    raise Inconsistent(
-                        n, f"{inst.tag} instance at cells {inst.cells} has residual {r}"
-                    )
-                continue
-            if len(missing) > 1:
-                stuck.append(idx)
-                continue
-            cell = missing[0]
-            c0, c1, c2 = inst.cells
-            if cell == c0:
-                v = 2 * values[c1] - values[c2] - inst.const
-            elif cell == c1:
-                # 2*c1 = c0 + c2 + const; the division must be exact
-                num = values[c0] + values[c2] + inst.const
-                if num % 2 != 0:
-                    raise Inconsistent(n, f"odd middle value in {inst.tag} at {inst.cells}")
-                v = num // 2
-            else:
-                v = 2 * values[c1] - values[c0] - inst.const
-            values[cell] = v
-            progressed.append(idx)  # re-check residual next round
-        if not progressed:
-            break
-        pending = stuck + progressed
+    def cell_at(i: int) -> Cell:
+        return (i // w + 1, i % w + 1)
 
-    missing_cells = [
-        (m, k) for m in range(1, w + 1) for k in range(1, w + 1) if (m, k) not in values
-    ]
-    if missing_cells:
-        raise Unresolved(n, missing_cells)
+    def cells(a: int, s: int) -> Tuple[Cell, Cell, Cell]:
+        return (cell_at(a), cell_at(a + s), cell_at(a + 2 * s))
 
-    # final full consistency sweep
-    for inst in instances:
-        r = inst.residual(values)
-        if r != 0:
-            raise Inconsistent(n, f"{inst.tag} instance at cells {inst.cells} has residual {r}")
+    stack = list(instances)
+    while stack:
+        a, r = divmod(stack.pop(), nrec)
+        s = steps[r]
+        x, y, z = vals[a], vals[a + s], vals[a + 2 * s]
+        if (x is None) + (y is None) + (z is None) != 1:
+            continue
+        if x is None:
+            cell, v = a, 2 * y - z - const(a, r)
+        elif y is None:
+            # 2*y = x + z + const; the division must be exact
+            num = x + z + const(a, r)
+            if num % 2 != 0:
+                raise Inconsistent(n, f"odd middle value in {tags[r]} at {cells(a, s)}")
+            cell, v = a + s, num // 2
+        else:
+            cell, v = a + 2 * s, 2 * y - x - const(a, r)
+        vals[cell] = v
+        for r2, (s2, mask) in touching:
+            for a2 in (cell, cell - s2, cell - 2 * s2):
+                if a2 >= 0 and mask[a2]:
+                    stack.append(a2 * nrec + r2)
 
-    rows = tuple(tuple(values[(m, k)] for k in range(1, w + 1)) for m in range(1, w + 1))
-    return DeltaMatrix(n, rows)
+    for code in instances:
+        a, r = divmod(code, nrec)
+        s = steps[r]
+        x, y, z = vals[a], vals[a + s], vals[a + 2 * s]
+        if x is None or y is None or z is None:
+            continue
+        res = x - 2 * y + z + const(a, r)
+        if res != 0:
+            raise Inconsistent(
+                n, f"{tags[r]} instance at cells {cells(a, s)} has residual {res}"
+            )
+    if None in vals:
+        raise Unresolved(n, [cell_at(i) for i, v in enumerate(vals) if v is None])
+    return DeltaMatrix(n, tuple(tuple(vals[i : i + w]) for i in range(0, w * w, w)))
 
 
 def _known_for(strategy: BuildStrategy, n: int, prev: DeltaMatrix) -> Dict[Cell, int]:
     known: Dict[Cell, int] = {(i, i): 0 for i in range(1, 2 * n + 1)}
+    rs, cs = prev.row_sums(), prev.col_sums()
     for tag in sorted(strategy.boundary):
-        for cell, v in boundary_cells(tag, n, prev).items():
+        for cell, v in _boundary_cells(tag, 2 * n, rs, cs).items():
             if cell in known and known[cell] != v:
                 raise Inconsistent(
                     n, f"boundary conditions disagree at {cell}: {known[cell]} vs {v}"

@@ -1,6 +1,10 @@
 """Matrix construction, solver behaviour, and matrix-level identities."""
 
+import dataclasses
+import hashlib
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +19,7 @@ from poupard.delta import (
     DeltaMatrix,
     Inconsistent,
     Unresolved,
+    _known_for,
     boundary_cells,
     build_matrix,
     counter_diagonal_failure,
@@ -292,3 +297,175 @@ def test_chain_build_depth_does_not_grow_with_n():
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError):
         build_matrix(2, "D10")
+
+
+def test_region_cells_match_in_region_filter():
+    for n in range(1, 13):
+        for tag in ("L1", "L2", "U1", "U2"):
+            grid = [(m, k) for m in range(1, 2 * n + 1) for k in range(1, 2 * n + 1)]
+            assert list(region_cells(tag, n)) == [c for c in grid if in_region(tag, n, *c)]
+
+
+def test_solver_rejects_unknown_recurrence():
+    with pytest.raises(ValueError, match="'R5'"):
+        solve_constraints(2, {(1, 1): 0}, frozenset({"R1", "R5"}), M1)
+    with pytest.raises(ValueError, match="'R5'"):
+        recurrence_instances(2, M1, frozenset({"R5"}))
+
+
+def test_solver_odd_middle_value():
+    # R1 at anchor (2,1) with no previous matrix: 2 f(3,1) = f(2,1) + f(4,1) = 1
+    with pytest.raises(Inconsistent, match="odd middle value in R1"):
+        solve_constraints(2, {(2, 1): 0, (4, 1): 1}, frozenset({"R1"}), None)
+
+
+def test_solver_contradiction_outranks_underdetermination():
+    # the one R1 instance is fully known and violated; every other cell is open
+    detail = "R1 instance at cells ((2, 1), (3, 1), (4, 1)) has residual 1"
+    with pytest.raises(Inconsistent, match=re.escape(detail)):
+        solve_constraints(2, {(2, 1): 0, (3, 1): 0, (4, 1): 1}, frozenset({"R1"}), None)
+
+
+def _triangle_cells(side, n):
+    w = 2 * n
+    return {
+        (m, k)
+        for m in range(1, w + 1)
+        for k in range(1, w + 1)
+        if (m < k if side == "upper" else m > k)
+    }
+
+
+def _derivable(cells, instances):
+    """Closure of a known-cell set: add the lone unknown cell of any instance."""
+    cells, grew = set(cells), True
+    while grew:
+        grew = False
+        for inst in instances:
+            missing = set(inst.cells) - cells
+            if len(missing) == 1:
+                cells |= missing
+                grew = True
+    return cells
+
+
+def test_solver_reaches_the_derivable_closure():
+    # random subsets of a true M_n as known cells: the solver must fill
+    # exactly the closure, whatever order it visits instances in
+    rng = random.Random(1)
+    for _ in range(200):
+        n = rng.choice((3, 4))
+        mat, prev = build_matrix(n), build_matrix(n - 1)
+        recs = frozenset(r for r in ("R1", "R2", "R3", "R4") if rng.random() < 0.6)
+        grid = {(m, k) for m in range(1, 2 * n + 1) for k in range(1, 2 * n + 1)}
+        density = rng.choice((0.3, 0.5, 0.7))
+        known = {c: mat.value(*c) for c in sorted(grid) if rng.random() < density}
+        left = grid - _derivable(known, recurrence_instances(n, prev, recs))
+        if left:
+            with pytest.raises(Unresolved) as info:
+                solve_constraints(n, known, recs, prev)
+            assert set(info.value.cells) == left
+        else:
+            assert solve_constraints(n, known, recs, prev) == mat
+
+
+# Cells left unknown at n = 4 when one boundary condition of a strategy is
+# dropped: a strict triangle of the 8x8 grid, less at most one cell.
+# Recorded before the solver became a worklist.
+DROPPED_BOUNDARY_UNRESOLVED = {
+    ("D1", "I1"): ("upper", (7, 8)),
+    ("D1", "I2"): ("lower", (8, 7)),
+    ("D2", "I3"): ("upper", (1, 2)),
+    ("D2", "I4"): ("lower", (2, 1)),
+    ("D3", "I2"): ("lower", (2, 1)),
+    ("D3", "I3"): ("upper", (7, 8)),
+    ("D4", "I1"): ("upper", (1, 2)),
+    ("D4", "I4"): ("lower", (8, 7)),
+    ("D5", "I3"): ("upper", None),
+    ("D5", "SW"): ("lower", (2, 1)),
+    ("D6", "I1"): ("upper", None),
+    ("D6", "SW"): ("lower", (8, 7)),
+    ("D7", "I2"): ("lower", None),
+    ("D7", "NE"): ("upper", (7, 8)),
+    ("D8", "I4"): ("lower", None),
+    ("D8", "NE"): ("upper", (1, 2)),
+    ("D9", "NE"): ("upper", None),
+    ("D9", "SW"): ("lower", None),
+}
+
+
+@pytest.mark.parametrize("tag, dropped", sorted(DROPPED_BOUNDARY_UNRESOLVED))
+def test_dropping_a_boundary_condition_leaves_pinned_cells(tag, dropped):
+    strategy = STRATEGIES[tag]
+    assert dropped in strategy.boundary
+    partial = dataclasses.replace(strategy, boundary=strategy.boundary - {dropped})
+    prev = build_matrix(3, tag)
+    side, solved = DROPPED_BOUNDARY_UNRESOLVED[(tag, dropped)]
+    expected = _triangle_cells(side, 4) - {solved}
+    with pytest.raises(Unresolved) as info:
+        solve_constraints(4, _known_for(partial, 4, prev), strategy.recurrences, prev)
+    assert set(info.value.cells) == expected
+
+
+# Off-diagonal known cells at n = 4 whose value + 1 makes the system
+# Inconsistent; raising any other known cell by 1 still solves.  Recorded
+# before the solver became a worklist.
+CORRUPTIONS_DETECTED = {
+    "D1": set(),
+    "D2": set(),
+    "D3": {(1, 8), (2, 1), (2, 8), (7, 1), (7, 8), (8, 1)},
+    "D4": {(1, 2), (1, 7), (1, 8), (8, 1), (8, 2), (8, 7)},
+    "D5": {(2, 1), (7, 1), (8, 1)},
+    "D6": {(8, 1), (8, 2), (8, 7)},
+    "D7": {(1, 8), (2, 8), (7, 8)},
+    "D8": {(1, 2), (1, 7), (1, 8)},
+    "D9": set(),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(CORRUPTIONS_DETECTED))
+def test_corrupted_known_cell_verdicts(tag):
+    strategy = STRATEGIES[tag]
+    prev = build_matrix(3, tag)
+    known = _known_for(strategy, 4, prev)
+    detected = set()
+    for cell in (c for c in known if c[0] != c[1]):
+        try:
+            solve_constraints(4, {**known, cell: known[cell] + 1}, strategy.recurrences, prev)
+        except Inconsistent:
+            detected.add(cell)
+    assert detected == CORRUPTIONS_DETECTED[tag]
+
+
+# sha256 of build_matrix(n, "D1").to_json(), recorded before the solver
+# became a worklist
+D1_JSON_DIGESTS = [
+    "0e51356fc96a1264663ebb69e07e65b3dffb2e428ac8a125f297a0f86c776129",  # n = 1
+    "da6faa74d73076dacd959c6608409b7f7041c79b575137ff113bdd5e8cc24646",  # n = 2
+    "f4e78ce547bcd2699e9b088ab8e05924442c22ba16ff253634e2cb60a7b0645e",  # n = 3
+    "18f51de2c0014688748623f8dc6b765a75d60a2a7fd0f45939979f17d31de7e4",  # n = 4
+    "45416a11c03bd36adb0ead228569b92f489adc2b621555495688ef2bf4a179e3",  # n = 5
+    "8491697df1529547f2e7da13281bf675d9be6ff5fc73137ccd9b5a890fb9900f",  # n = 6
+    "1df7cf2c1d17c1e4861f455d2a72d57e69c2550397e5c38ed46033c08db7e6d3",  # n = 7
+    "12c9421f8466677c6e435fcc2f082b38b1098b2991ca36706e45ce252a395fc0",  # n = 8
+    "69e753c5f537437466cde67e9676db5b30787fda09b1b6aaa91feb55609dd0e1",  # n = 9
+    "360f7093b93ec17931ccbbc8be726ace4fd51f8028d7a06fea364052b9cc186d",  # n = 10
+    "bc614180b3835d4e9d221560ee965683d0de349167d48ed423c75d21ed7f4d66",  # n = 11
+    "c5e0e064485eab8e211dd1a7dce858a1c3aa0a6f11179de32fd056d1c0433d5a",  # n = 12
+    "3c16f2cd98bd7b07d1d77e934a7c44862a23d4c907e894cd300dc08a3ff315f2",  # n = 13
+    "6e3dd0041a0314e374cab206b0215566d66643adf885d8989d2849b125a24192",  # n = 14
+    "0f8bc49b9f28d88fe0e6d7f352d10939ddcb202805180d8ae58330a23c70ac46",  # n = 15
+    "a0bd23d3153ad2e956b91bb0dd24975b01ac00bd50fb3d284271476c3e8136da",  # n = 16
+    "ef281f1e8bb5ef05b949db7878ff1a5375358a8fc09c7649dddffc324178abbb",  # n = 17
+    "9f1e1cae4dd29f4186cfc568289ba5ca35b05dec986977544a233b09361b8eeb",  # n = 18
+    "3feac2cdc8496de23cdbc095dbced16fa4944cea3f54bc410d51051f397ee2b8",  # n = 19
+    "d5d29b53b3cbf3b50cb30de350d812e0108b07c347dd4149979765dce1cf58e4",  # n = 20
+]
+
+
+def test_matrix_digests_pinned_for_all_strategies():
+    for n, digest in enumerate(D1_JSON_DIGESTS, 1):
+        reference = build_matrix(n, "D1")
+        assert hashlib.sha256(reference.to_json().encode()).hexdigest() == digest
+        for tag in STRATEGIES:
+            assert build_matrix(n, tag) == reference, (n, tag)
