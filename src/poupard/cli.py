@@ -139,6 +139,10 @@ def cmd_verify(args, parser) -> int:
         report = run_checks(checks, n_max=args.n_max, cap=args.cap, force=args.force)
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
+    if not report.checks:  # a run that checked nothing must not pass
+        msg = f"--checks {args.checks} runs no check at --n-max {args.n_max}"
+        print(f"poupard verify: error: {msg}", file=sys.stderr)
+        return 2
     if args.json:
         print(report.to_json())
         print("\n".join(report.summary_lines()), file=sys.stderr)

@@ -16,6 +16,11 @@ of S minus the root; double counting is avoided by forcing the block that
 contains the smallest remaining label to come first.  Blocks are visited by
 ascending first-block size, then lexicographically, and the first subtree
 varies slowest, so output order is reproducible across runs.
+
+The enumerator yields each tree as a shape, a tuple of (parent, childA,
+childB) position triples.  The census tables are read straight from those
+triples; a Tree is materialized only by enumerate_trees, for the public API,
+the ha12_map bijection and the `trees` CLI.
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ _MEMO_MAX_SIZE = 11
 # joint_distribution / census_tables refuse larger n unless forced: the sets
 # T_{2n+1} grow like tangent numbers (n=7 already has ~14.9 million trees).
 DEFAULT_ENUMERATION_LIMIT = 7
+
+#: n ceilings of the enumeration-backed verify suites; verify --force lifts them
+ENUMERATION_CAPS = {"enumeration": 6, "bijection": 5, "census": 5}
 
 
 class EnumerationLimitError(ValueError):
@@ -291,41 +299,6 @@ class CensusTables:
     r2_inside: Tuple[Tuple[int, ...], ...]
 
 
-def _accumulate_census(t: Tree, size: int, joint, r1w, r2o, r2i) -> None:
-    children = t.children
-    par = t.parents()
-    e = 1
-    while e in children:
-        e = min(children[e])
-    k_pom = par[size]
-    joint[e - 1][k_pom - 1] += 1
-
-    # R1 witness: m := eoc-1 is the parent of leaves m+1 = eoc and m+2.
-    m = e - 1
-    pair = children.get(m)
-    if pair == (e, e + 1) and (e + 1) not in children:
-        r1w[m - 1][k_pom - 1] += 1
-
-    # R2 witnesses key on k := pom-1.
-    k = k_pom - 1
-    if k >= 1:
-        kpair = children.get(k)
-        if children.get(k + 1) == (k + 2, size) and (k + 2) not in children:
-            if kpair is not None and (k + 1) in kpair:
-                # chain k -- k+1 -- {k+2, 2n+1}; is eoc outside subtree(k)?
-                w = e
-                while w != 1 and w != k:
-                    w = par[w]
-                if w != k:
-                    r2o[e - 1][k - 1] += 1
-        if kpair == (k + 1, k + 2) and (k + 2) not in children:
-            w = e
-            while w != 1 and w != k:
-                w = par[w]
-            if w == k:
-                r2i[e - 1][k - 1] += 1
-
-
 def census_tables(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> CensusTables:
     """Every per-(m,k) counter of T_{2n+1}; the trees of each n are
     enumerated once per process, whatever limit the callers pass."""
@@ -341,14 +314,48 @@ def census_tables(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> CensusTable
 # Keyed on n alone: a table is a few (2n)x(2n) grids, so keeping every n is cheap.
 @lru_cache(maxsize=None)
 def _census(n: int) -> CensusTables:
+    """One pass over the shapes of T_{2n+1} as position triples (label - 1),
+    each filling first-child, second-child and parent lists with 0 for none
+    (the root, position 0, is nobody's child); no Tree is built.  Positions
+    grow along every path, so eoc is under k iff walking up from it hits k."""
     size = 2 * n + 1
     w = 2 * n
     joint = [[0] * w for _ in range(w)]
     r1w = [[0] * w for _ in range(w)]
     r2o = [[0] * w for _ in range(w)]
     r2i = [[0] * w for _ in range(w)]
-    for t in enumerate_trees(n):
-        _accumulate_census(t, size, joint, r1w, r2o, r2i)
+    for shape in _iter_shapes(size):
+        first = [0] * size
+        second = [0] * size
+        parent = [0] * size
+        for p, a, b in shape:
+            first[p] = a
+            second[p] = b
+            parent[a] = parent[b] = p
+        e = first[0]  # eoc
+        while first[e]:
+            e = first[e]
+        kp = parent[size - 1]  # pom
+        joint[e][kp] += 1
+
+        # R1 witness: m := eoc-1 is the parent of leaves m+1 = eoc and m+2.
+        m = e - 1
+        if first[m] == e and second[m] == e + 1 and not first[e + 1]:
+            r1w[m][kp] += 1
+
+        # R2 witnesses key on k := pom-1, the parent of pom, with k+2 a leaf.
+        k = kp - 1
+        if k >= 0 and parent[kp] == k and not first[kp + 1]:
+            # outside: k+1's children are {k+2, 2n+1}; inside: k's are {k+1, k+2}
+            outside = first[kp] == kp + 1
+            if outside or second[k] == kp + 1:
+                up = e
+                while up > k:
+                    up = parent[up]
+                if outside and up != k:
+                    r2o[e][k] += 1
+                elif not outside and up == k:
+                    r2i[e][k] += 1
     freeze = lambda g: tuple(tuple(row) for row in g)
     return CensusTables(n, freeze(joint), freeze(r1w), freeze(r2o), freeze(r2i))
 

@@ -27,6 +27,7 @@ from .delta import (
 from .report import SKIPPED, CheckRecord, VerifyReport, timed_check
 from .triangle import is_poupard_matrix, poupard_triangle
 from .trees import (
+    ENUMERATION_CAPS,
     Tree,
     census_tables,
     enumerate_trees,
@@ -53,9 +54,6 @@ ALL_CHECKS = (
     "poupard-matrices",
     "closed-forms",
 )
-
-#: default n ceilings of the enumeration-backed suites; --force lifts them
-ENUMERATION_CAPS = {"enumeration": 6, "bijection": 5, "census": 5}
 
 
 def load_fixture_matrix(n: int) -> DeltaMatrix:

@@ -2,9 +2,17 @@
 
 import pytest
 
-from poupard import trees
+from poupard import trees, verify
 from poupard.delta import DeltaMatrix, build_matrix, region_cells
-from poupard.trees import EnumerationLimitError, census_tables, structural_census
+from poupard.trees import (
+    EnumerationLimitError,
+    census_tables,
+    enumerate_trees,
+    eoc,
+    minimal_chain,
+    pom,
+    structural_census,
+)
 from poupard.verify import run_checks
 
 
@@ -110,12 +118,12 @@ def test_census_enumerates_each_n_once(monkeypatch):
     # share one walk of T_{2n+1}
     walked = []
 
-    def counting(n):
-        walked.append(n)
-        return enumerate_trees(n)
+    def counting(size):
+        walked.append((size - 1) // 2)
+        return iter_shapes(size)
 
-    enumerate_trees = trees.enumerate_trees
-    monkeypatch.setattr(trees, "enumerate_trees", counting)
+    iter_shapes = trees._iter_shapes
+    monkeypatch.setattr(trees, "_iter_shapes", counting)
     census_tables.cache_clear()
     first = census_tables(3, limit=5)
     assert census_tables(3, limit=6) is first
@@ -127,3 +135,50 @@ def test_census_enumerates_each_n_once(monkeypatch):
     census_tables.cache_clear()
     census_tables(3)
     assert walked == [3, 3]
+
+
+def _tables_from_tree_api(n):
+    """The four CensusTables grids, recomputed tree by tree from the Tree API
+    and the CensusTables definitions (subtree membership by walking parents
+    up to the root)."""
+    w = 2 * n
+    grids = {name: [[0] * w for _ in range(w)] for name in ("joint", "r1", "out", "in")}
+    for t in enumerate_trees(n):
+        m, k = eoc(t), pom(t)
+        assert m == minimal_chain(t)[-1] and t.is_leaf(m)
+        par = t.parents()
+        ancestors = set()
+        v = m
+        while v != 1:
+            v = par[v]
+            ancestors.add(v)
+        grids["joint"][m - 1][k - 1] += 1
+        # r1_witness at (eoc-1, pom): eoc-1 is the parent of leaves eoc, eoc+1
+        r = m - 1
+        if t.children.get(r) == (r + 1, r + 2) and t.is_leaf(r + 1) and t.is_leaf(r + 2):
+            grids["r1"][r - 1][k - 1] += 1
+        # r2 witnesses at (eoc, pom-1)
+        q = k - 1
+        if q < 1 or not t.is_leaf(q + 2):
+            continue
+        if q + 2 in t.children.get(q + 1, ()) and par[q + 1] == q and q not in ancestors:
+            grids["out"][m - 1][q - 1] += 1
+        if t.children.get(q) == (q + 1, q + 2) and q in ancestors:
+            grids["in"][m - 1][q - 1] += 1
+    freeze = lambda g: tuple(tuple(row) for row in g)
+    return tuple(freeze(grids[name]) for name in ("joint", "r1", "out", "in"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_census_matches_tree_api_oracle(n):
+    tables = census_tables(n)
+    got = (tables.joint, tables.r1_witness, tables.r2_outside, tables.r2_inside)
+    assert got == _tables_from_tree_api(n)
+
+
+def test_suite_caps_within_library_limit():
+    # a suite must never ask the library for more than its default allows
+    caps = trees.ENUMERATION_CAPS
+    assert verify.ENUMERATION_CAPS is caps
+    assert set(caps) == {"enumeration", "bijection", "census"}
+    assert all(cap <= trees.DEFAULT_ENUMERATION_LIMIT for cap in caps.values())

@@ -111,6 +111,16 @@ def test_verify_unknown_check(capsys, checks, message):
     assert message in err
 
 
+@pytest.mark.parametrize("checks", ["census", "diagonals,crossing"])
+def test_verify_rejects_run_that_checks_nothing(capsys, checks):
+    code, out, err = run_cli(capsys, "verify", "--checks", checks, "--n-max", "1")
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [
+        f"poupard verify: error: --checks {checks} runs no check at --n-max 1"
+    ]
+
+
 def test_verify_detects_corrupted_golden(tmp_path, monkeypatch, capsys):
     # copy fixtures, damage one matrix entry, and point the suite at the copy
     src = verify_mod.FIXTURES
