@@ -151,8 +151,7 @@ def cmd_verify(args, parser) -> int:
     return report.exit_code()
 
 
-def cmd_export(args) -> int:
-    out = Path(args.out)
+def _write_artifacts(args, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     tag = args.strategy.upper()
     for n in range(1, args.n_max + 1):
@@ -166,6 +165,15 @@ def cmd_export(args) -> int:
     for which, fn in (("lambda", gfmod.lambda_lhs), ("omega", gfmod.omega_lhs)):
         lines = dump_lines(fn(args.cap, matrices))
         (out / f"gf_{which}.txt").write_text("\n".join(lines) + ("\n" if lines else ""))
+
+
+def cmd_export(args) -> int:
+    out = Path(args.out)
+    try:
+        _write_artifacts(args, out)
+    except OSError as exc:  # --out is a file, lies below one, or is not writable
+        print(f"poupard export: error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote artifacts for n<={args.n_max} to {out}")
     return 0
 

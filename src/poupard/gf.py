@@ -11,8 +11,21 @@ over 2 <= k+1 <= m <= 2n, and the upper-triangle entries into
                = sin(sqrt2 x) sin(sqrt2 z) / (2 cos^2((x+y+z)/sqrt2)),
 
 both truncated by total degree (a monomial from M_n has total degree 2n-2).
-All right-hand sides live in Q(sqrt2); the sqrt2-parts must cancel, which is
-checked rather than assumed.
+
+Each identity is checked by two independent paths:
+
+* The Q(sqrt2) series path builds both sides as TriSeries: `lambda_lhs` /
+  `omega_lhs` from the matrix entries over factorials, and `lambda_rhs` /
+  `omega_rhs` by dividing the numerators by 2cos^2((x+y+z)/sqrt2).  The
+  sqrt2-parts must cancel, which is checked rather than assumed.  The tests
+  use this path as the oracle, and `poupard gf` / `export` dump `*_lhs`.
+* The integer path, used by `verify --checks gf`, works with
+  E(i,j,l) = i! j! l! [x^i y^j z^l].  There the left-hand sides are the
+  matrix entries themselves (`lambda_egf`, `omega_egf`) and the numerators
+  have integer coefficients.  The denominator 2cos^2(S/sqrt2) =
+  1 + cos(sqrt2 S), S = x+y+z, is a unit, so each identity is equivalent to
+  E(lhs (1 + cos(sqrt2 S))) = E(N) (`closed_form_mismatch`), computed with
+  ints and binomials only.
 
 The same entries, reindexed, give infinite matrices lambda^(p), omega^(p)
 (slice p collects the p-th diagonal layer of lower/upper triangles).  These
@@ -23,8 +36,9 @@ closed-form bivariate generating functions, all checked here exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from math import comb, factorial
+from operator import mul
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .delta import DeltaMatrix
 from .scalars import HALF_SQRT2, SQRT2, ZERO, RootTwoScalar
@@ -32,6 +46,8 @@ from .series import LinearForm, Monomial, TriSeries, of_linear_form, reciprocal
 from .series import trig_in_x, trig_series
 
 Grid = Tuple[Tuple[int, ...], ...]
+EGF = Dict[Monomial, int]  # E(i,j,l) = i! j! l! [x^i y^j z^l]
+T = TypeVar("T")
 
 
 class InsufficientMatrices(ValueError):
@@ -89,50 +105,164 @@ def required_matrix_count(cap: int) -> int:
     return (cap + 2) // 2
 
 
-def _triangle_series(
+def _triangle_egf(
     cap: int,
     matrices: Sequence[DeltaMatrix],
     exponents: Callable[[int, int, int], Optional[Monomial]],
-) -> TriSeries:
-    """sum f_n(m,k) x^i y^j z^l / (i! j! l!) over the cells where
-    exponents(2n, m, k) gives (i, j, l); each monomial comes from one cell."""
-    coeffs: Dict[Monomial, RootTwoScalar] = {}
+) -> EGF:
+    """{(i, j, l): f_n(m,k)} over the nonzero cells where exponents(2n, m, k)
+    gives (i, j, l); each monomial comes from one cell."""
+    coeffs: EGF = {}
     for n in range(1, required_matrix_count(cap) + 1):
         mat = _lookup(matrices, n)
         for m, row in enumerate(mat.rows, 1):
             for k, v in enumerate(row, 1):
                 mono = exponents(2 * n, m, k)
                 if v and mono is not None:
-                    i, j, l = mono
-                    coeffs[mono] = RootTwoScalar(
-                        Fraction(v, factorial(i) * factorial(j) * factorial(l))
-                    )
-    return TriSeries(cap, coeffs)
+                    coeffs[mono] = v
+    return coeffs
 
 
-def lambda_lhs(cap: int, matrices: Sequence[DeltaMatrix]) -> TriSeries:
-    """Assemble the lower-triangle series directly from matrix entries."""
-    return _triangle_series(
+def lambda_egf(cap: int, matrices: Sequence[DeltaMatrix]) -> EGF:
+    """E(i,j,l) of the lower-triangle series: the matrix entries themselves."""
+    return _triangle_egf(
         cap, matrices, lambda w, m, k: (m - k - 1, k - 1, w - m) if k < m else None
     )
 
 
-def omega_lhs(cap: int, matrices: Sequence[DeltaMatrix]) -> TriSeries:
-    """Assemble the upper-triangle series (column 2n is zero, so summing the
+def omega_egf(cap: int, matrices: Sequence[DeltaMatrix]) -> EGF:
+    """E(i,j,l) of the upper-triangle series (column 2n is zero, so summing the
     full upper triangle matches the k <= 2n-1 statement)."""
-    return _triangle_series(
+    return _triangle_egf(
         cap, matrices, lambda w, m, k: (w - k, k - m - 1, m - 1) if m < k else None
     )
 
 
-def swap_variables(series: TriSeries, perm: Tuple[int, int, int]) -> TriSeries:
+def _egf_series(cap: int, coeffs: EGF) -> TriSeries:
+    """The series sum E(i,j,l) x^i y^j z^l / (i! j! l!)."""
+    return TriSeries(
+        cap,
+        {
+            (i, j, l): RootTwoScalar(Fraction(v, factorial(i) * factorial(j) * factorial(l)))
+            for (i, j, l), v in coeffs.items()
+        },
+    )
+
+
+def lambda_lhs(cap: int, matrices: Sequence[DeltaMatrix]) -> TriSeries:
+    """Assemble the lower-triangle series directly from matrix entries."""
+    return _egf_series(cap, lambda_egf(cap, matrices))
+
+
+def omega_lhs(cap: int, matrices: Sequence[DeltaMatrix]) -> TriSeries:
+    """Assemble the upper-triangle series directly from matrix entries."""
+    return _egf_series(cap, omega_egf(cap, matrices))
+
+
+def permute_axes(coeffs: Dict[Monomial, T], perm: Tuple[int, int, int]) -> Dict[Monomial, T]:
     """Permute exponent axes, e.g. perm=(0,2,1) swaps y and z."""
     if sorted(perm) != [0, 1, 2]:
         raise ValueError(f"perm must be a permutation of (0, 1, 2), not {perm!r}")
-    out: Dict[Monomial, RootTwoScalar] = {}
-    for mono, c in series.monomials():
-        out[(mono[perm[0]], mono[perm[1]], mono[perm[2]])] = c
-    return TriSeries(series.cap, out)
+    a, b, c = perm
+    return {(mono[a], mono[b], mono[c]): v for mono, v in coeffs.items()}
+
+
+def swap_variables(series: TriSeries, perm: Tuple[int, int, int]) -> TriSeries:
+    return TriSeries(series.cap, permute_axes(series.coeffs, perm))
+
+
+# ---------------------------------------------------------------------------
+# Integer path: the same identities cross-multiplied in EGF normalization
+# ---------------------------------------------------------------------------
+
+
+def lambda_numerator_egf(cap: int) -> EGF:
+    """E of cos(sqrt2 x) + cos(sqrt2 y) cos(sqrt2 z)."""
+    out: EGF = {(i, 0, 0): (-2) ** (i // 2) for i in range(0, cap + 1, 2)}
+    for j in range(0, cap + 1, 2):
+        for l in range(0, cap + 1 - j, 2):
+            out[(0, j, l)] = out.get((0, j, l), 0) + (-2) ** ((j + l) // 2)
+    return out
+
+
+def omega_numerator_egf(cap: int) -> EGF:
+    """E of sin(sqrt2 x) sin(sqrt2 z)."""
+    return {
+        (i, 0, l): 2 * (-2) ** ((i + l) // 2 - 1)
+        for i in range(1, cap + 1, 2)
+        for l in range(1, cap + 1 - i, 2)
+    }
+
+
+# A dense EGF: grid[i][j][l] = E(i,j,l) for i+j+l <= cap.
+Grid3 = List[List[List[int]]]
+
+
+def _dense(coeffs: EGF, cap: int) -> Grid3:
+    return [
+        [[coeffs.get((i, j, l), 0) for l in range(cap + 1 - i - j)] for j in range(cap + 1 - i)]
+        for i in range(cap + 1)
+    ]
+
+
+def _rotate(grid: Grid3, cap: int) -> Grid3:
+    """out[j][l][i] = grid[i][j][l], so the first axis becomes the last."""
+    return [
+        [[grid[i][j][l] for i in range(cap + 1 - j - l)] for l in range(cap + 1 - j)]
+        for j in range(cap + 1)
+    ]
+
+
+def _times_exp_line(f: List[int], g: List[int], even, odd) -> Tuple[List[int], List[int]]:
+    """(f + g c)(t) -> sum_a C(t,a) c^(t-a) (f + g c)(a) along one line."""
+    re, im = [], []
+    for t in range(len(f)):
+        e, o = even[t], odd[t]  # o is empty at t = 0, so the slices never wrap
+        re.append(sum(map(mul, e, f[t::-2])) - 2 * sum(map(mul, o, g[t - 1 :: -2])))
+        im.append(sum(map(mul, e, g[t::-2])) + sum(map(mul, o, f[t - 1 :: -2])))
+    return re, im
+
+
+def _times_cos_sqrt2_sum(grid: Grid3, cap: int) -> Grid3:
+    """E(F cos(sqrt2 (x+y+z))) from E(F), over the integers.
+
+    cos(sqrt2 S) is the rational part of exp(cS) with c = sqrt(-2), and in
+    EGF normalization multiplying by exp(cx) is the binomial transform
+    g(t) = sum_a C(t,a) c^(t-a) f(a) along x.  Values are carried as pairs
+    re + im*c; c^(t-a) is (-2)^((t-a)//2), times c when t-a is odd.  Each
+    axis is transformed as the last one, then rotated away.
+    """
+    # even[t] pairs with f(t), f(t-2), ...; odd[t] with f(t-1), f(t-3), ...
+    def weights(top: int) -> List[List[int]]:
+        return [
+            [comb(t, a) * (-2) ** ((t - a) // 2) for a in range(t - top, -1, -2)]
+            for t in range(cap + 1)
+        ]
+
+    even, odd = weights(0), weights(1)
+    re, im = grid, _dense({}, cap)
+    for _ in range(3):
+        planes = [
+            [_times_exp_line(f, g, even, odd) for f, g in zip(plane_re, plane_im)]
+            for plane_re, plane_im in zip(re, im)
+        ]
+        re = _rotate([[pair[0] for pair in plane] for plane in planes], cap)
+        im = _rotate([[pair[1] for pair in plane] for plane in planes], cap)
+    return re
+
+
+def closed_form_mismatch(lhs: EGF, numerator: EGF, cap: int) -> Optional[Monomial]:
+    """First monomial (lexicographic, total degree <= cap) where
+    E(lhs (1 + cos(sqrt2 (x+y+z)))) != E(numerator), or None if the
+    identity lhs = numerator / (2cos^2((x+y+z)/sqrt2)) holds to the cap."""
+    grid = _dense(lhs, cap)
+    cos_part = _times_cos_sqrt2_sum(grid, cap)
+    for i in range(cap + 1):
+        for j in range(cap + 1 - i):
+            for l in range(cap + 1 - i - j):
+                if grid[i][j][l] + cos_part[i][j][l] != numerator.get((i, j, l), 0):
+                    return (i, j, l)
+    return None
 
 
 # ---------------------------------------------------------------------------

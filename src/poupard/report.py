@@ -42,7 +42,8 @@ class VerifyReport:
         return sorted(self.checks, key=lambda r: (r.name, json.dumps(r.params, sort_keys=True)))
 
     def passed(self) -> bool:
-        return all(r.status != FAIL for r in self.checks)
+        """True iff at least one check ran and none failed."""
+        return bool(self.checks) and all(r.status != FAIL for r in self.checks)
 
     def exit_code(self) -> int:
         return 0 if self.passed() else 1

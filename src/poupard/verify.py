@@ -246,21 +246,23 @@ def check_census(report: VerifyReport, n_max: int, force: bool) -> None:
 
 
 def check_gf(report: VerifyReport, cap: int) -> None:
+    """Both trivariate identities over the integers, at the full cap; the
+    Q(sqrt 2) series path (gf.lambda_rhs, gf.omega_rhs) is the tests' oracle."""
     matrices = delta_matrices(gf.required_matrix_count(cap))
-    with timed_check(report, "gf/lower-triangle", {"cap": cap}) as failures:
-        lhs = gf.lambda_lhs(cap, matrices)
-        rhs = gf.lambda_rhs(cap)
-        if lhs != rhs:
-            failures.append("lower-triangle series differs from its closed form")
-        if gf.swap_variables(lhs, (0, 2, 1)) != lhs:
-            failures.append("lower-triangle series not symmetric under y<->z")
-    with timed_check(report, "gf/upper-triangle", {"cap": cap}) as failures:
-        lhs = gf.omega_lhs(cap, matrices)
-        rhs = gf.omega_rhs(cap)
-        if lhs != rhs:
-            failures.append("upper-triangle series differs from its closed form")
-        if gf.swap_variables(lhs, (2, 1, 0)) != lhs:
-            failures.append("upper-triangle series not symmetric under x<->z")
+    for triangle, lhs_egf, numerator_egf, perm, swap in (
+        ("lower", gf.lambda_egf, gf.lambda_numerator_egf, (0, 2, 1), "y<->z"),
+        ("upper", gf.omega_egf, gf.omega_numerator_egf, (2, 1, 0), "x<->z"),
+    ):
+        with timed_check(report, f"gf/{triangle}-triangle", {"cap": cap}) as failures:
+            lhs = lhs_egf(cap, matrices)
+            mono = gf.closed_form_mismatch(lhs, numerator_egf(cap), cap)
+            if mono is not None:
+                failures.append(
+                    f"{triangle}-triangle series differs from its closed form "
+                    "(first at x^{} y^{} z^{})".format(*mono)
+                )
+            if gf.permute_axes(lhs, perm) != lhs:
+                failures.append(f"{triangle}-triangle series not symmetric under {swap}")
 
 
 def check_poupard_matrices(

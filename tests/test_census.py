@@ -113,6 +113,14 @@ def test_force_lifts_census_cap():
     assert ns == {2, 3, 4, 5, 6}
 
 
+def test_report_that_checked_nothing_does_not_pass():
+    report = run_checks(["census"], n_max=1)
+    assert report.checks == []
+    assert not report.passed()
+    assert report.exit_code() == 1
+    assert '"passed": false' in report.to_json()
+
+
 def test_census_enumerates_each_n_once(monkeypatch):
     # the enumeration and census suites pass different limits; both must
     # share one walk of T_{2n+1}

@@ -157,6 +157,20 @@ def test_export_writes_artifacts(tmp_path, capsys):
     assert data["rows"][2][0] == 1
 
 
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
+def test_export_onto_a_file_is_a_usage_error(tmp_path, capsys, below):
+    target = tmp_path / "taken"
+    target.write_text("keep\n")
+    out = target / below if below else target
+    code, stdout, err = run_cli(capsys, "export", "--out", str(out), "--n-max", "1")
+    assert code == 2
+    assert stdout == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("poupard export: error: ")
+    assert str(target) in lines[0]
+    assert target.read_text() == "keep\n"
+
+
 # sha256 of every file `poupard export --n-max 5 --cap 10` writes
 EXPORT_DIGESTS = {
     "gf_lambda.txt": "970b6d337fa18ccf89a026a50c86b7d9f4a10841b87b988f0c6a12c3d2deaa69",

@@ -11,8 +11,11 @@ from pathlib import Path
 import pytest
 
 import poupard
-from poupard import gf
-from poupard.delta import delta_matrices
+import poupard.series as series_mod
+from poupard import gf, verify
+from poupard.cli import main
+from poupard.delta import DeltaMatrix, delta_matrices
+from poupard.report import FAIL, PASS, VerifyReport
 from poupard.scalars import SQRT2, RootTwoScalar
 from poupard.series import TriSeries, of_linear_form, reciprocal, trig_in_x, trig_series
 from poupard.triangle import is_poupard_matrix
@@ -216,3 +219,107 @@ def test_grid_egf_spot_value(matrices):
     series = gf.grid_egf(gf.lambda_entry, 1, 6, matrices)
     # coefficient of x^1 y^1 is lambda^(1)_{1,1} = f_2(4,2) = 1
     assert series.coefficient((1, 1, 0)) == RootTwoScalar(1)
+
+
+# ---------------------------------------------------------------------------
+# Integer path (EGF cross-multiplication) against the Q(sqrt 2) series path
+# ---------------------------------------------------------------------------
+
+
+def bumped(matrices, n, m, k):
+    """A copy of matrices with f_n(m,k) increased by 1."""
+    out = []
+    for mat in matrices:
+        if mat.n == n:
+            rows = [list(row) for row in mat.rows]
+            rows[m - 1][k - 1] += 1
+            mat = DeltaMatrix(n, tuple(map(tuple, rows)))
+        out.append(mat)
+    return out
+
+
+def integer_check_passes(which, cap, matrices):
+    lhs = getattr(gf, f"{which}_egf")(cap, matrices)
+    numerator = getattr(gf, f"{which}_numerator_egf")(cap)
+    return gf.closed_form_mismatch(lhs, numerator, cap) is None
+
+
+def test_numerator_egfs_match_trig_series():
+    # E(N) times 1/(i! j! l!) is the series the literal path builds
+    cap = 9
+    cos_x, cos_y, cos_z = (
+        trig_series("cos", form, cap) for form in (gf.FORM_S2X, gf.FORM_S2Y, gf.FORM_S2Z)
+    )
+    sin_x, sin_z = (trig_series("sin", form, cap) for form in (gf.FORM_S2X, gf.FORM_S2Z))
+    assert gf._egf_series(cap, gf.lambda_numerator_egf(cap)) == cos_x + cos_y * cos_z
+    assert gf._egf_series(cap, gf.omega_numerator_egf(cap)) == sin_x * sin_z
+
+
+def test_integer_path_agrees_with_series_path():
+    matrices = delta_matrices(gf.required_matrix_count(16))
+    for cap in range(17):
+        n = gf.required_matrix_count(cap)  # the last matrix reaches degree cap exactly
+        variants = {
+            "true": (matrices, {"lambda": True, "omega": True}),
+            "lower+1": (bumped(matrices, n, n + 1, n), {"lambda": False, "omega": True}),
+            "upper+1": (bumped(matrices, n, n, n + 1), {"lambda": True, "omega": False}),
+        }
+        for which, lhs, rhs in (
+            ("lambda", gf.lambda_lhs, gf.lambda_rhs(cap)),
+            ("omega", gf.omega_lhs, gf.omega_rhs(cap)),
+        ):
+            for name, (mats, expected) in variants.items():
+                series_passes = lhs(cap, mats) == rhs
+                assert integer_check_passes(which, cap, mats) == series_passes, (cap, which, name)
+                assert series_passes == expected[which], (cap, which, name)
+
+
+# n, then (m, k) and its monomial for one lower and one upper cell of M_n:
+# an interior matrix and the last one at cap 20
+CORRUPTIONS = [
+    (5, ((7, 3), (3, 2, 3)), ((3, 6), (4, 2, 2))),
+    (11, ((12, 5), (6, 4, 10)), ((5, 14), (8, 8, 4))),
+]
+
+
+@pytest.mark.parametrize("n, lower, upper", CORRUPTIONS, ids=["M_5", "M_11"])
+def test_gf_check_fails_on_one_corrupted_cell(n, lower, upper, monkeypatch):
+    cap = 20
+    assert gf.required_matrix_count(cap) == 11
+    matrices = delta_matrices(11)
+    for ((m, k), mono), failing in ((lower, "gf/lower-triangle"), (upper, "gf/upper-triangle")):
+        monkeypatch.setattr(verify, "delta_matrices", lambda count: bumped(matrices, n, m, k))
+        report = VerifyReport()
+        verify.check_gf(report, cap)
+        statuses = {r.name: r.status for r in report.checks}
+        other = {"gf/lower-triangle", "gf/upper-triangle"} - {failing}
+        assert statuses == {failing: FAIL, other.pop(): PASS}
+        (record,) = [r for r in report.checks if r.status == FAIL]
+        assert record.counterexample.endswith("(first at x^{} y^{} z^{})".format(*mono))
+
+
+def test_gf_check_reaches_cap_40():
+    start = time.perf_counter()
+    report = verify.run_checks(["gf"], cap=40)
+    assert [r.status for r in report.checks] == [PASS, PASS]
+    assert time.perf_counter() - start < 30  # criterion 10's budget
+
+
+def test_verify_gf_never_touches_the_series_path(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the verify gf check used the Q(sqrt 2) series path")
+
+    for module, name in (
+        (gf, "lambda_rhs"),
+        (gf, "omega_rhs"),
+        (gf, "reciprocal"),
+        (gf, "trig_series"),
+        (gf, "lambda_lhs"),
+        (gf, "omega_lhs"),
+        (gf, "TriSeries"),
+        (series_mod, "reciprocal"),
+        (series_mod, "trig_series"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    assert main(["verify", "--checks", "gf", "--cap", "12"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "2 checks: 2 passed, 0 failed, 0 skipped"
