@@ -15,6 +15,7 @@ from .delta import (
 )
 from .gf import (
     InsufficientMatrices,
+    bivariate_closed_form_failures,
     boundary_relations_check,
     lambda1_closed_forms,
     lambda_lhs,
@@ -52,6 +53,7 @@ __all__ = [
     "Triangle",
     "TriSeries",
     "Unresolved",
+    "bivariate_closed_form_failures",
     "boundary_relations_check",
     "build_matrix",
     "delta_matrices",

@@ -30,7 +30,13 @@ Each identity is checked by two independent paths:
 The same entries, reindexed, give infinite matrices lambda^(p), omega^(p)
 (slice p collects the p-th diagonal layer of lower/upper triangles).  These
 satisfy the four-term Poupard rule, fixed column/row transfer relations, and
-closed-form bivariate generating functions, all checked here exactly.
+closed-form bivariate generating functions, all checked here exactly.  The
+closed forms have the same two paths: `lambda1_closed_forms` divides
+Q(sqrt2) series and is the tests' oracle, and
+`bivariate_closed_form_failures`, used by `verify --checks closed-forms`,
+substitutes x -> sqrt2 x, y -> sqrt2 y so that every grid and trig factor
+has integer EGF coefficients, then cross-multiplies each ratio by its unit
+denominator with ints and binomials only.
 """
 
 from __future__ import annotations
@@ -432,4 +438,153 @@ def lambda1_closed_forms(cap: int, matrices: Sequence[DeltaMatrix]) -> List[str]
         ocomposed = sin_s2x_over * omega_row1_at_xy(p)
         if ocomposed != grid_egf(omega_entry, p, cap, matrices):
             failures.append(f"row composition fails for omega^({p})")
+    return failures
+
+
+# ---------------------------------------------------------------------------
+# Integer path for the bivariate closed forms
+# ---------------------------------------------------------------------------
+
+# A dense bivariate EGF: grid[i][j] = i! j! [x^i y^j] for i+j <= cap.
+Grid2 = List[List[int]]
+
+
+def _grid2(value: Callable[[int, int], int], cap: int) -> Grid2:
+    return [[value(i, j) for j in range(cap + 1 - i)] for i in range(cap + 1)]
+
+
+def _scaled_grid(value: Callable[[int, int], int], shift: int, cap: int) -> Grid2:
+    """S(i,j) = 2^((i+j+shift)/2) value(i,j): the EGF of G(sqrt2 x, sqrt2 y)
+    times 2^(shift/2).  The grids here are zero where i+j+shift is odd
+    (lambda_entry and omega_entry return 0 on that parity class), so S is
+    an integer and those cells are not evaluated."""
+    return _grid2(
+        lambda i, j: value(i, j) << (i + j + shift) // 2 if (i + j + shift) % 2 == 0 else 0, cap
+    )
+
+
+def _trig_grid(kind: str, a: int, b: int, cap: int) -> Grid2:
+    """E of cos(ax+by) or sin(ax+by): a^i b^j (-1)^((i+j)//2) where i+j is
+    even for cos, odd for sin."""
+    odd = kind == "sin"
+    return _grid2(
+        lambda i, j: a**i * b**j * (-1) ** ((i + j) // 2) if (i + j) % 2 == odd else 0, cap
+    )
+
+
+def _add(f: Grid2, g: Grid2, c: int = 1) -> Grid2:
+    """f + c g."""
+    return [[u + c * v for u, v in zip(rf, rg)] for rf, rg in zip(f, g)]
+
+
+def _parities(row: List[int]) -> List[int]:
+    return [r for r in (0, 1) if any(row[r::2])]
+
+
+def _egf_product(f: Grid2, g: Grid2, cap: int) -> Grid2:
+    """E(fg)(i,j) = sum C(i,a) C(j,b) f(a,b) g(i-a,j-b), the EGF product.
+
+    The b-sum runs over one parity class of b at a time, and a class is
+    skipped where its row of f or of g is zero.  Every grid here is zero on
+    one parity class of i+j, which quarters the work."""
+    binom = [[comb(n, k) for k in range(n + 1)] for n in range(cap + 1)]
+    parities_f = [_parities(row) for row in f]
+    parities_g = [_parities(row) for row in g]
+    out = []
+    for i in range(cap + 1):
+        row = [0] * (cap + 1 - i)
+        for a in range(i + 1):
+            c, fa, gc = binom[i][a], f[a], g[i - a]
+            for r in parities_f[a]:
+                fr = fa[r::2]
+                for s in parities_g[i - a]:
+                    # b = r, r+2, ... meets j-b of parity s, so j = r+s mod 2
+                    for j in range(r + s, cap + 1 - i, 2):
+                        row[j] += c * sum(map(mul, binom[j][r::2], map(mul, fr, gc[j - r :: -2])))
+        out.append(row)
+    return out
+
+
+def _first_difference(f: Grid2, g: Grid2) -> Optional[Tuple[int, int]]:
+    """First (i, j), lexicographic, where the grids differ."""
+    for i, (rf, rg) in enumerate(zip(f, g)):
+        if rf != rg:
+            return i, next(j for j, (u, v) in enumerate(zip(rf, rg)) if u != v)
+    return None
+
+
+def bivariate_closed_form_failures(cap: int, matrices: Sequence[DeltaMatrix]) -> List[str]:
+    """The identities of `lambda1_closed_forms`, checked over the integers.
+
+    Substituting x -> sqrt2 x, y -> sqrt2 y turns every trig factor into cos
+    or sin of x+y, x-y, 2x, 2y or 2(x+y), whose EGF coefficients are
+    integers.  Each grid g becomes S(i,j) = 2^((i+j+e)/2) g(i,j) with a shift
+    e that makes it integral: 0 for lambda^(1), 1 for sqrt2 omega^(1), p+1
+    for lambda^(p), p for omega^(p), q for column q of lambda^(1) and p-1
+    for row 1 of omega^(p).  The denominators cos(x+y) and
+    2cos^2(x+y) = 1 + cos(2(x+y)) are units, so each ratio is checked by
+    cross-multiplication; products are 2-D binomial convolutions.  Returns
+    the same failure texts, each followed by the first differing monomial.
+    """
+    failures: List[str] = []
+
+    def check(lhs: Grid2, rhs: Grid2, identity: str) -> None:
+        mono = _first_difference(lhs, rhs)
+        if mono is not None:
+            failures.append(f"{identity} (first at x^{mono[0]} y^{mono[1]})")
+
+    def times(f: Grid2, g: Grid2) -> Grid2:
+        return _egf_product(f, g, cap)
+
+    def trig(kind: str, a: int, b: int) -> Grid2:
+        return _trig_grid(kind, a, b, cap)
+
+    def grid(entry: Callable[..., int], p: int, shift: int) -> Grid2:
+        return _scaled_grid(lambda i, j: entry(p, i, j, matrices), shift, cap)
+
+    lam1 = grid(lambda_entry, 1, 0)
+    cos_xy, cos_xmy, sin_2xy = trig("cos", 1, 1), trig("cos", 1, -1), trig("sin", 2, 2)
+    sin_2x, sin_2y, cos_2y = trig("sin", 2, 0), trig("sin", 0, 2), trig("cos", 0, 2)
+    one = _grid2(lambda i, j: int(i == j == 0), cap)
+    two_cos2_xy = _add(one, trig("cos", 2, 2))  # 2cos^2(x+y)
+
+    # H cos(x+y) = cos(x-y);  H sin(2(x+y)) = sin 2x + sin 2y
+    check(times(lam1, cos_xy), cos_xmy, "cos-ratio closed form != lambda^(1) grid series")
+    sin_sum = _add(sin_2x, sin_2y)
+    check(times(lam1, sin_2xy), sin_sum, "sine-ratio closed form != lambda^(1) grid series")
+    check(
+        times(sin_sum, cos_xy),
+        times(cos_xmy, sin_2xy),
+        "sine-ratio and cos-ratio closed forms disagree",
+    )
+    # H 2cos^2(x+y) = cos 2x + cos 2y
+    check(
+        times(lam1, two_cos2_xy),
+        _add(trig("cos", 2, 0), cos_2y),
+        "cosine-sum closed form != lambda^(1) grid series",
+    )
+    axes = _grid2(lambda i, j: lam1[i][j] if i * j == 0 else 0, cap)
+    check(axes, one, "lambda^(1)(x,0) or lambda^(1)(0,y) differs from 1")
+
+    # K 2cos^2(x+y) = 2 sin 2x, K the grid of sqrt2 omega^(1)
+    check(
+        times(grid(omega_entry, 1, 1), two_cos2_xy),
+        _add(sin_2x, sin_2x),
+        "omega^(1) closed form != omega^(1) grid series",
+    )
+
+    # L_p = 2 C_(p-1) cos 2y + C_p sin 2y;  W_p = sin 2x R_p
+    columns = [
+        _scaled_grid(lambda i, j, q=q: lambda_entry(1, i + j, q, matrices), q, cap)
+        for q in range(5)
+    ]
+    for p in range(1, 5):
+        composed = _add(times(columns[p], sin_2y), times(columns[p - 1], cos_2y), 2)
+        check(composed, grid(lambda_entry, p, p + 1), f"column composition fails for lambda^({p})")
+        row1 = _scaled_grid(lambda i, j: omega_entry(p, 1, i + j, matrices), p - 1, cap)
+        check(
+            times(sin_2x, row1),
+            grid(omega_entry, p, p),
+            f"row composition fails for omega^({p})",
+        )
     return failures

@@ -286,10 +286,13 @@ def check_poupard_matrices(
 
 
 def check_closed_forms(report: VerifyReport, cap: int = 12) -> None:
+    """The bivariate closed forms over the integers, each ratio
+    cross-multiplied; the Q(sqrt 2) series path (gf.lambda1_closed_forms)
+    is the tests' oracle."""
     need = (cap + 7) // 2
     matrices = delta_matrices(need)
     with timed_check(report, "closed-forms/bivariate", {"cap": cap}) as failures:
-        failures.extend(gf.lambda1_closed_forms(cap, matrices))
+        failures.extend(gf.bivariate_closed_form_failures(cap, matrices))
 
 
 # ---------------------------------------------------------------------------

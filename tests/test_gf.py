@@ -2,10 +2,13 @@
 
 import ast
 import os
+import random
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,7 @@ from poupard.cli import main
 from poupard.delta import DeltaMatrix, delta_matrices
 from poupard.report import FAIL, PASS, VerifyReport
 from poupard.scalars import SQRT2, RootTwoScalar
-from poupard.series import TriSeries, of_linear_form, reciprocal, trig_in_x, trig_series
+from poupard.series import LinearForm, TriSeries, of_linear_form, reciprocal, trig_in_x, trig_series
 from poupard.triangle import is_poupard_matrix
 
 
@@ -323,3 +326,101 @@ def test_verify_gf_never_touches_the_series_path(monkeypatch, capsys):
         monkeypatch.setattr(module, name, forbidden)
     assert main(["verify", "--checks", "gf", "--cap", "12"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "2 checks: 2 passed, 0 failed, 0 skipped"
+
+
+# ---------------------------------------------------------------------------
+# Bivariate closed forms over the integers against lambda1_closed_forms
+# ---------------------------------------------------------------------------
+
+# the bumped cell (n, m, k) of f_n(m,k), the identity it must fail and that
+# identity's first differing monomial at cap 12
+CLOSED_FORM_CORRUPTIONS = {
+    # lambda^(1)[1,5]
+    "lambda1": ((4, 8, 6), "cos-ratio closed form != lambda^(1) grid series", (1, 5)),
+    # omega^(1)[2,3]
+    "omega1": ((4, 2, 6), "omega^(1) closed form != omega^(1) grid series", (2, 3)),
+    # lambda^(1)[4,2], in column 2, which feeds lambda^(2) and lambda^(3)
+    "lambda1-column": ((4, 8, 3), "column composition fails for lambda^(3)", (0, 4)),
+    # omega^(3)[1,2], in row 1
+    "omega3-row1": ((4, 4, 7), "row composition fails for omega^(3)", (2, 1)),
+}
+
+
+def strip_monomial(failures):
+    return [re.sub(r" \(first at x\^\d+ y\^\d+\)$", "", f) for f in failures]
+
+
+def test_egf_product_is_the_binomial_convolution():
+    cap = 7
+    rng = random.Random(5)
+    mixed = gf._grid2(lambda i, j: rng.randint(-3, 3), cap)
+    odd = gf._grid2(lambda i, j: rng.randint(-3, 3) if (i + j) % 2 else 0, cap)
+    for f, g in ((mixed, odd), (odd, mixed), (mixed, mixed), (odd, odd)):
+        expected = gf._grid2(
+            lambda i, j: sum(
+                comb(i, a) * comb(j, b) * f[a][b] * g[i - a][j - b]
+                for a in range(i + 1)
+                for b in range(j + 1)
+            ),
+            cap,
+        )
+        assert gf._egf_product(f, g, cap) == expected
+
+
+def test_trig_grids_match_trig_series():
+    cap = 9
+    for kind in ("cos", "sin"):
+        for a, b in ((1, 1), (1, -1), (2, 0), (0, 2), (2, 2)):
+            grid = gf._trig_grid(kind, a, b, cap)
+            egf = {(i, j, 0): v for i, row in enumerate(grid) for j, v in enumerate(row) if v}
+            form = LinearForm(RootTwoScalar(a), RootTwoScalar(b), RootTwoScalar(0))
+            assert gf._egf_series(cap, egf) == trig_series(kind, form, cap), (kind, a, b)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_CORRUPTIONS))
+def test_closed_forms_fail_on_one_corrupted_cell(name, matrices, monkeypatch, capsys):
+    cell, identity, mono = CLOSED_FORM_CORRUPTIONS[name]
+    corrupted = bumped(matrices, *cell)
+    assert identity in gf.lambda1_closed_forms(12, corrupted)
+    named = "{} (first at x^{} y^{})".format(identity, *mono)
+    assert named in gf.bivariate_closed_form_failures(12, corrupted)
+    monkeypatch.setattr(verify, "delta_matrices", lambda count: corrupted)
+    assert main(["verify", "--checks", "closed-forms"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL    closed-forms/bivariate [cap=12]")
+
+
+def axis_cell(cap):
+    """(n, m, k) of the x-axis cell of degree exactly cap: lambda^(1)[cap,0]
+    at even caps, omega^(1)[cap,0] at odd ones."""
+    return (cap // 2 + 1, cap + 2, 1) if cap % 2 == 0 else ((cap + 3) // 2, 2, 3)
+
+
+def test_closed_form_paths_agree(matrices):
+    variants = [matrices] + [
+        bumped(matrices, *cell) for cell, _, _ in CLOSED_FORM_CORRUPTIONS.values()
+    ]
+    for cap in range(15):
+        last_degree = bumped(matrices, *axis_cell(cap))
+        assert gf.lambda1_closed_forms(cap, last_degree) != [], cap
+        for index, mats in enumerate(variants + [last_degree]):
+            integer = gf.bivariate_closed_form_failures(cap, mats)
+            assert strip_monomial(integer) == gf.lambda1_closed_forms(cap, mats), (cap, index)
+
+
+def test_closed_forms_check_reaches_cap_60():
+    start = time.perf_counter()
+    report = verify.run_checks(["closed-forms"], cap=60)
+    assert [r.status for r in report.checks] == [PASS]
+    assert time.perf_counter() - start < 30  # criterion 10's budget
+
+
+def test_verify_closed_forms_never_touches_the_series_path(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the verify closed-forms check used the Q(sqrt 2) series path")
+
+    for module in (gf, series_mod):
+        for name in ("trig_series", "reciprocal", "of_linear_form", "trig_in_x", "TriSeries"):
+            monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(gf, "lambda1_closed_forms", forbidden)
+    assert main(["verify", "--checks", "closed-forms", "--cap", "12"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "1 checks: 1 passed, 0 failed, 0 skipped"
