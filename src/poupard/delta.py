@@ -15,9 +15,10 @@ over the four index triangles
 
 plus boundary data taken from the marginals of M_{n-1} (conditions I1-I4 on
 the outermost rows/columns, or just the 2x2 SW / NE corners).  Nine catalog
-strategies combine these; all are solved by one generic propagation engine, a
-worklist that revisits a recurrence instance only when one of its cells has
-just become known and solves any instance with a single unknown cell.  It
+strategies combine these; all are solved by one generic propagation engine.
+It counts the unknown cells of every recurrence instance and queues an
+instance only when that count is 1, so each instance is queued at most once
+and solves its last cell when popped (counter-based unit propagation).  It
 flags under-determination (Unresolved) and contradictions (Inconsistent)
 instead of trusting any particular fill order.
 """
@@ -311,14 +312,18 @@ def solve_constraints(
 ) -> DeltaMatrix:
     """Determine M_n from known-cell assignments plus recurrence instances.
 
-    `known` is a mapping or an iterable of ((m, k), value) pairs; duplicate
-    assignments with different values raise Inconsistent.  Propagation runs a
-    worklist: every instance is queued once, and re-queued only when one of
-    its cells has just become known; a popped instance with exactly one
-    unknown cell solves it.  A final sweep checks every fully determined
-    instance, so Inconsistent (a nonzero residual or an odd middle value)
-    takes precedence over Unresolved (cells left unknown).
+    `known` is a mapping or an iterable of ((m, k), value) pairs with int
+    values; duplicate assignments with different values raise Inconsistent.
+    `prev` is M_{n-1}, or None for the bare second differences.  Propagation
+    counts the unknown cells of every instance and queues an instance only
+    when its count is 1, at setup or when a newly solved cell brings it down
+    to 1; a popped instance whose count is still 1 solves its last cell.  A
+    final sweep checks every fully determined instance, so Inconsistent (a
+    nonzero residual or an odd middle value) takes precedence over
+    Unresolved (cells left unknown).
     """
+    if prev is not None and prev.n != n - 1:
+        raise ValueError(f"prev must be M_{n-1}, got M_{prev.n}")
     w = 2 * n
     pairs = known.items() if hasattr(known, "items") else known
     vals: List[Optional[int]] = [None] * (w * w)  # vals[(m-1)*w + k-1] = f_n(m, k)
@@ -326,33 +331,45 @@ def solve_constraints(
         m, k = cell
         if not (1 <= m <= w and 1 <= k <= w):
             raise ValueError(f"known cell {cell} outside the {w}x{w} grid")
+        if type(v) is not int:  # exact arithmetic: no float, Fraction or bool
+            raise ValueError(f"known value at {cell} must be an int, got {v!r}")
         i = (m - 1) * w + k - 1
         if vals[i] is not None and vals[i] != v:
             raise Inconsistent(n, f"conflicting known values at {cell}: {vals[i]} vs {v}")
         vals[i] = v
 
-    # Instance r at anchor a reads vals[a] - 2 vals[a+s] + vals[a+2s] + const,
-    # s the step of recurrence r; it is encoded as the int a * nrec + r.
+    # twice[(m-1)*w + k-1] = 2 f_{n-1}(m, k), zero-padded onto the w x w grid
+    twice = [0] * (w * w)
+    if prev is not None:
+        for i, row in enumerate(prev.rows):
+            twice[i * w : i * w + w - 2] = [2 * v for v in row]
+
+    # Instance r at anchor a reads vals[a] - 2 vals[a+s] + vals[a+2s] +
+    # twice[a+off], s the step and off the prev shift of recurrence r (the
+    # regions keep a+off inside the grid); it is encoded as the int a*nrec + r.
+    # counts[r][a] is the number of its unknown cells.  It is 0 where r anchors
+    # no instance, and at least 1 at an anchor whose instance holds a cell not
+    # yet solved, so a nonzero count also marks the instances a new cell wakes.
     tags = sorted(frozenset(recurrences))
     nrec = len(tags)
     specs = [_recurrence(tag) for tag in tags]
     steps = [w if vertical else 1 for _, vertical, _ in specs]
-    masks: List[bytearray] = []  # masks[r][a] == 1 iff a anchors an instance of r
+    offs = [dm * w + dk for _, _, (dm, dk) in specs]
+    counts: List[bytearray] = []
     instances: List[int] = []
+    stack: List[int] = []
     for r, (region, _, _) in enumerate(specs):
-        mask = bytearray(w * w)
+        s, count = steps[r], bytearray(w * w)
         for m, k in region_cells(region, n):
             a = (m - 1) * w + k - 1
-            mask[a] = 1
-            instances.append(a * nrec + r)
-        masks.append(mask)
-    touching = list(enumerate(zip(steps, masks)))
-
-    def const(a: int, r: int) -> int:
-        if prev is None:
-            return 0
-        dm, dk = specs[r][2]
-        return 2 * prev.value(a // w + 1 + dm, a % w + 1 + dk)
+            code = a * nrec + r
+            unknown = (vals[a] is None) + (vals[a + s] is None) + (vals[a + 2 * s] is None)
+            count[a] = unknown
+            instances.append(code)
+            if unknown == 1:
+                stack.append(code)
+        counts.append(count)
+    touching = list(enumerate(zip(steps, counts)))
 
     def cell_at(i: int) -> Cell:
         return (i // w + 1, i % w + 1)
@@ -360,28 +377,32 @@ def solve_constraints(
     def cells(a: int, s: int) -> Tuple[Cell, Cell, Cell]:
         return (cell_at(a), cell_at(a + s), cell_at(a + 2 * s))
 
-    stack = list(instances)
     while stack:
         a, r = divmod(stack.pop(), nrec)
+        if counts[r][a] != 1:  # another instance solved its last cell first
+            continue
         s = steps[r]
         x, y, z = vals[a], vals[a + s], vals[a + 2 * s]
-        if (x is None) + (y is None) + (z is None) != 1:
-            continue
+        c = twice[a + offs[r]]
         if x is None:
-            cell, v = a, 2 * y - z - const(a, r)
+            cell, v = a, 2 * y - z - c
         elif y is None:
-            # 2*y = x + z + const; the division must be exact
-            num = x + z + const(a, r)
+            # 2*y = x + z + c; the division must be exact
+            num = x + z + c
             if num % 2 != 0:
                 raise Inconsistent(n, f"odd middle value in {tags[r]} at {cells(a, s)}")
             cell, v = a + s, num // 2
         else:
-            cell, v = a + 2 * s, 2 * y - x - const(a, r)
+            cell, v = a + 2 * s, 2 * y - x - c
         vals[cell] = v
-        for r2, (s2, mask) in touching:
+        # this instance falls to 0; an instance that falls to 1 is queued,
+        # which happens once per instance
+        for r2, (s2, count) in touching:
             for a2 in (cell, cell - s2, cell - 2 * s2):
-                if a2 >= 0 and mask[a2]:
-                    stack.append(a2 * nrec + r2)
+                if a2 >= 0 and count[a2]:
+                    count[a2] -= 1
+                    if count[a2] == 1:
+                        stack.append(a2 * nrec + r2)
 
     for code in instances:
         a, r = divmod(code, nrec)
@@ -389,7 +410,7 @@ def solve_constraints(
         x, y, z = vals[a], vals[a + s], vals[a + 2 * s]
         if x is None or y is None or z is None:
             continue
-        res = x - 2 * y + z + const(a, r)
+        res = x - 2 * y + z + twice[a + offs[r]]
         if res != 0:
             raise Inconsistent(
                 n, f"{tags[r]} instance at cells {cells(a, s)} has residual {res}"
@@ -503,16 +524,19 @@ def marginals_failure(
     equations; given a 1-D triangle row, the marginals against it."""
     n = mat.n
     w = 2 * n
+    # rs[m] = f_n(m, .) and cs[k] = f_n(., k), zero outside 1..2n
+    rs = (0, *mat.row_sums(), 0, 0)
+    cs = (0, *mat.col_sums(), 0, 0)
     if prev is not None:
         if prev.n != n - 1:
             raise ValueError(f"prev must be M_{n-1}, got M_{prev.n}")
+        prev_rs = (0, *prev.row_sums(), 0)
+        prev_cs = (0, *prev.col_sums())
         for m in range(1, w):
-            lhs = mat.row_sum(m + 2) - 2 * mat.row_sum(m + 1) + mat.row_sum(m)
-            if lhs + 2 * prev.row_sum(m) != 0:
+            if rs[m + 2] - 2 * rs[m + 1] + rs[m] + 2 * prev_rs[m] != 0:
                 return f"row-marginal difference equation fails at m={m}"
         for k in range(0, w - 1):
-            lhs = mat.col_sum(k + 2) - 2 * mat.col_sum(k + 1) + mat.col_sum(k)
-            if lhs + 2 * prev.col_sum(k) != 0:
+            if cs[k + 2] - 2 * cs[k + 1] + cs[k] + 2 * prev_cs[k] != 0:
                 return f"column-marginal difference equation fails at k={k}"
 
     # marginals against the 1-D triangle: row sums align at the same index,
@@ -520,15 +544,15 @@ def marginals_failure(
     if triangle_row is not None:
         tri = list(triangle_row)  # entries f_n(1..2n+1)
         for m in range(1, w + 1):
-            if mat.row_sum(m) != tri[m - 1]:
+            if rs[m] != tri[m - 1]:
                 return f"row marginal != triangle at m={m}"
         for k in range(1, w + 1):
-            if mat.col_sum(k) != tri[k]:
+            if cs[k] != tri[k]:
                 return f"column marginal != triangle at k={k} (index k+1)"
 
     # the marginal equidistribution: #(eoc = k+1) = #(pom = k)
     for k in range(1, w + 1):
-        if mat.row_sum(k + 1) != mat.col_sum(k):
+        if rs[k + 1] != cs[k]:
             return f"eoc/pom marginal equality fails at k={k}"
     return None
 

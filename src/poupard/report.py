@@ -6,7 +6,7 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 PASS = "pass"
 FAIL = "fail"
@@ -20,15 +20,20 @@ class CheckRecord:
     status: str
     counterexample: Optional[str] = None
     seconds: float = 0.0
+    #: every failure of the check, in order; the first is the counterexample
+    failures: Tuple[str, ...] = ()
 
     def to_dict(self) -> Dict[str, object]:
-        return {
+        out: Dict[str, object] = {
             "name": self.name,
             "params": self.params,
             "status": self.status,
             "counterexample": self.counterexample,
             "seconds": round(self.seconds, 6),
         }
+        if self.status == FAIL:
+            out["more_failures"] = list(self.failures[1:])
+        return out
 
 
 @dataclass
@@ -69,6 +74,7 @@ class VerifyReport:
             lines.append(head)
             if r.status == FAIL and r.counterexample:
                 lines.append(f"        counterexample: {r.counterexample}")
+                lines.extend(f"        also: {f}" for f in r.failures[1:])
         n_fail = sum(1 for r in self.checks if r.status == FAIL)
         n_skip = sum(1 for r in self.checks if r.status == SKIPPED)
         lines.append(
@@ -100,5 +106,6 @@ def timed_check(
             status=FAIL if failures else PASS,
             counterexample=failures[0] if failures else None,
             seconds=seconds,
+            failures=tuple(failures),
         )
     )

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -469,3 +470,81 @@ def test_matrix_digests_pinned_for_all_strategies():
         assert hashlib.sha256(reference.to_json().encode()).hexdigest() == digest
         for tag in STRATEGIES:
             assert build_matrix(n, tag) == reference, (n, tag)
+
+
+def test_solver_rejects_prev_of_the_wrong_size():
+    # the constants 2 f_{n-1}(m,k) would be read off a grid of the wrong width
+    known = _known_for(STRATEGIES["D1"], 2, M1)
+    with pytest.raises(ValueError, match=re.escape("prev must be M_1, got M_3")):
+        solve_constraints(2, known, frozenset({"R1", "R2"}), build_matrix(3))
+
+
+@pytest.mark.parametrize("value", [0.0, Fraction(0), False], ids=["float", "Fraction", "bool"])
+def test_solver_rejects_inexact_known_values(value):
+    known = {**_known_for(STRATEGIES["D1"], 2, M1), (1, 1): value}
+    with pytest.raises(ValueError, match=re.escape("known value at (1, 1) must be an int")):
+        solve_constraints(2, known, frozenset({"R1", "R2"}), M1)
+
+
+def _verdict_lines(n_values):
+    """One line per corrupted or under-specified system of every strategy:
+    "ok", or the exception's class name and message."""
+    lines = []
+    for tag in sorted(STRATEGIES):
+        strategy = STRATEGIES[tag]
+        for n in n_values:
+            prev = build_matrix(n - 1, tag)
+            known = _known_for(strategy, n, prev)
+            systems = [
+                {**known, cell: known[cell] + d} for cell in sorted(known) for d in (-1, 1, 2)
+            ]
+            for dropped in sorted(strategy.boundary):
+                partial = dataclasses.replace(strategy, boundary=strategy.boundary - {dropped})
+                systems.append(_known_for(partial, n, prev))
+            for system in systems:
+                try:
+                    solve_constraints(n, system, strategy.recurrences, prev)
+                    lines.append("ok")
+                except ValueError as e:
+                    lines.append(f"{type(e).__name__}{e}")
+    return lines
+
+
+# sha256 of the 3990 verdict lines for n = 2..6, recorded before the solver
+# counted unknown cells per instance
+VERDICT_DIGEST = "7e31a4fce3781abcc880b32306ff5360e84f09ff7f9293503564695286ce36a1"
+
+
+def test_verdict_texts_pinned():
+    # -1, +1 and +2 on every known cell, and each boundary condition dropped
+    lines = _verdict_lines(range(2, 7))
+    assert len(lines) == 3990
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == VERDICT_DIGEST
+
+
+def test_solver_verdicts_survive_optimize():
+    # no invariant of the build may vanish under `python -O`
+    script = (
+        "from poupard.delta import STRATEGIES, Inconsistent, _known_for, build_matrix, "
+        "solve_constraints\n"
+        "print(__debug__)\n"
+        "print(sorted({build_matrix(10, tag).to_json() for tag in STRATEGIES}) "
+        "== [build_matrix(10, 'D1').to_json()])\n"
+        "d3, prev = STRATEGIES['D3'], build_matrix(3, 'D3')\n"
+        "known = _known_for(d3, 4, prev)\n"
+        "known[(8, 1)] += 1\n"
+        "try:\n"
+        "    solve_constraints(4, known, d3.recurrences, prev)\n"
+        "except Inconsistent as e:\n"
+        "    print(type(e).__name__)\n"
+    )
+    src = str(Path(poupard.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "Inconsistent"]

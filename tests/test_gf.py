@@ -1,6 +1,7 @@
 """Generating functions: triple series, reindexed grids, closed forms."""
 
 import ast
+import json
 import os
 import random
 import re
@@ -387,6 +388,37 @@ def test_closed_forms_fail_on_one_corrupted_cell(name, matrices, monkeypatch, ca
     monkeypatch.setattr(verify, "delta_matrices", lambda count: corrupted)
     assert main(["verify", "--checks", "closed-forms"]) == 1
     assert capsys.readouterr().out.startswith("FAIL    closed-forms/bivariate [cap=12]")
+
+
+def test_report_lists_every_failure_of_a_check(matrices, monkeypatch, capsys):
+    # +1 on f_4(8,3), a lambda^(1) column-2 cell, breaks six identities
+    failing = [
+        "cos-ratio closed form != lambda^(1) grid series",
+        "sine-ratio closed form != lambda^(1) grid series",
+        "cosine-sum closed form != lambda^(1) grid series",
+        "column composition fails for lambda^(1)",
+        "column composition fails for lambda^(2)",
+        "column composition fails for lambda^(3)",
+    ]
+    corrupted = bumped(matrices, 4, 8, 3)
+    monkeypatch.setattr(verify, "delta_matrices", lambda count: corrupted)
+    report = verify.run_checks(["closed-forms"], n_max=6, cap=12)
+    (record,) = report.checks
+    assert strip_monomial(record.failures) == failing
+    assert record.counterexample == record.failures[0]
+    data = json.loads(report.to_json())["checks"][0]
+    assert strip_monomial([data["counterexample"]] + data["more_failures"]) == failing
+    lines = report.summary_lines()
+    assert strip_monomial([l.split("also: ", 1)[1] for l in lines if "also: " in l]) == failing[1:]
+    assert main(["verify", "--checks", "closed-forms"]) == 1
+    assert capsys.readouterr().out.count("\n        also: ") == 5
+
+
+def test_passing_records_gain_no_failure_list(matrices):
+    report = verify.run_checks(["closed-forms"], n_max=6, cap=12)
+    assert report.passed()
+    assert "more_failures" not in report.to_json()
+    assert not any("also: " in line for line in report.summary_lines())
 
 
 def axis_cell(cap):
