@@ -8,13 +8,15 @@ Subcommands:
   verify     run verification suites; exit 1 on any failure
   export     write matrices, triangle and series dumps to a directory
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 when the
+reader closes stdout early (128 + SIGPIPE, with nothing on stderr).
 All numeric output is plain decimal; orderings are deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -25,6 +27,8 @@ from .series import dump_lines
 from .trees import StatisticUndefined, enumerate_trees, eoc, pom
 from .triangle import poupard_triangle
 from .verify import ALL_CHECKS, run_checks
+
+EXIT_BROKEN_PIPE = 141
 
 
 def _positive(kind: str, minimum: int):
@@ -144,7 +148,7 @@ def cmd_verify(args, parser) -> int:
         print(f"poupard verify: error: {msg}", file=sys.stderr)
         return 2
     if args.json:
-        print(report.to_json())
+        print(report.to_json(), flush=True)  # a closed stdout stops before the summary
         print("\n".join(report.summary_lines()), file=sys.stderr)
     else:
         print("\n".join(report.summary_lines()))
@@ -181,6 +185,19 @@ def cmd_export(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        code = _run(args, parser)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`poupard trees | head`): end quietly
+        # with the status a SIGPIPE death gives, and point stdout at devnull
+        # so the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _run(args, parser) -> int:
     if args.command == "matrix":
         return cmd_matrix(args)
     if args.command == "triangle":

@@ -18,9 +18,11 @@ ascending first-block size, then lexicographically, and the first subtree
 varies slowest, so output order is reproducible across runs.
 
 The enumerator yields each tree as a shape, a tuple of (parent, childA,
-childB) position triples.  The census tables are read straight from those
-triples; a Tree is materialized only by enumerate_trees, for the public API,
-the ha12_map bijection and the `trees` CLI.
+childB) position triples, and enumerate_trees turns each shape into a Tree
+for the public API, the ha12_map bijection and the `trees` CLI.  The census
+tables do not use the enumerator: they come from a depth-first walk that
+attaches the labels in increasing order to one set of child and parent
+arrays, changed in place, so no per-tree tuple or Tree is built.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .delta import DeltaMatrix
 from .triangle import poupard_triangle
 
 # Largest shape size kept in the memo table; bigger sizes stream recursively.
+# Only enumerate_trees at n >= 6 streams: the census walks its own labels.
 _MEMO_MAX_SIZE = 11
 
 # joint_distribution / census_tables refuse larger n unless forced: the sets
@@ -41,7 +44,7 @@ _MEMO_MAX_SIZE = 11
 DEFAULT_ENUMERATION_LIMIT = 7
 
 #: n ceilings of the enumeration-backed verify suites; verify --force lifts them
-ENUMERATION_CAPS = {"enumeration": 6, "bijection": 5, "census": 5}
+ENUMERATION_CAPS = {"enumeration": 6, "bijection": 5, "census": 6}
 
 
 class EnumerationLimitError(ValueError):
@@ -314,28 +317,59 @@ def census_tables(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> CensusTable
 # Keyed on n alone: a table is a few (2n)x(2n) grids, so keeping every n is cheap.
 @lru_cache(maxsize=None)
 def _census(n: int) -> CensusTables:
-    """One pass over the shapes of T_{2n+1} as position triples (label - 1),
-    each filling first-child, second-child and parent lists with 0 for none
-    (the root, position 0, is nobody's child); no Tree is built.  Positions
-    grow along every path, so eoc is under k iff walking up from it hits k."""
+    """The four grids of _census_walk(n), frozen."""
+    freeze = lambda g: tuple(tuple(row) for row in g)
+    return CensusTables(n, *(freeze(g) for g in _census_walk(n)))
+
+
+def _census_walk(n: int) -> Tuple[List[List[int]], ...]:
+    """One depth-first pass over T_{2n+1} that fills the joint, R1, R2-outside
+    and R2-inside grids, indexed by position = label - 1; no Tree is built.
+
+    Positions 1..2n are attached in increasing order.  Position j becomes the
+    second child of a position `ones` holds (those with exactly one child) or
+    the first child of one with none; a branch is cut when `ones` outnumbers
+    the positions still to place, and the last position closes the only one
+    left.  Every tree of T_{2n+1} has exactly one such sequence of parents,
+    so each is visited once.  first / second / parent hold the tree under
+    construction, with 0 for none (the root, position 0, is nobody's child):
+    child entries are set on the way down and cleared on the way back, and
+    parent[j] is rewritten with each choice.  At a complete tree the
+    statistics are read from these arrays; positions grow along every path,
+    so eoc is under k iff walking up from it hits k."""
     size = 2 * n + 1
+    last = size - 1
     w = 2 * n
     joint = [[0] * w for _ in range(w)]
     r1w = [[0] * w for _ in range(w)]
     r2o = [[0] * w for _ in range(w)]
     r2i = [[0] * w for _ in range(w)]
-    for shape in _iter_shapes(size):
-        first = [0] * size
-        second = [0] * size
-        parent = [0] * size
-        for p, a, b in shape:
-            first[p] = a
-            second[p] = b
-            parent[a] = parent[b] = p
+    first = [0] * size
+    second = [0] * size
+    parent = [0] * size
+
+    def walk(j: int, ones: Tuple[int, ...]) -> None:
+        if j < last:
+            for i, p in enumerate(ones):
+                parent[j] = p
+                second[p] = j
+                walk(j + 1, ones[:i] + ones[i + 1:])
+                second[p] = 0
+            if len(ones) < last - j:
+                for p in range(j):
+                    if not first[p]:
+                        parent[j] = p
+                        first[p] = j
+                        walk(j + 1, ones + (p,))
+                        first[p] = 0
+            return
+        q = ones[0]  # the last position closes the only open one
+        parent[j] = q
+        second[q] = j
         e = first[0]  # eoc
         while first[e]:
             e = first[e]
-        kp = parent[size - 1]  # pom
+        kp = parent[last]  # pom
         joint[e][kp] += 1
 
         # R1 witness: m := eoc-1 is the parent of leaves m+1 = eoc and m+2.
@@ -356,8 +390,10 @@ def _census(n: int) -> CensusTables:
                     r2o[e][k] += 1
                 elif not outside and up == k:
                     r2i[e][k] += 1
-    freeze = lambda g: tuple(tuple(row) for row in g)
-    return CensusTables(n, freeze(joint), freeze(r1w), freeze(r2o), freeze(r2i))
+        second[q] = 0
+
+    walk(1, ())
+    return joint, r1w, r2o, r2i
 
 
 census_tables.cache_clear = _census.cache_clear

@@ -161,7 +161,7 @@ def test_criterion_08_bijection():
 
 def test_criterion_09_census_identities():
     start = time.perf_counter()
-    for n in range(2, 6):
+    for n in range(2, 7):
         tables = census_tables(n)
         joint = DeltaMatrix(n, tables.joint)
         for (m, k) in list(region_cells("L1", n)) + list(region_cells("U2", n)):
@@ -184,7 +184,7 @@ def test_criterion_09_census_identities():
             assert mat.value(m, k + 2) - 2 * mat.value(m, k + 1) + mat.value(m, k) + 2 * prev.value(m, k) == 0
     _announce(
         9,
-        "census identities on trees n<=5 and matrix recurrences n<=8",
+        "census identities on trees n<=6 and matrix recurrences n<=8",
         time.perf_counter() - start,
     )
 

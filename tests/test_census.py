@@ -1,5 +1,7 @@
 """Second-difference census identities on enumerated trees."""
 
+import hashlib
+
 import pytest
 
 from poupard import trees, verify
@@ -126,12 +128,12 @@ def test_census_enumerates_each_n_once(monkeypatch):
     # share one walk of T_{2n+1}
     walked = []
 
-    def counting(size):
-        walked.append((size - 1) // 2)
-        return iter_shapes(size)
+    def counting(n):
+        walked.append(n)
+        return census_walk(n)
 
-    iter_shapes = trees._iter_shapes
-    monkeypatch.setattr(trees, "_iter_shapes", counting)
+    census_walk = trees._census_walk
+    monkeypatch.setattr(trees, "_census_walk", counting)
     census_tables.cache_clear()
     first = census_tables(3, limit=5)
     assert census_tables(3, limit=6) is first
@@ -148,7 +150,9 @@ def test_census_enumerates_each_n_once(monkeypatch):
 def _tables_from_tree_api(n):
     """The four CensusTables grids, recomputed tree by tree from the Tree API
     and the CensusTables definitions (subtree membership by walking parents
-    up to the root)."""
+    up to the root).  The trees come from enumerate_trees, the shape
+    enumerator, while census_tables walks its own labels, so the oracle test
+    compares two independent enumerations of T_{2n+1}."""
     w = 2 * n
     grids = {name: [[0] * w for _ in range(w)] for name in ("joint", "r1", "out", "in")}
     for t in enumerate_trees(n):
@@ -175,6 +179,61 @@ def _tables_from_tree_api(n):
             grids["in"][m - 1][q - 1] += 1
     freeze = lambda g: tuple(tuple(row) for row in g)
     return tuple(freeze(grids[name]) for name in ("joint", "r1", "out", "in"))
+
+
+# sha256 of each CensusTables grid (joint, r1_witness, r2_outside, r2_inside),
+# rows as space-separated decimals joined by newlines; recorded from the
+# shape enumerator's census before the label walk replaced it
+_CENSUS_DIGESTS = {
+    1: (
+        "f0f7128001712310bc43149807af957c76c9fc2e7ed896a96269b0276fd66219",
+        "eadfc5d15bf20057723724f36bc6211546eb29298cde3be5ff596b7e641ce501",
+        "cb9b7e9a81a3a08452ca1d29bda759ee80c88054ba46b528fca19e11f84318f2",
+        "cb9b7e9a81a3a08452ca1d29bda759ee80c88054ba46b528fca19e11f84318f2",
+    ),
+    2: (
+        "880b76b3b64756224f9b5dfe11b842154a5da87c5f5ea6c40d04fd9d260c8b4c",
+        "68ceb3073fa16a9bbeeea3688368dbdba067135516abe8c1db326a5d6b1bbb7d",
+        "43e0c7b55f88d5eb26bc2b6b849b92d973c5b908cb49b54e1ad6f440f7964839",
+        "fef9da73b7a43250e4ca3b2db6350a6c6390a673f76bc9c408165f4e351bd85f",
+    ),
+    3: (
+        "bbeaf9130f38696ac3e9a728d3b2de5bba5611b2a9b12faf2e3eaac9f4a44f56",
+        "021d0fc422832873b36839c4b9873c72bba7d9026da39ebb20995e830dd1a0c5",
+        "94e631fa9b8eb08b0d7e357e4b7000d3443784275a0b7ab5821313dab6df1d3c",
+        "4ad0f0bdc81909c9f5924426faf34f4fd7550bea6c8c5129dc058a4ae527d0c9",
+    ),
+    4: (
+        "9c438ca5b384cff712e0e6a2044ed2f97d207144e085ee9f1c64e46334acc4d2",
+        "8abfcc2a4a24ee6b8bdc99c9d035a49f36f83184f081fc623631c6f996a3eca8",
+        "c3770e9ab57caca0a12ff32ab152aef6768d0a01aecfb3f41f288e97628e56d5",
+        "561fe7b5cfec72e5a3d4cbfc36092c34fd9d14f07733c80c280f721294cfa59a",
+    ),
+    5: (
+        "6b582dca58bc3a80fce6bb2aaa883a5e2393401db7a1be6752889c5826efde9d",
+        "dd23e6db8d63eecf8c5e196cdd48713b87bb90cb3b68fe712318949dced7a0ab",
+        "2e505d0908b1c23dbb994583bca6433d8b8c4a18f3f9f9458fd36b99c6675add",
+        "ef57d1758bf48f3dd86d5743c3a9263da5d232873005c6e9fb76cbb3ac037b5e",
+    ),
+    6: (
+        "b3826a612b86c3531aeb694b1d0b40edbf6936fea2044123d28c829208571726",
+        "8b75b1a2b07c7122d94f1714e425455a57d40a26c950cedfa898dca0f3cfdb05",
+        "59396eb56faebf199911a970d181e42b7996e55f34bdf6053b2117eda2ccd81f",
+        "7ab6eb9950654b3fc8c0cb40f36e34a1f34012c2a009aef4089fbeb22c54283a",
+    ),
+}
+
+
+def _grid_digest(grid):
+    text = "\n".join(" ".join(map(str, row)) for row in grid)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(_CENSUS_DIGESTS))
+def test_census_tables_match_recorded_digests(n):
+    tables = census_tables(n)
+    grids = (tables.joint, tables.r1_witness, tables.r2_outside, tables.r2_inside)
+    assert tuple(_grid_digest(g) for g in grids) == _CENSUS_DIGESTS[n]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

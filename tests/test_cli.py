@@ -1,13 +1,18 @@
 """Command-line behaviour: formats, exit codes, determinism."""
 
+import fcntl
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import poupard
 import poupard.verify as verify_mod
-from poupard.cli import main
+from poupard.cli import EXIT_BROKEN_PIPE, main
 
 
 def run_cli(capsys, *argv):
@@ -204,3 +209,36 @@ def test_export_digests_pinned(tmp_path, capsys):
 def test_usage_error_on_missing_subcommand(capsys):
     code, _, _ = run_cli(capsys)
     assert code == 2
+
+
+def _first_line_then_close(*argv):
+    """Run the CLI with stdout on a one-page pipe, read one line and close the
+    read end, like `| head -1`; return (line, exit code, stderr).  The small
+    pipe makes the close land while output is still pending."""
+    src = str(Path(poupard.__file__).resolve().parent.parent)
+    read_fd, write_fd = os.pipe()
+    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "poupard.cli", *argv],
+        stdout=write_fd,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as out:
+        line = out.readline().decode()
+    _, err = proc.communicate(timeout=60)
+    return line, proc.returncode, err.decode()
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (("trees", "--n", "5"), "n=5; 1:(2,3); 3:(4,5); 5:(6,7); 7:(8,9); 9:(10,11)\teoc=2\tpom=9\n"),
+        (("verify", "--json"), "{\n"),
+    ],
+)
+def test_closed_pipe_exits_quietly(argv, first):
+    line, code, err = _first_line_then_close(*argv)
+    assert line == first
+    assert (code, err) == (EXIT_BROKEN_PIPE, "")
