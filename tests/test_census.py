@@ -108,11 +108,17 @@ def test_matrix_recurrences(n):
         )
 
 
-def test_force_lifts_census_cap():
-    report = run_checks(["census"], n_max=6, force=True)
-    assert report.passed()
-    ns = {r.params["n"] for r in report.checks if r.name == "census/second-difference"}
-    assert ns == {2, 3, 4, 5, 6}
+def test_force_lifts_census_cap(monkeypatch):
+    # a cap below n_max, so that only force can reach n = 6
+    monkeypatch.setitem(trees.ENUMERATION_CAPS, "census", 5)
+
+    def census_ns(force):
+        report = run_checks(["census"], n_max=6, force=force)
+        assert report.passed()
+        return {r.params["n"] for r in report.checks if r.name == "census/second-difference"}
+
+    assert census_ns(False) == {2, 3, 4, 5}
+    assert census_ns(True) == {2, 3, 4, 5, 6}
 
 
 def test_report_that_checked_nothing_does_not_pass():
