@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_matrix(args) -> int:
-    mat = build_matrix(args.n, args.strategy.upper())
+    mat = build_matrix(args.n, args.strategy)
     if args.format == "json":
         print(mat.to_json())
     elif args.format == "csv":
@@ -157,9 +157,8 @@ def cmd_verify(args, parser) -> int:
 
 def _write_artifacts(args, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    tag = args.strategy.upper()
     for n in range(1, args.n_max + 1):
-        mat = build_matrix(n, tag)
+        mat = build_matrix(n, args.strategy)
         (out / f"matrix_{n}.json").write_text(mat.to_json() + "\n")
         (out / f"matrix_{n}.csv").write_text(mat.to_csv() + "\n")
     tri = poupard_triangle(args.n_max)

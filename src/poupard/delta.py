@@ -446,20 +446,19 @@ def _build_chain(n: int, tag: str) -> DeltaMatrix:
     return solve_constraints(n, known, strategy.recurrences, prev)
 
 
-def build_matrix(n: int, strategy: BuildStrategy | str = "D1") -> DeltaMatrix:
-    """Build M_n under one of the nine catalog strategies (M_1 is fixed)."""
+def build_matrix(n: int, tag: str = "D1") -> DeltaMatrix:
+    """Build M_n under the strategy tagged D1..D9, in any case (M_1 is fixed)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    tag = strategy if isinstance(strategy, str) else strategy.tag
-    tag = tag.upper()
-    if tag not in STRATEGIES:
+    key = tag.upper() if isinstance(tag, str) else None
+    if key not in STRATEGIES:
         raise ValueError(f"unknown strategy {tag!r}; expected D1..D9")
-    return _build_chain(n, tag)
+    return _build_chain(n, key)
 
 
-def delta_matrices(n_max: int, strategy: BuildStrategy | str = "D1") -> List[DeltaMatrix]:
-    """[M_1, ..., M_{n_max}] under one strategy."""
-    return [build_matrix(n, strategy) for n in range(1, n_max + 1)]
+def delta_matrices(n_max: int) -> List[DeltaMatrix]:
+    """[M_1, ..., M_{n_max}]; every strategy builds the same matrices."""
+    return [build_matrix(n) for n in range(1, n_max + 1)]
 
 
 # ---------------------------------------------------------------------------

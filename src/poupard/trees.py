@@ -19,8 +19,10 @@ varies slowest, so output order is reproducible across runs.
 
 The enumerator yields each tree as a shape, a tuple of (parent, childA,
 childB) position triples, and enumerate_trees turns each shape into a Tree
-for the public API, the ha12_map bijection and the `trees` CLI.  The census
-tables do not use the enumerator: they come from a depth-first walk that
+for the public API, the ha12_map bijection and the `trees` CLI.  One
+recursion over the split streams the top level; only the sub-blocks it
+reuses, up to size 11, are memoized.  The census tables do not use the
+enumerator: they come from a depth-first walk that
 attaches the labels in increasing order to one set of child and parent
 arrays, changed in place, so no per-tree tuple or Tree is built.
 """
@@ -30,13 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .delta import DeltaMatrix
 from .triangle import poupard_triangle
 
-# Largest shape size kept in the memo table; bigger sizes stream recursively.
-# Only enumerate_trees at n >= 6 streams: the census walks its own labels.
+# Largest sub-block size kept in the memo table; bigger sub-blocks and every
+# top level stream.  At n >= 7 a memo of the size-13 sub-blocks would hold
+# 349 504 shapes.
 _MEMO_MAX_SIZE = 11
 
 # joint_distribution / census_tables refuse larger n unless forced: the sets
@@ -176,26 +179,25 @@ def _splits(size: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
             yield b1, b2
 
 
-@lru_cache(maxsize=None)
-def _shapes(size: int) -> Tuple[tuple, ...]:
-    if size == 1:
-        return ((),)
-    out = []
-    for b1, b2 in _splits(size):
-        for sh1 in _shapes(len(b1)):
-            for sh2 in _shapes(len(b2)):
-                out.append(_compose(b1, b2, sh1, sh2))
-    return tuple(out)
-
-
 def _iter_shapes(size: int) -> Iterator[tuple]:
-    if size <= _MEMO_MAX_SIZE:
-        yield from _shapes(size)
+    """Stream the shapes of `size` by the split; sub-blocks up to
+    _MEMO_MAX_SIZE come from the memo, larger ones stream as well."""
+    if size == 1:
+        yield ()
         return
     for b1, b2 in _splits(size):
-        for sh1 in _iter_shapes(len(b1)):
-            for sh2 in _iter_shapes(len(b2)):
+        for sh1 in _sub_shapes(len(b1)):
+            for sh2 in _sub_shapes(len(b2)):
                 yield _compose(b1, b2, sh1, sh2)
+
+
+def _sub_shapes(size: int) -> Iterable[tuple]:
+    return _shapes(size) if size <= _MEMO_MAX_SIZE else _iter_shapes(size)
+
+
+@lru_cache(maxsize=None)
+def _shapes(size: int) -> Tuple[tuple, ...]:
+    return tuple(_iter_shapes(size))
 
 
 def enumerate_trees(n: int) -> Iterator[Tree]:
@@ -311,20 +313,14 @@ def census_tables(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> CensusTable
         raise EnumerationLimitError(
             f"n={n} exceeds the enumeration bound {limit}; pass a larger limit"
         )
-    return _census(n)
+    return _census_walk(n)
 
 
 # Keyed on n alone: a table is a few (2n)x(2n) grids, so keeping every n is cheap.
 @lru_cache(maxsize=None)
-def _census(n: int) -> CensusTables:
-    """The four grids of _census_walk(n), frozen."""
-    freeze = lambda g: tuple(tuple(row) for row in g)
-    return CensusTables(n, *(freeze(g) for g in _census_walk(n)))
-
-
-def _census_walk(n: int) -> Tuple[List[List[int]], ...]:
+def _census_walk(n: int) -> CensusTables:
     """One depth-first pass over T_{2n+1} that fills the joint, R1, R2-outside
-    and R2-inside grids, indexed by position = label - 1; no Tree is built.
+    and R2-inside grids of CensusTables, by position = label - 1; no Tree is built.
 
     Positions 1..2n are attached in increasing order.  Position j becomes the
     second child of a position `ones` holds (those with exactly one child) or
@@ -393,10 +389,11 @@ def _census_walk(n: int) -> Tuple[List[List[int]], ...]:
         second[q] = 0
 
     walk(1, ())
-    return joint, r1w, r2o, r2i
+    freeze = lambda g: tuple(tuple(row) for row in g)
+    return CensusTables(n, *(freeze(g) for g in (joint, r1w, r2o, r2i)))
 
 
-census_tables.cache_clear = _census.cache_clear
+census_tables.cache_clear = _census_walk.cache_clear
 
 
 def joint_distribution(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> DeltaMatrix:

@@ -41,17 +41,20 @@ class Triangle:
     @staticmethod
     def from_json(text: str) -> "Triangle":
         data = json.loads(text)
-        return Triangle(tuple(tuple(int(v) for v in r) for r in data["rows"]))
+        if not isinstance(data, dict) or "rows" not in data:
+            raise ValueError('expected a JSON object with key "rows"')
+        rows = data["rows"]
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError('"rows" must be a list of lists')
+        # exact entries only: no floats, strings or booleans to coerce
+        if any(type(v) is not int for r in rows for v in r):
+            raise ValueError("every entry must be a JSON integer")
+        return Triangle(tuple(tuple(r) for r in rows))
 
-    def bfile_lines(self, start_index: int = 1) -> List[str]:
-        """Flat OEIS-style b-file: `index value` per line, rows left to right."""
-        lines = []
-        idx = start_index
-        for row in self.rows:
-            for v in row:
-                lines.append(f"{idx} {v}")
-                idx += 1
-        return lines
+    def bfile_lines(self) -> List[str]:
+        """Flat OEIS-style b-file: `index value` per line from 1, rows left to right."""
+        values = (v for row in self.rows for v in row)
+        return [f"{idx} {v}" for idx, v in enumerate(values, 1)]
 
 
 def poupard_triangle(n_max: int) -> Triangle:

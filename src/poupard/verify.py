@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import gf
 from .delta import (
@@ -60,8 +60,17 @@ def load_fixture_matrix(n: int) -> DeltaMatrix:
     return DeltaMatrix.from_json((FIXTURES / f"matrix_{n}.json").read_text())
 
 
-def _enum_limit(n_max: int, force: bool, cap: int) -> int:
-    return n_max if force else min(n_max, cap)
+def _capped(
+    report: VerifyReport, name: str, n_min: int, n_max: int, force: bool
+) -> Iterator[int]:
+    """Each n in n_min..n_max up to the suite's ENUMERATION_CAPS entry, or
+    every n under force; each n above the cap is recorded as SKIPPED."""
+    cap = ENUMERATION_CAPS[name.partition("/")[0]]
+    for n in range(n_min, n_max + 1):
+        if force or n <= cap:
+            yield n
+        else:
+            report.add(CheckRecord(name, {"n": n}, SKIPPED, f"n={n} above enumeration cap {cap}"))
 
 
 # ---------------------------------------------------------------------------
@@ -109,19 +118,10 @@ def check_equivalence(report: VerifyReport, n_max: int) -> None:
 
 
 def check_enumeration(report: VerifyReport, n_max: int, force: bool) -> None:
-    limit = _enum_limit(n_max, force, ENUMERATION_CAPS["enumeration"])
     totals = []
-    for n in range(1, n_max + 1):
-        if n > limit:
-            report.add(
-                CheckRecord(
-                    "enumeration/joint", {"n": n}, SKIPPED,
-                    f"n={n} above enumeration cap {limit}",
-                )
-            )
-            continue
+    for n in _capped(report, "enumeration/joint", 1, n_max, force):
         with timed_check(report, "enumeration/joint", {"n": n}) as failures:
-            dist = joint_distribution(n, limit=limit)
+            dist = joint_distribution(n, limit=n_max)
             expected = tree_count(n)
             if dist.total() != expected:
                 failures.append(f"enumerated {dist.total()} trees, expected {expected}")
@@ -198,8 +198,7 @@ def check_marginals(report: VerifyReport, n_max: int) -> None:
 
 
 def check_bijection(report: VerifyReport, n_max: int, force: bool) -> None:
-    limit = _enum_limit(n_max, force, ENUMERATION_CAPS["bijection"])
-    for n in range(1, limit + 1):
+    for n in _capped(report, "bijection/chain-shift", 1, n_max, force):
         with timed_check(report, "bijection/chain-shift", {"n": n}) as failures:
             seen = set()
             count = 0
@@ -221,11 +220,10 @@ def check_bijection(report: VerifyReport, n_max: int, force: bool) -> None:
 
 
 def check_census(report: VerifyReport, n_max: int, force: bool) -> None:
-    limit = _enum_limit(n_max, force, ENUMERATION_CAPS["census"])
     # enumeration-backed second differences against structural witnesses
-    for n in range(2, limit + 1):
+    for n in _capped(report, "census/second-difference", 2, n_max, force):
         with timed_check(report, "census/second-difference", {"n": n}) as failures:
-            tables = census_tables(n, limit=limit)
+            tables = census_tables(n, limit=n_max)
             # R1/R3 are row second differences, R2/R4 column ones
             for inst, d2 in recurrence_residuals(DeltaMatrix(n, tables.joint), None):
                 m, k = inst.cells[0]
@@ -265,11 +263,9 @@ def check_gf(report: VerifyReport, cap: int) -> None:
                 failures.append(f"{triangle}-triangle series not symmetric under {swap}")
 
 
-def check_poupard_matrices(
-    report: VerifyReport, p_max: int = 5, size: int = 8
-) -> None:
-    need = (p_max + 2 * size) // 2 + 1
-    matrices = delta_matrices(need)
+def check_poupard_matrices(report: VerifyReport) -> None:
+    p_max, size = 5, 8  # the reindexed matrices lambda^(p), omega^(p) for p <= 5, 8 x 8
+    matrices = delta_matrices((p_max + 2 * size) // 2 + 1)
     for p in range(0, p_max + 1):
         with timed_check(report, "poupard-matrices/reindexed", {"p": p, "size": size}) as failures:
             lam = gf.reindex_lambda(p, size, matrices)
@@ -285,7 +281,7 @@ def check_poupard_matrices(
             failures.extend(gf.boundary_relations_check(p, size, matrices))
 
 
-def check_closed_forms(report: VerifyReport, cap: int = 12) -> None:
+def check_closed_forms(report: VerifyReport, cap: int) -> None:
     """The bivariate closed forms over the integers, each ratio
     cross-multiplied; the Q(sqrt 2) series path (gf.lambda1_closed_forms)
     is the tests' oracle."""

@@ -6,6 +6,7 @@ import pytest
 
 from poupard import trees, verify
 from poupard.delta import DeltaMatrix, build_matrix, region_cells
+from poupard.report import PASS, SKIPPED
 from poupard.trees import (
     EnumerationLimitError,
     census_tables,
@@ -112,13 +113,40 @@ def test_force_lifts_census_cap(monkeypatch):
     # a cap below n_max, so that only force can reach n = 6
     monkeypatch.setitem(trees.ENUMERATION_CAPS, "census", 5)
 
-    def census_ns(force):
+    def census_ns(force, status=PASS):
         report = run_checks(["census"], n_max=6, force=force)
         assert report.passed()
-        return {r.params["n"] for r in report.checks if r.name == "census/second-difference"}
+        return {
+            r.params["n"]
+            for r in report.checks
+            if r.name == "census/second-difference" and r.status == status
+        }
 
     assert census_ns(False) == {2, 3, 4, 5}
+    assert census_ns(False, SKIPPED) == {6}
     assert census_ns(True) == {2, 3, 4, 5, 6}
+    assert census_ns(True, SKIPPED) == set()
+
+
+@pytest.mark.parametrize(
+    "suite, name, n_min",
+    [
+        ("enumeration", "enumeration/joint", 1),
+        ("bijection", "bijection/chain-shift", 1),
+        ("census", "census/second-difference", 2),
+    ],
+)
+def test_suite_records_n_above_its_cap_as_skipped(monkeypatch, suite, name, n_min):
+    monkeypatch.setitem(trees.ENUMERATION_CAPS, suite, 2)
+
+    def statuses(force):
+        report = run_checks([suite], n_max=3, force=force)
+        assert report.passed()
+        return {r.params["n"]: r.status for r in report.checks if r.name == name}
+
+    checked = {n: PASS for n in range(n_min, 3)}
+    assert statuses(False) == {**checked, 3: SKIPPED}
+    assert statuses(True) == {**checked, 3: PASS}
 
 
 def test_report_that_checked_nothing_does_not_pass():
@@ -129,28 +157,23 @@ def test_report_that_checked_nothing_does_not_pass():
     assert '"passed": false' in report.to_json()
 
 
-def test_census_enumerates_each_n_once(monkeypatch):
+def test_census_enumerates_each_n_once():
     # the enumeration and census suites pass different limits; both must
     # share one walk of T_{2n+1}
-    walked = []
-
-    def counting(n):
-        walked.append(n)
-        return census_walk(n)
-
-    census_walk = trees._census_walk
-    monkeypatch.setattr(trees, "_census_walk", counting)
+    walks = lambda: trees._census_walk.cache_info().misses
     census_tables.cache_clear()
     first = census_tables(3, limit=5)
     assert census_tables(3, limit=6) is first
     assert trees.joint_distribution(3, limit=4).rows == first.joint
     assert trees.structural_census(3, 3, 1, "R1Witness", limit=3) == 1
-    assert walked == [3]
+    assert walks() == 1
     with pytest.raises(EnumerationLimitError):
         census_tables(3, limit=2)
-    census_tables.cache_clear()
+    census_tables.cache_clear()  # also resets the miss count
     census_tables(3)
-    assert walked == [3, 3]
+    assert walks() == 1
+    census_tables(4)
+    assert walks() == 2
 
 
 def _tables_from_tree_api(n):

@@ -296,8 +296,14 @@ def test_chain_build_depth_does_not_grow_with_n():
 
 
 def test_unknown_strategy_rejected():
-    with pytest.raises(ValueError):
-        build_matrix(2, "D10")
+    # only a tag names a strategy: a BuildStrategy object is refused, not
+    # read for its tag alone
+    custom = dataclasses.replace(
+        STRATEGIES["D1"], recurrences=frozenset({"R3", "R4"}), boundary=frozenset({"I3", "I4"})
+    )
+    for strategy in ("D10", custom, STRATEGIES["D1"], None):
+        with pytest.raises(ValueError, match="D1..D9"):
+            build_matrix(2, strategy)
 
 
 def test_region_cells_match_in_region_filter():

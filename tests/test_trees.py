@@ -1,7 +1,10 @@
 """Enumeration, statistics, and the chain-shift bijection."""
 
+import hashlib
+
 import pytest
 
+from poupard import trees
 from poupard.trees import (
     DEFAULT_ENUMERATION_LIMIT,
     EnumerationLimitError,
@@ -60,6 +63,45 @@ def test_enumeration_order_frozen():
         "n=2; 1:(2,4); 2:(3,5)",
         "n=2; 1:(2,3); 2:(4,5)",
     ]
+
+
+# sha256 of the enumerate_trees(n) output, each tree serialized, joined by
+# newlines; recorded before the split recursion was written once
+_ORDER_DIGESTS = {
+    0: "03a9b09b35d993ff9a6f031da89b66b46158eae60751c9fe1c424101d2f1cc3c",
+    1: "381e44cc075987b4468171aed9f7f00365ef16807b55c193a9ce608878e608ea",
+    2: "20f8c8423bb488ce52aac58382f09cf63550b3d00789390c7e19e1dabdd5688c",
+    3: "15c77bb208347a949a3752d14af867ae257ecaeb96ccc784c0f05f8c4b3efd9d",
+    4: "d0f5d95da9597483eeda25951c236a09119919cf8d54ecaa6cecdbe079df13bb",
+    5: "0483ba8beca374d6ad5a7c42ae51d179e0f11b02991e4aecdaa1db0cd5c4618c",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_ORDER_DIGESTS))
+def test_enumeration_order_matches_recorded_digest(n):
+    text = "\n".join(t.serialize() for t in enumerate_trees(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == _ORDER_DIGESTS[n]
+
+
+def _assert_memo_holds(sizes):
+    """The shape memo holds exactly `sizes`: that many entries, each a hit."""
+    assert trees._shapes.cache_info().currsize == len(sizes)
+    misses = trees._shapes.cache_info().misses
+    for size in sizes:
+        trees._shapes(size)
+    assert trees._shapes.cache_info().misses == misses
+
+
+def test_memo_holds_only_reused_sub_blocks():
+    # the top level streams; only the sub-blocks it reuses are memoized
+    trees._shapes.cache_clear()
+    assert len(list(enumerate_trees(5))) == COUNTS[5]
+    _assert_memo_holds((1, 3, 5, 7, 9))
+    # n = 6 reuses blocks up to size 11; at n = 7 the size-13 blocks stream
+    next(enumerate_trees(6))
+    _assert_memo_holds((1, 3, 5, 7, 9, 11))
+    next(enumerate_trees(7))
+    _assert_memo_holds((1, 3, 5, 7, 9, 11))
 
 
 def test_eoc_pom_examples():

@@ -112,6 +112,24 @@ def test_triangle_json_roundtrip():
     assert again == tri
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"rows": [[1.9], [true, 1, 0]]}',
+        '{"rows": [[1], [0, 1, "0"]]}',
+        '{"rows": [[1], [0, 1, false]]}',
+        '{"rows": [1, [0, 1, 0]]}',
+        '{"rows": {"0": [1]}}',
+        '{"row": [[1]]}',
+        "[[1], [0, 1, 0]]",
+        "not json",
+    ],
+)
+def test_triangle_from_json_rejects_inexact(text):
+    with pytest.raises(ValueError):
+        Triangle.from_json(text)
+
+
 def test_bfile_lines():
     tri = poupard_triangle(1)
     assert tri.bfile_lines() == ["1 1", "2 0", "3 1", "4 0"]
