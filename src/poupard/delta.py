@@ -21,11 +21,16 @@ instance only when that count is 1, so each instance is queued at most once
 and solves its last cell when popped (counter-based unit propagation).  It
 flags under-determination (Unresolved) and contradictions (Inconsistent)
 instead of trusting any particular fill order.
+
+The instances are written once, as flat anchors with a step and a prev offset
+(`_instance_table`); one residual pass serves both the solver's final check
+and the oracle `recurrence_failure`, which never propagates.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
@@ -105,9 +110,12 @@ class DeltaMatrix:
 
     @staticmethod
     def from_csv(text: str, n: Optional[int] = None) -> "DeltaMatrix":
-        rows = tuple(
-            tuple(int(v) for v in line.split(",")) for line in text.strip().splitlines()
-        )
+        cells = [line.split(",") for line in text.strip().splitlines()]
+        # plain ASCII decimals only: int() would also read 1_0, +1 and ١
+        bad = [v for row in cells for v in row if not re.fullmatch(r"-?[0-9]+", v.strip())]
+        if bad:
+            raise ValueError(f"not an integer cell: {bad[0]!r}")
+        rows = tuple(tuple(int(v) for v in row) for row in cells)
         if n is None:
             n = len(rows) // 2
         return DeltaMatrix._checked(n, rows)
@@ -128,8 +136,6 @@ class DeltaMatrix:
 # ---------------------------------------------------------------------------
 # Regions and recurrence instances
 # ---------------------------------------------------------------------------
-
-REGION_TAGS = ("L1", "L2", "U1", "U2")
 
 #: region tag -> (below the diagonal?, gap d, top offset t): a lower region is
 #: {1 <= k, k+d <= m <= 2n+t}, an upper one {1 <= m, m+d <= k <= 2n+t}
@@ -177,39 +183,59 @@ _RECURRENCES: Dict[str, Tuple[str, bool, Tuple[int, int]]] = {
 }
 
 
-def _recurrence(tag: str) -> Tuple[str, bool, Tuple[int, int]]:
-    if tag not in _RECURRENCES:
-        raise ValueError(f"unknown recurrence {tag!r}")
-    return _RECURRENCES[tag]
+def _instance_table(n: int, tags) -> List[Tuple[str, int, int, List[int]]]:
+    """(tag, step, prev offset, anchors) per recurrence, in tag order.
+
+    On the 2n x 2n grid flattened as (m-1)*2n + k-1, the instance of a
+    recurrence at anchor a reads the cells a, a+step, a+2*step and the
+    constant 2 f_{n-1} at a+offset; the regions keep all four on the grid.
+    """
+    w = 2 * n
+    table = []
+    for tag in sorted(frozenset(tags)):
+        if tag not in _RECURRENCES:
+            raise ValueError(f"unknown recurrence {tag!r}")
+        region, vertical, (dm, dk) = _RECURRENCES[tag]
+        anchors = [(m - 1) * w + k - 1 for m, k in region_cells(region, n)]
+        table.append((tag, w if vertical else 1, dm * w + dk, anchors))
+    return table
 
 
-@dataclass(frozen=True)
-class Instance:
-    """One recurrence instance: cells c0 - 2*c1 + c2 + const = 0."""
+def _twice_prev(n: int, prev: Optional[DeltaMatrix]) -> List[int]:
+    """2 f_{n-1} flattened onto the 2n x 2n grid, zero-padded (0 without prev)."""
+    if prev is not None and prev.n != n - 1:
+        raise ValueError(f"prev must be M_{n-1}, got M_{prev.n}")
+    w = 2 * n
+    twice = [0] * (w * w)
+    if prev is not None:
+        for i, row in enumerate(prev.rows):
+            twice[i * w : i * w + w - 2] = [2 * v for v in row]
+    return twice
 
-    tag: str
-    cells: Tuple[Cell, Cell, Cell]
-    const: int
 
-    def residual(self, values: Dict[Cell, int]) -> int:
-        c0, c1, c2 = self.cells
-        return values[c0] - 2 * values[c1] + values[c2] + self.const
+def _residuals(
+    table, vals: Sequence[Optional[int]], twice: Sequence[int]
+) -> Iterator[Tuple[str, int, int, int]]:
+    """(tag, anchor, step, x - 2y + z + 2 f_{n-1}) for every instance whose
+    three cells are known, in (tag, anchor) order."""
+    for tag, s, off, anchors in table:
+        for a in anchors:
+            x, y, z = vals[a], vals[a + s], vals[a + 2 * s]
+            if x is not None and y is not None and z is not None:
+                yield tag, a, s, x - 2 * y + z + twice[a + off]
 
 
-def recurrence_instances(
-    n: int, prev: Optional[DeltaMatrix], recurrences: FrozenSet[str]
-) -> List[Instance]:
-    out: List[Instance] = []
-    for tag in sorted(recurrences):
-        region, vertical, (dm, dk) = _recurrence(tag)
-        for (m, k) in region_cells(region, n):
-            if vertical:
-                cells = ((m, k), (m + 1, k), (m + 2, k))
-            else:
-                cells = ((m, k), (m, k + 1), (m, k + 2))
-            const = 2 * prev.value(m + dm, k + dk) if prev is not None else 0
-            out.append(Instance(tag, cells, const))
-    return out
+def _cells(n: int, *flat: int) -> Tuple[Cell, ...]:
+    """The (m, k) cells at flat indices of the 2n x 2n grid."""
+    w = 2 * n
+    return tuple((i // w + 1, i % w + 1) for i in flat)
+
+
+def _residual_failure(n: int, table, vals, twice) -> Optional[str]:
+    for tag, a, s, r in _residuals(table, vals, twice):
+        if r != 0:
+            return f"{tag} instance at cells {_cells(n, a, a + s, a + 2 * s)} has residual {r}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +348,7 @@ def solve_constraints(
     nonzero residual or an odd middle value) takes precedence over
     Unresolved (cells left unknown).
     """
-    if prev is not None and prev.n != n - 1:
-        raise ValueError(f"prev must be M_{n-1}, got M_{prev.n}")
+    twice = _twice_prev(n, prev)
     w = 2 * n
     pairs = known.items() if hasattr(known, "items") else known
     vals: List[Optional[int]] = [None] * (w * w)  # vals[(m-1)*w + k-1] = f_n(m, k)
@@ -338,44 +363,25 @@ def solve_constraints(
             raise Inconsistent(n, f"conflicting known values at {cell}: {vals[i]} vs {v}")
         vals[i] = v
 
-    # twice[(m-1)*w + k-1] = 2 f_{n-1}(m, k), zero-padded onto the w x w grid
-    twice = [0] * (w * w)
-    if prev is not None:
-        for i, row in enumerate(prev.rows):
-            twice[i * w : i * w + w - 2] = [2 * v for v in row]
-
-    # Instance r at anchor a reads vals[a] - 2 vals[a+s] + vals[a+2s] +
-    # twice[a+off], s the step and off the prev shift of recurrence r (the
-    # regions keep a+off inside the grid); it is encoded as the int a*nrec + r.
+    # Recurrence r's instance at anchor a is queued as the int a*nrec + r.
     # counts[r][a] is the number of its unknown cells.  It is 0 where r anchors
     # no instance, and at least 1 at an anchor whose instance holds a cell not
     # yet solved, so a nonzero count also marks the instances a new cell wakes.
-    tags = sorted(frozenset(recurrences))
-    nrec = len(tags)
-    specs = [_recurrence(tag) for tag in tags]
-    steps = [w if vertical else 1 for _, vertical, _ in specs]
-    offs = [dm * w + dk for _, _, (dm, dk) in specs]
+    table = _instance_table(n, recurrences)
+    nrec = len(table)
+    steps = [s for _, s, _, _ in table]
+    offs = [off for _, _, off, _ in table]
     counts: List[bytearray] = []
-    instances: List[int] = []
     stack: List[int] = []
-    for r, (region, _, _) in enumerate(specs):
-        s, count = steps[r], bytearray(w * w)
-        for m, k in region_cells(region, n):
-            a = (m - 1) * w + k - 1
-            code = a * nrec + r
+    for r, (_, s, _, anchors) in enumerate(table):
+        count = bytearray(w * w)
+        for a in anchors:
             unknown = (vals[a] is None) + (vals[a + s] is None) + (vals[a + 2 * s] is None)
             count[a] = unknown
-            instances.append(code)
             if unknown == 1:
-                stack.append(code)
+                stack.append(a * nrec + r)
         counts.append(count)
     touching = list(enumerate(zip(steps, counts)))
-
-    def cell_at(i: int) -> Cell:
-        return (i // w + 1, i % w + 1)
-
-    def cells(a: int, s: int) -> Tuple[Cell, Cell, Cell]:
-        return (cell_at(a), cell_at(a + s), cell_at(a + 2 * s))
 
     while stack:
         a, r = divmod(stack.pop(), nrec)
@@ -390,7 +396,8 @@ def solve_constraints(
             # 2*y = x + z + c; the division must be exact
             num = x + z + c
             if num % 2 != 0:
-                raise Inconsistent(n, f"odd middle value in {tags[r]} at {cells(a, s)}")
+                cells = _cells(n, a, a + s, a + 2 * s)
+                raise Inconsistent(n, f"odd middle value in {table[r][0]} at {cells}")
             cell, v = a + s, num // 2
         else:
             cell, v = a + 2 * s, 2 * y - x - c
@@ -404,19 +411,11 @@ def solve_constraints(
                     if count[a2] == 1:
                         stack.append(a2 * nrec + r2)
 
-    for code in instances:
-        a, r = divmod(code, nrec)
-        s = steps[r]
-        x, y, z = vals[a], vals[a + s], vals[a + 2 * s]
-        if x is None or y is None or z is None:
-            continue
-        res = x - 2 * y + z + twice[a + offs[r]]
-        if res != 0:
-            raise Inconsistent(
-                n, f"{tags[r]} instance at cells {cells(a, s)} has residual {res}"
-            )
+    failure = _residual_failure(n, table, vals, twice)
+    if failure is not None:
+        raise Inconsistent(n, failure)
     if None in vals:
-        raise Unresolved(n, [cell_at(i) for i, v in enumerate(vals) if v is None])
+        raise Unresolved(n, _cells(n, *(i for i, v in enumerate(vals) if v is None)))
     return DeltaMatrix(n, tuple(tuple(vals[i : i + w]) for i in range(0, w * w, w)))
 
 
@@ -558,22 +557,22 @@ def marginals_failure(
 
 def recurrence_residuals(
     mat: DeltaMatrix, prev: Optional[DeltaMatrix]
-) -> Iterator[Tuple[Instance, int]]:
-    """(instance, residual) for every R1-R4 instance of M_n; with prev=None
+) -> Iterator[Tuple[str, Tuple[Cell, ...], int]]:
+    """(tag, cells, residual) for every R1-R4 instance of M_n; with prev=None
     the residuals are the bare second differences of `mat`."""
-    values = {
-        (m, k): v for m, row in enumerate(mat.rows, 1) for k, v in enumerate(row, 1)
-    }
-    for inst in recurrence_instances(mat.n, prev, frozenset(_RECURRENCES)):
-        yield inst, inst.residual(values)
+    n = mat.n
+    vals = [v for row in mat.rows for v in row]
+    table = _instance_table(n, _RECURRENCES)
+    for tag, a, s, r in _residuals(table, vals, _twice_prev(n, prev)):
+        yield tag, _cells(n, a, a + s, a + 2 * s), r
 
 
 def recurrence_failure(mat: DeltaMatrix, prev: DeltaMatrix) -> Optional[str]:
-    """Every R1-R4 instance of M_n has zero residual against M_{n-1}."""
-    for inst, r in recurrence_residuals(mat, prev):
-        if r != 0:
-            return f"{inst.tag} instance at cells {inst.cells} has residual {r}"
-    return None
+    """Every R1-R4 instance of M_n has zero residual against M_{n-1}.  The
+    pass reads `mat` alone, never the solver's propagation."""
+    n = mat.n
+    vals = [v for row in mat.rows for v in row]
+    return _residual_failure(n, _instance_table(n, _RECURRENCES), vals, _twice_prev(n, prev))
 
 
 def matrix_properties_check(

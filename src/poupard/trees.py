@@ -108,18 +108,8 @@ class Tree:
             raise ValueError("root has a parent")
         if set(seen_children) != labels - {1}:
             raise ValueError("nodes are not connected to the root")
-        if len(self.children) != self.n:
-            raise ValueError(f"expected {self.n} interior nodes")
-        # connectivity: walk up from every node to the root
-        par = self.parents()
-        for v in labels - {1}:
-            hops = 0
-            w = v
-            while w != 1:
-                w = par[w]
-                hops += 1
-                if hops > size:
-                    raise ValueError("parent chain does not reach the root")
+        # Now each of 2..size has one parent, of smaller label, so every
+        # parent chain reaches 1, and the 2n children form n pairs.
 
     # -- serialization -------------------------------------------------
 

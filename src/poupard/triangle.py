@@ -49,6 +49,9 @@ class Triangle:
         # exact entries only: no floats, strings or booleans to coerce
         if any(type(v) is not int for r in rows for v in r):
             raise ValueError("every entry must be a JSON integer")
+        for n, r in enumerate(rows):
+            if len(r) != 2 * n + 1:
+                raise ValueError(f"row {n} must have {2 * n + 1} entries, got {len(r)}")
         return Triangle(tuple(tuple(r) for r in rows))
 
     def bfile_lines(self) -> List[str]:

@@ -225,14 +225,14 @@ def check_census(report: VerifyReport, n_max: int, force: bool) -> None:
         with timed_check(report, "census/second-difference", {"n": n}) as failures:
             tables = census_tables(n, limit=n_max)
             # R1/R3 are row second differences, R2/R4 column ones
-            for inst, d2 in recurrence_residuals(DeltaMatrix(n, tables.joint), None):
-                m, k = inst.cells[0]
-                if inst.tag in ("R1", "R3"):
+            for tag, cells, d2 in recurrence_residuals(DeltaMatrix(n, tables.joint), None):
+                m, k = cells[0]
+                if tag in ("R1", "R3"):
                     witness = tables.r1_witness[m - 1][k - 1]
                 else:
                     witness = tables.r2_outside[m - 1][k - 1] + tables.r2_inside[m - 1][k - 1]
                 if d2 + 2 * witness != 0:
-                    failures.append(f"{inst.tag} second difference at (m,k)=({m},{k})")
+                    failures.append(f"{tag} second difference at (m,k)=({m},{k})")
                     break
 
     # the reduced recurrences as pure matrix identities

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import poupard
-
+from poupard import delta
 from poupard.delta import (
     M1,
     STRATEGIES,
@@ -28,12 +28,11 @@ from poupard.delta import (
     in_region,
     matrix_properties_check,
     recurrence_failure,
-    recurrence_instances,
     region_cells,
     solve_constraints,
 )
 from poupard.triangle import poupard_triangle
-from poupard.verify import load_fixture_matrix
+from poupard.verify import load_fixture_matrix, run_checks
 
 M2_ROWS = ((0, 0, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0), (0, 1, 0, 0))
 
@@ -117,6 +116,26 @@ def test_solve_constraints_full_boundary_no_error():
     assert mat.rows == M2_ROWS
 
 
+def _instance_cells(n, recs):
+    """The cells of every instance of the recurrences `recs` in M_n, spelled
+    out from the definitions of R1-R4 and of the triangles L1, U1, U2, L2."""
+    w = 2 * n
+    out = []
+    for m in range(1, w + 1):
+        for k in range(1, w + 1):
+            down = ((m, k), (m + 1, k), (m + 2, k))
+            right = ((m, k), (m, k + 1), (m, k + 2))
+            if "R1" in recs and 2 <= k + 1 <= m <= w - 2:
+                out.append(down)
+            if "R2" in recs and 2 <= m + 1 <= k <= w - 2:
+                out.append(right)
+            if "R3" in recs and 4 <= m + 3 <= k <= w:
+                out.append(down)
+            if "R4" in recs and 4 <= k + 3 <= m <= w:
+                out.append(right)
+    return out
+
+
 def test_regions_disjoint_from_diagonal_and_lower_coverage():
     for n in (2, 3, 4):
         for tag in ("L1", "L2", "U1", "U2"):
@@ -131,18 +150,11 @@ def test_regions_disjoint_from_diagonal_and_lower_coverage():
             for k in range(1, 2 * n + 1)
             if m > k
         }
-        anchors = {
-            inst.cells[0]
-            for inst in recurrence_instances(n, build_matrix(n - 1), frozenset({"R1", "R4"}))
-        }
-        assert anchors == lower
+        instances = _instance_cells(n, {"R1", "R4"})
+        assert {cells[0] for cells in instances} == lower
         # ... and for n >= 3 their instances reach every strictly-lower cell
         if n >= 3:
-            touched = set()
-            for inst in recurrence_instances(
-                n, build_matrix(n - 1), frozenset({"R1", "R4"})
-            ):
-                touched.update(inst.cells)
+            touched = {c for cells in instances for c in cells}
             below = {c for c in touched if c[0] > c[1]}
             assert below == {
                 (m, k)
@@ -202,9 +214,48 @@ def test_predicates_flag_damaged_cell():
     assert recurrence_failure(damaged, prev).startswith("R1 instance")
 
 
+def _bumped(mat, m, k):
+    rows = [list(r) for r in mat.rows]
+    rows[m - 1][k - 1] += 1
+    return DeltaMatrix(mat.n, tuple(tuple(r) for r in rows))
+
+
+# sha256 of the 556 recurrence_failure texts ("None" where every instance
+# still holds) for +1 on each cell of M_2..M_7, recorded before the
+# instances were read off a flat grid
+RECURRENCE_FAILURE_DIGEST = "2e1f3e43bce5003dff41b615ec1924dcd7633c8845e6787a7e8e549bf550ee72"
+
+
+def test_recurrence_failure_texts_pinned():
+    lines = []
+    for n in range(2, 8):
+        mat, prev = build_matrix(n), build_matrix(n - 1)
+        for m in range(1, 2 * n + 1):
+            for k in range(1, 2 * n + 1):
+                lines.append(str(recurrence_failure(_bumped(mat, m, k), prev)))
+    assert len(lines) == 556
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RECURRENCE_FAILURE_DIGEST
+
+
+def test_recurrence_oracle_never_calls_the_solver(monkeypatch):
+    # the oracle reads the built matrices; it must not lean on propagation
+    mat, prev = build_matrix(8), build_matrix(7)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_constraints called")
+
+    monkeypatch.setattr(delta, "solve_constraints", forbidden)
+    assert recurrence_failure(mat, prev) is None
+    assert recurrence_failure(_bumped(mat, 9, 2), prev).startswith("R1 instance")
+    report = run_checks(["census"], n_max=6)
+    assert report.passed(), report.summary_lines()
+
+
 def test_properties_check_dimension_mismatch():
     with pytest.raises(ValueError):
         matrix_properties_check(build_matrix(3, "D1"), build_matrix(1, "D1"))
+    with pytest.raises(ValueError, match=re.escape("prev must be M_2, got M_1")):
+        recurrence_failure(build_matrix(3, "D1"), build_matrix(1, "D1"))
 
 
 def test_eoc_pom_polynomial():
@@ -268,6 +319,9 @@ def test_from_json_rejects_malformed(text):
         ("0,0,0\n1,0,0\n0,0,0", None),
         ("0,0\n1,x", None),
         ("0,0\n1,0", 2),
+        ("0,0\n1_0,0", None),
+        ("0,0\n+1,0", None),
+        ("0,0\n\u0661,0", None),
     ],
 )
 def test_from_csv_rejects_malformed(text, n):
@@ -317,7 +371,7 @@ def test_solver_rejects_unknown_recurrence():
     with pytest.raises(ValueError, match="'R5'"):
         solve_constraints(2, {(1, 1): 0}, frozenset({"R1", "R5"}), M1)
     with pytest.raises(ValueError, match="'R5'"):
-        recurrence_instances(2, M1, frozenset({"R5"}))
+        solve_constraints(2, {(1, 1): 0}, ["R5"], None)
 
 
 def test_solver_odd_middle_value():
@@ -349,7 +403,7 @@ def _derivable(cells, instances):
     while grew:
         grew = False
         for inst in instances:
-            missing = set(inst.cells) - cells
+            missing = set(inst) - cells
             if len(missing) == 1:
                 cells |= missing
                 grew = True
@@ -367,7 +421,7 @@ def test_solver_reaches_the_derivable_closure():
         grid = {(m, k) for m in range(1, 2 * n + 1) for k in range(1, 2 * n + 1)}
         density = rng.choice((0.3, 0.5, 0.7))
         known = {c: mat.value(*c) for c in sorted(grid) if rng.random() < density}
-        left = grid - _derivable(known, recurrence_instances(n, prev, recs))
+        left = grid - _derivable(known, _instance_cells(n, recs))
         if left:
             with pytest.raises(Unresolved) as info:
                 solve_constraints(n, known, recs, prev)

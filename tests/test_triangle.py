@@ -123,6 +123,7 @@ def test_triangle_json_roundtrip():
         '{"row": [[1]]}',
         "[[1], [0, 1, 0]]",
         "not json",
+        '{"rows": [[1], [0, 1], [5]]}',
     ],
 )
 def test_triangle_from_json_rejects_inexact(text):
