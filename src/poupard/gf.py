@@ -25,7 +25,9 @@ Each identity is checked by two independent paths:
   have integer coefficients.  The denominator 2cos^2(S/sqrt2) =
   1 + cos(sqrt2 S), S = x+y+z, is a unit, so each identity is equivalent to
   E(lhs (1 + cos(sqrt2 S))) = E(N) (`closed_form_mismatch`), computed with
-  ints and binomials only.
+  ints and binomials only: in EGF normalization, multiplying by exp(cx) is
+  the binomial transform sum_s C(t,s) c^(t-s) E(s) along x
+  (`_times_exp_line`), the one kernel of every integer product here.
 
 The same entries, reindexed, give infinite matrices lambda^(p), omega^(p)
 (slice p collects the p-th diagonal layer of lower/upper triangles).  These
@@ -36,12 +38,14 @@ Q(sqrt2) series and is the tests' oracle, and
 `bivariate_closed_form_failures`, used by `verify --checks closed-forms`,
 substitutes x -> sqrt2 x, y -> sqrt2 y so that every grid and trig factor
 has integer EGF coefficients, then cross-multiplies each ratio by its unit
-denominator with ints and binomials only.
+denominator.  Each product there has one factor cos or sin of a linear
+form, so it is the same transform along each axis, not a 2-D convolution.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
@@ -219,41 +223,55 @@ def _rotate(grid: Grid3, cap: int) -> Grid3:
     ]
 
 
-def _times_exp_line(f: List[int], g: List[int], even, odd) -> Tuple[List[int], List[int]]:
-    """(f + g c)(t) -> sum_a C(t,a) c^(t-a) (f + g c)(a) along one line."""
+@lru_cache(maxsize=None)
+def _exp_weights(a: int, d: int, cap: int) -> Tuple[tuple, tuple]:
+    """C(t,k) (ac)^k for t <= cap, c^2 = d, with (ac)^k = (a^2 d)^(k//2),
+    times ac when k is odd.  even[t] holds k = 0, 2, ... (pairing with
+    f(t), f(t-2), ...) and odd[t] k = 1, 3, ... with the factor c left to
+    the caller."""
+    r = a * a * d
+    w = [[comb(t, k) * r ** (k // 2) * a ** (k % 2) for k in range(t + 1)] for t in range(cap + 1)]
+    return tuple(row[0::2] for row in w), tuple(row[1::2] for row in w)
+
+
+def _times_exp_line(
+    f: List[int], g: Optional[List[int]], a: int, d: int, cap: int
+) -> Tuple[List[int], List[int]]:
+    """(f + g c)(t) -> sum_s C(t,s) (ac)^(t-s) (f + g c)(s) along one line,
+    c^2 = d: in EGF normalization, multiplication by exp(acx).  g is None
+    for a real line."""
+    even, odd = _exp_weights(a, d, cap)
     re, im = [], []
     for t in range(len(f)):
         e, o = even[t], odd[t]  # o is empty at t = 0, so the slices never wrap
-        re.append(sum(map(mul, e, f[t::-2])) - 2 * sum(map(mul, o, g[t - 1 :: -2])))
-        im.append(sum(map(mul, e, g[t::-2])) + sum(map(mul, o, f[t - 1 :: -2])))
+        re.append(sum(map(mul, e, f[t::-2])))
+        im.append(sum(map(mul, o, f[t - 1 :: -2])))
+        if g is not None:
+            re[t] += d * sum(map(mul, o, g[t - 1 :: -2]))
+            im[t] += sum(map(mul, e, g[t::-2]))
     return re, im
+
+
+def _times_exp_lines(
+    re: List[List[int]], im: Optional[List[List[int]]], a: int, d: int, cap: int
+) -> Tuple[List[List[int]], List[List[int]]]:
+    """`_times_exp_line` on each line; im is None for real lines."""
+    pairs = [_times_exp_line(f, g, a, d, cap) for f, g in zip(re, im or [None] * len(re))]
+    return [pair[0] for pair in pairs], [pair[1] for pair in pairs]
 
 
 def _times_cos_sqrt2_sum(grid: Grid3, cap: int) -> Grid3:
     """E(F cos(sqrt2 (x+y+z))) from E(F), over the integers.
 
-    cos(sqrt2 S) is the rational part of exp(cS) with c = sqrt(-2), and in
-    EGF normalization multiplying by exp(cx) is the binomial transform
-    g(t) = sum_a C(t,a) c^(t-a) f(a) along x.  Values are carried as pairs
-    re + im*c; c^(t-a) is (-2)^((t-a)//2), times c when t-a is odd.  Each
-    axis is transformed as the last one, then rotated away.
+    cos(sqrt2 S) is the rational part of exp(cS) with c = sqrt(-2), so each
+    axis in turn is multiplied by exp(cx) (`_times_exp_line` with a = 1,
+    d = -2) as the last one, then rotated away.
     """
-    # even[t] pairs with f(t), f(t-2), ...; odd[t] with f(t-1), f(t-3), ...
-    def weights(top: int) -> List[List[int]]:
-        return [
-            [comb(t, a) * (-2) ** ((t - a) // 2) for a in range(t - top, -1, -2)]
-            for t in range(cap + 1)
-        ]
-
-    even, odd = weights(0), weights(1)
-    re, im = grid, _dense({}, cap)
+    re, im = grid, [None] * len(grid)
     for _ in range(3):
-        planes = [
-            [_times_exp_line(f, g, even, odd) for f, g in zip(plane_re, plane_im)]
-            for plane_re, plane_im in zip(re, im)
-        ]
-        re = _rotate([[pair[0] for pair in plane] for plane in planes], cap)
-        im = _rotate([[pair[1] for pair in plane] for plane in planes], cap)
+        planes = [_times_exp_lines(pre, pim, 1, -2, cap) for pre, pim in zip(re, im)]
+        re = _rotate([plane[0] for plane in planes], cap)
+        im = _rotate([plane[1] for plane in planes], cap)
     return re
 
 
@@ -463,46 +481,26 @@ def _scaled_grid(value: Callable[[int, int], int], shift: int, cap: int) -> Grid
     )
 
 
-def _trig_grid(kind: str, a: int, b: int, cap: int) -> Grid2:
-    """E of cos(ax+by) or sin(ax+by): a^i b^j (-1)^((i+j)//2) where i+j is
-    even for cos, odd for sin."""
-    odd = kind == "sin"
-    return _grid2(
-        lambda i, j: a**i * b**j * (-1) ** ((i + j) // 2) if (i + j) % 2 == odd else 0, cap
-    )
-
-
 def _add(f: Grid2, g: Grid2, c: int = 1) -> Grid2:
     """f + c g."""
     return [[u + c * v for u, v in zip(rf, rg)] for rf, rg in zip(f, g)]
 
 
-def _parities(row: List[int]) -> List[int]:
-    return [r for r in (0, 1) if any(row[r::2])]
+def _transpose(grid: Grid2) -> Grid2:
+    return [[grid[i][j] for i in range(len(grid) - j)] for j in range(len(grid))]
 
 
-def _egf_product(f: Grid2, g: Grid2, cap: int) -> Grid2:
-    """E(fg)(i,j) = sum C(i,a) C(j,b) f(a,b) g(i-a,j-b), the EGF product.
-
-    The b-sum runs over one parity class of b at a time, and a class is
-    skipped where its row of f or of g is zero.  Every grid here is zero on
-    one parity class of i+j, which quarters the work."""
-    binom = [[comb(n, k) for k in range(n + 1)] for n in range(cap + 1)]
-    parities_f = [_parities(row) for row in f]
-    parities_g = [_parities(row) for row in g]
-    out = []
-    for i in range(cap + 1):
-        row = [0] * (cap + 1 - i)
-        for a in range(i + 1):
-            c, fa, gc = binom[i][a], f[a], g[i - a]
-            for r in parities_f[a]:
-                fr = fa[r::2]
-                for s in parities_g[i - a]:
-                    # b = r, r+2, ... meets j-b of parity s, so j = r+s mod 2
-                    for j in range(r + s, cap + 1 - i, 2):
-                        row[j] += c * sum(map(mul, binom[j][r::2], map(mul, fr, gc[j - r :: -2])))
-        out.append(row)
-    return out
+def _times_trig(grid: Grid2, a: int, b: int) -> Tuple[Grid2, Grid2]:
+    """(E(G cos(ax+by)), E(G sin(ax+by))) from E(G), (a, b) != (0, 0): the
+    two parts of G exp(i(ax+by)), transformed along y (the rows), then along
+    x after a transpose.  An axis whose coefficient is 0 is skipped."""
+    re, im, cap = grid, None, len(grid) - 1
+    if b:
+        re, im = _times_exp_lines(re, im, b, -1, cap)
+    if a:
+        re, im = _times_exp_lines(_transpose(re), im and _transpose(im), a, -1, cap)
+        re, im = _transpose(re), _transpose(im)
+    return re, im
 
 
 def _first_difference(f: Grid2, g: Grid2) -> Optional[Tuple[int, int]]:
@@ -523,7 +521,9 @@ def bivariate_closed_form_failures(cap: int, matrices: Sequence[DeltaMatrix]) ->
     for lambda^(p), p for omega^(p), q for column q of lambda^(1) and p-1
     for row 1 of omega^(p).  The denominators cos(x+y) and
     2cos^2(x+y) = 1 + cos(2(x+y)) are units, so each ratio is checked by
-    cross-multiplication; products are 2-D binomial convolutions.  Returns
+    cross-multiplication.  Every product has one factor cos or sin of a
+    linear form and is a binomial transform along each axis (`_times_trig`);
+    the trig factors themselves are the unit grid so transformed.  Returns
     the same failure texts, each followed by the first differing monomial.
     """
     failures: List[str] = []
@@ -533,57 +533,53 @@ def bivariate_closed_form_failures(cap: int, matrices: Sequence[DeltaMatrix]) ->
         if mono is not None:
             failures.append(f"{identity} (first at x^{mono[0]} y^{mono[1]})")
 
-    def times(f: Grid2, g: Grid2) -> Grid2:
-        return _egf_product(f, g, cap)
-
-    def trig(kind: str, a: int, b: int) -> Grid2:
-        return _trig_grid(kind, a, b, cap)
-
     def grid(entry: Callable[..., int], p: int, shift: int) -> Grid2:
         return _scaled_grid(lambda i, j: entry(p, i, j, matrices), shift, cap)
 
     lam1 = grid(lambda_entry, 1, 0)
-    cos_xy, cos_xmy, sin_2xy = trig("cos", 1, 1), trig("cos", 1, -1), trig("sin", 2, 2)
-    sin_2x, sin_2y, cos_2y = trig("sin", 2, 0), trig("sin", 0, 2), trig("cos", 0, 2)
     one = _grid2(lambda i, j: int(i == j == 0), cap)
-    two_cos2_xy = _add(one, trig("cos", 2, 2))  # 2cos^2(x+y)
+    (cos_2x, sin_2x), (cos_2y, sin_2y) = _times_trig(one, 2, 0), _times_trig(one, 0, 2)
+    cos_xmy = _times_trig(one, 1, -1)[0]
+    lam1_cos_2xy, lam1_sin_2xy = _times_trig(lam1, 2, 2)
 
     # H cos(x+y) = cos(x-y);  H sin(2(x+y)) = sin 2x + sin 2y
-    check(times(lam1, cos_xy), cos_xmy, "cos-ratio closed form != lambda^(1) grid series")
+    check(_times_trig(lam1, 1, 1)[0], cos_xmy, "cos-ratio closed form != lambda^(1) grid series")
     sin_sum = _add(sin_2x, sin_2y)
-    check(times(lam1, sin_2xy), sin_sum, "sine-ratio closed form != lambda^(1) grid series")
+    check(lam1_sin_2xy, sin_sum, "sine-ratio closed form != lambda^(1) grid series")
     check(
-        times(sin_sum, cos_xy),
-        times(cos_xmy, sin_2xy),
+        _times_trig(sin_sum, 1, 1)[0],
+        _times_trig(cos_xmy, 2, 2)[1],
         "sine-ratio and cos-ratio closed forms disagree",
     )
-    # H 2cos^2(x+y) = cos 2x + cos 2y
+    # H 2cos^2(x+y) = H (1 + cos 2(x+y)) = cos 2x + cos 2y
     check(
-        times(lam1, two_cos2_xy),
-        _add(trig("cos", 2, 0), cos_2y),
+        _add(lam1, lam1_cos_2xy),
+        _add(cos_2x, cos_2y),
         "cosine-sum closed form != lambda^(1) grid series",
     )
     axes = _grid2(lambda i, j: lam1[i][j] if i * j == 0 else 0, cap)
     check(axes, one, "lambda^(1)(x,0) or lambda^(1)(0,y) differs from 1")
 
     # K 2cos^2(x+y) = 2 sin 2x, K the grid of sqrt2 omega^(1)
+    om1 = grid(omega_entry, 1, 1)
     check(
-        times(grid(omega_entry, 1, 1), two_cos2_xy),
+        _add(om1, _times_trig(om1, 2, 2)[0]),
         _add(sin_2x, sin_2x),
         "omega^(1) closed form != omega^(1) grid series",
     )
 
-    # L_p = 2 C_(p-1) cos 2y + C_p sin 2y;  W_p = sin 2x R_p
+    # L_p = 2 C_(p-1) cos 2y + C_p sin 2y;  W_p = sin 2x R_p.  Each column
+    # C_q times exp(2iy) serves compositions q and q+1.
     columns = [
-        _scaled_grid(lambda i, j, q=q: lambda_entry(1, i + j, q, matrices), q, cap)
+        _times_trig(_scaled_grid(lambda i, j: lambda_entry(1, i + j, q, matrices), q, cap), 0, 2)
         for q in range(5)
     ]
     for p in range(1, 5):
-        composed = _add(times(columns[p], sin_2y), times(columns[p - 1], cos_2y), 2)
+        composed = _add(columns[p][1], columns[p - 1][0], 2)
         check(composed, grid(lambda_entry, p, p + 1), f"column composition fails for lambda^({p})")
         row1 = _scaled_grid(lambda i, j: omega_entry(p, 1, i + j, matrices), p - 1, cap)
         check(
-            times(sin_2x, row1),
+            _times_trig(row1, 2, 0)[1],
             grid(omega_entry, p, p),
             f"row composition fails for omega^({p})",
         )

@@ -29,10 +29,10 @@ arrays, changed in place, so no per-tree tuple or Tree is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .delta import DeltaMatrix
 from .triangle import poupard_triangle
@@ -67,19 +67,13 @@ class Tree:
 
     n: int
     children: Dict[int, Tuple[int, int]]
-    _parents: Optional[Dict[int, int]] = field(default=None, repr=False, compare=False)
 
     def size(self) -> int:
         return 2 * self.n + 1
 
     def parents(self) -> Dict[int, int]:
-        if self._parents is None:
-            par: Dict[int, int] = {}
-            for p, (a, b) in self.children.items():
-                par[a] = p
-                par[b] = p
-            self._parents = par
-        return self._parents
+        """{child: parent}, built from `children` on every call."""
+        return {c: p for p, (a, b) in self.children.items() for c in (a, b)}
 
     def is_leaf(self, label: int) -> bool:
         return label not in self.children

@@ -40,21 +40,6 @@ from .trees import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-ALL_CHECKS = (
-    "golden",
-    "equivalence",
-    "enumeration",
-    "symmetry",
-    "diagonals",
-    "crossing",
-    "marginals",
-    "bijection",
-    "census",
-    "gf",
-    "poupard-matrices",
-    "closed-forms",
-)
-
 
 def load_fixture_matrix(n: int) -> DeltaMatrix:
     return DeltaMatrix.from_json((FIXTURES / f"matrix_{n}.json").read_text())
@@ -284,7 +269,9 @@ def check_poupard_matrices(report: VerifyReport) -> None:
 def check_closed_forms(report: VerifyReport, cap: int) -> None:
     """The bivariate closed forms over the integers, each ratio
     cross-multiplied; the Q(sqrt 2) series path (gf.lambda1_closed_forms)
-    is the tests' oracle."""
+    is the tests' oracle.  The cap is at least 12, that of acceptance
+    criterion 11."""
+    cap = max(cap, 12)
     need = (cap + 7) // 2
     matrices = delta_matrices(need)
     with timed_check(report, "closed-forms/bivariate", {"cap": cap}) as failures:
@@ -294,6 +281,26 @@ def check_closed_forms(report: VerifyReport, cap: int) -> None:
 # ---------------------------------------------------------------------------
 # Orchestration
 # ---------------------------------------------------------------------------
+
+
+# Every suite in run order, with the run_checks arguments its
+# check_<family> takes after the report.  The function is looked up by name
+# when the suite runs, so a rebinding of verify.check_* is seen.
+_SUITES = (
+    ("golden", ("n_max",)),
+    ("equivalence", ("n_max",)),
+    ("enumeration", ("n_max", "force")),
+    ("symmetry", ("n_max",)),
+    ("diagonals", ("n_max",)),
+    ("crossing", ("n_max",)),
+    ("marginals", ("n_max",)),
+    ("bijection", ("n_max", "force")),
+    ("census", ("n_max", "force")),
+    ("gf", ("cap",)),
+    ("poupard-matrices", ()),
+    ("closed-forms", ("cap",)),
+)
+ALL_CHECKS = tuple(name for name, _ in _SUITES)
 
 
 def run_checks(
@@ -310,30 +317,16 @@ def run_checks(
     unknown = [c for c in selected if c not in ALL_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {ALL_CHECKS}")
+    # below these bounds every suite would pass having checked nothing
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
 
     report = VerifyReport()
-    if "golden" in selected:
-        check_golden(report, n_max)
-    if "equivalence" in selected:
-        check_equivalence(report, n_max)
-    if "enumeration" in selected:
-        check_enumeration(report, n_max, force)
-    if "symmetry" in selected:
-        check_symmetry(report, n_max)
-    if "diagonals" in selected:
-        check_diagonals(report, n_max)
-    if "crossing" in selected:
-        check_crossing(report, n_max)
-    if "marginals" in selected:
-        check_marginals(report, n_max)
-    if "bijection" in selected:
-        check_bijection(report, n_max, force)
-    if "census" in selected:
-        check_census(report, n_max, force)
-    if "gf" in selected:
-        check_gf(report, cap)
-    if "poupard-matrices" in selected:
-        check_poupard_matrices(report)
-    if "closed-forms" in selected:
-        check_closed_forms(report, max(cap, 12))
+    params = {"n_max": n_max, "cap": cap, "force": force}
+    for name, args in _SUITES:
+        if name in selected:
+            check = globals()["check_" + name.replace("-", "_")]
+            check(report, *(params[arg] for arg in args))
     return report

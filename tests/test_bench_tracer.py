@@ -32,8 +32,16 @@ def test_trace_mode_wraps_and_restores_every_layer(monkeypatch):
         tracer = worker.Tracer()
         worker.install_tracer(tracer)
         wrapped = delta.solve_constraints
-        tracer.restore()
+        try:
+            verify.run_checks(list(verify.ALL_CHECKS), n_max=2, cap=2)
+        finally:
+            tracer.restore()
     finally:
         sys.modules.pop("tracing", None)
     assert wrapped.__wrapped__ is before[("poupard.delta", "solve_constraints")]
     assert _package_attributes() == before
+    # run_checks finds each suite through the module, so every one is traced
+    spans = {span[0] for span in tracer.spans}
+    for family in verify.ALL_CHECKS:
+        assert "verify.check_" + family.replace("-", "_") in spans, family
+    assert len(verify.ALL_CHECKS) == 12

@@ -157,6 +157,19 @@ def test_report_that_checked_nothing_does_not_pass():
     assert '"passed": false' in report.to_json()
 
 
+@pytest.mark.parametrize(
+    "checks, kwargs, message",
+    [
+        (["gf"], {"cap": -3}, "cap must be >= 0"),
+        (["enumeration"], {"n_max": 0}, "n_max must be >= 1"),
+    ],
+    ids=["gf-cap", "enumeration-n-max"],
+)
+def test_run_checks_rejects_ranges_that_check_nothing(checks, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        run_checks(checks, **kwargs)
+
+
 def test_census_enumerates_each_n_once():
     # the enumeration and census suites pass different limits; both must
     # share one walk of T_{2n+1}

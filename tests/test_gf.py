@@ -351,31 +351,67 @@ def strip_monomial(failures):
     return [re.sub(r" \(first at x\^\d+ y\^\d+\)$", "", f) for f in failures]
 
 
-def test_egf_product_is_the_binomial_convolution():
+TRIG_COEFFICIENTS = ((1, 1), (1, -1), (2, 0), (0, 2), (2, 2))
+
+
+def test_times_trig_is_the_binomial_convolution():
     cap = 7
     rng = random.Random(5)
     mixed = gf._grid2(lambda i, j: rng.randint(-3, 3), cap)
     odd = gf._grid2(lambda i, j: rng.randint(-3, 3) if (i + j) % 2 else 0, cap)
-    for f, g in ((mixed, odd), (odd, mixed), (mixed, mixed), (odd, odd)):
-        expected = gf._grid2(
-            lambda i, j: sum(
-                comb(i, a) * comb(j, b) * f[a][b] * g[i - a][j - b]
-                for a in range(i + 1)
-                for b in range(j + 1)
-            ),
-            cap,
-        )
-        assert gf._egf_product(f, g, cap) == expected
+    for a, b in TRIG_COEFFICIENTS:
+        # E of cos(ax+by) and sin(ax+by): a^i b^j (-1)^((i+j)//2), where i+j
+        # is even for cos and odd for sin
+        trig = [
+            gf._grid2(lambda i, j: a**i * b**j * (-1) ** ((i + j) // 2) * ((i + j) % 2 == r), cap)
+            for r in (0, 1)
+        ]
+        for f in (mixed, odd):
+            expected = [
+                gf._grid2(
+                    lambda i, j: sum(
+                        comb(i, s) * comb(j, t) * f[s][t] * g[i - s][j - t]
+                        for s in range(i + 1)
+                        for t in range(j + 1)
+                    ),
+                    cap,
+                )
+                for g in trig
+            ]
+            assert list(gf._times_trig(f, a, b)) == expected, (a, b)
 
 
 def test_trig_grids_match_trig_series():
     cap = 9
-    for kind in ("cos", "sin"):
-        for a, b in ((1, 1), (1, -1), (2, 0), (0, 2), (2, 2)):
-            grid = gf._trig_grid(kind, a, b, cap)
+    one = gf._grid2(lambda i, j: int(i == j == 0), cap)
+    for a, b in TRIG_COEFFICIENTS:
+        form = LinearForm(RootTwoScalar(a), RootTwoScalar(b), RootTwoScalar(0))
+        for kind, grid in zip(("cos", "sin"), gf._times_trig(one, a, b)):
             egf = {(i, j, 0): v for i, row in enumerate(grid) for j, v in enumerate(row) if v}
-            form = LinearForm(RootTwoScalar(a), RootTwoScalar(b), RootTwoScalar(0))
             assert gf._egf_series(cap, egf) == trig_series(kind, form, cap), (kind, a, b)
+
+
+def test_times_cos_sqrt2_sum_is_the_binomial_convolution():
+    rng = random.Random(7)
+    for cap in range(7):
+        cells = [
+            (i, j, l)
+            for i in range(cap + 1)
+            for j in range(cap + 1 - i)
+            for l in range(cap + 1 - i - j)
+        ]
+        f = {cell: rng.randint(-3, 3) for cell in cells}
+        # E(cos(sqrt2 (x+y+z))) is (-2)^(t/2) at even total degree t, else 0
+        cos = {(i, j, l): (-2) ** ((i + j + l) // 2) * ((i + j + l) % 2 == 0) for i, j, l in cells}
+        expected = {
+            (i, j, l): sum(
+                comb(i, r) * comb(j, s) * comb(l, u) * f[r, s, u] * cos[i - r, j - s, l - u]
+                for r, s, u in cells
+                if r <= i and s <= j and u <= l
+            )
+            for i, j, l in cells
+        }
+        assert gf._times_cos_sqrt2_sum(gf._dense(f, cap), cap) == gf._dense(expected, cap), cap
 
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM_CORRUPTIONS))

@@ -115,6 +115,16 @@ def test_eoc_pom_examples():
     assert minimal_chain(SOURCE_TREE) == [1, 2, 3, 7]
 
 
+def test_stats_follow_edited_children():
+    t = Tree(2, {1: (2, 3), 2: (4, 5)})
+    assert pom(t) == 2
+    t.children = {1: (2, 5), 2: (3, 4)}
+    t.validate()
+    fresh = Tree(2, {1: (2, 5), 2: (3, 4)})
+    assert t == fresh and pom(fresh) == 1
+    assert pom(t) == 1
+
+
 def test_stats_reject_single_node_tree():
     t0 = Tree(0, {})
     with pytest.raises(StatisticUndefined):
