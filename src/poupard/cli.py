@@ -44,6 +44,30 @@ def _positive(kind: str, minimum: int):
     return parse
 
 
+def _text(lines) -> str:
+    """Each line ended by "\n", so no lines give no text."""
+    return "".join(f"{line}\n" for line in lines)
+
+
+# name -> the exact text its command prints; `export` writes all but pretty
+_PRETTY = "pretty"
+_MATRIX_TEXT = {
+    _PRETTY: lambda mat: mat.pretty() + "\n",
+    "json": lambda mat: mat.to_json() + "\n",
+    "csv": lambda mat: mat.to_csv() + "\n",
+}
+_TRIANGLE_TEXT = {
+    _PRETTY: lambda tri: _text(" ".join(str(v) for v in row) for row in tri.rows),
+    "json": lambda tri: tri.to_json() + "\n",
+    "bfile": lambda tri: _text(tri.bfile_lines()),
+}
+_GF_TEXT = {
+    "lambda": lambda cap, matrices: _text(dump_lines(gfmod.lambda_lhs(cap, matrices))),
+    "omega": lambda cap, matrices: _text(dump_lines(gfmod.omega_lhs(cap, matrices))),
+}
+_STRATEGY_CHOICES = sorted(s.lower() for s in STRATEGIES)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="poupard",
@@ -53,24 +77,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_matrix = sub.add_parser("matrix", help="build and print one matrix")
+    p_matrix.set_defaults(run=cmd_matrix)
     p_matrix.add_argument("--n", type=_positive("n", 1), required=True)
-    p_matrix.add_argument(
-        "--strategy", default="d1", choices=sorted(s.lower() for s in STRATEGIES)
-    )
-    p_matrix.add_argument("--format", default="pretty", choices=("pretty", "json", "csv"))
+    p_matrix.add_argument("--strategy", default="d1", choices=_STRATEGY_CHOICES)
+    p_matrix.add_argument("--format", default=_PRETTY, choices=_MATRIX_TEXT)
 
     p_tri = sub.add_parser("triangle", help="print triangle rows 0..n_max")
+    p_tri.set_defaults(run=cmd_triangle)
     p_tri.add_argument("--n-max", type=_positive("n-max", 0), required=True)
-    p_tri.add_argument("--format", default="pretty", choices=("pretty", "json", "bfile"))
+    p_tri.add_argument("--format", default=_PRETTY, choices=_TRIANGLE_TEXT)
 
     p_trees = sub.add_parser("trees", help="enumerate trees with eoc/pom statistics")
+    p_trees.set_defaults(run=cmd_trees)
     p_trees.add_argument("--n", type=_positive("n", 0), required=True)
 
     p_gf = sub.add_parser("gf", help="dump a generating-function series")
+    p_gf.set_defaults(run=cmd_gf)
     p_gf.add_argument("--cap", type=_positive("cap", 0), required=True)
-    p_gf.add_argument("--which", required=True, choices=("lambda", "omega"))
+    p_gf.add_argument("--which", required=True, choices=_GF_TEXT)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
+    p_verify.set_defaults(run=cmd_verify)
     p_verify.add_argument("--n-max", type=_positive("n-max", 1), default=6)
     p_verify.add_argument(
         "--checks",
@@ -84,39 +111,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_export = sub.add_parser("export", help="write artifacts to a directory")
+    p_export.set_defaults(run=cmd_export)
     p_export.add_argument("--out", required=True)
     p_export.add_argument("--n-max", type=_positive("n-max", 1), default=5)
-    p_export.add_argument(
-        "--strategy", default="d1", choices=sorted(s.lower() for s in STRATEGIES)
-    )
+    p_export.add_argument("--strategy", default="d1", choices=_STRATEGY_CHOICES)
     p_export.add_argument("--cap", type=_positive("cap", 0), default=10)
     return parser
 
 
-def cmd_matrix(args) -> int:
-    mat = build_matrix(args.n, args.strategy)
-    if args.format == "json":
-        print(mat.to_json())
-    elif args.format == "csv":
-        print(mat.to_csv())
-    else:
-        print(mat.pretty())
+def cmd_matrix(args, parser) -> int:
+    sys.stdout.write(_MATRIX_TEXT[args.format](build_matrix(args.n, args.strategy)))
     return 0
 
 
-def cmd_triangle(args) -> int:
-    tri = poupard_triangle(args.n_max)
-    if args.format == "json":
-        print(tri.to_json())
-    elif args.format == "bfile":
-        print("\n".join(tri.bfile_lines()))
-    else:
-        for row in tri.rows:
-            print(" ".join(str(v) for v in row))
+def cmd_triangle(args, parser) -> int:
+    sys.stdout.write(_TRIANGLE_TEXT[args.format](poupard_triangle(args.n_max)))
     return 0
 
 
-def cmd_trees(args) -> int:
+def cmd_trees(args, parser) -> int:
     for t in enumerate_trees(args.n):
         try:
             print(f"{t.serialize()}\teoc={eoc(t)}\tpom={pom(t)}")
@@ -125,15 +138,9 @@ def cmd_trees(args) -> int:
     return 0
 
 
-def cmd_gf(args) -> int:
+def cmd_gf(args, parser) -> int:
     matrices = delta_matrices(gfmod.required_matrix_count(args.cap))
-    series = (
-        gfmod.lambda_lhs(args.cap, matrices)
-        if args.which == "lambda"
-        else gfmod.omega_lhs(args.cap, matrices)
-    )
-    for line in dump_lines(series):
-        print(line)
+    sys.stdout.write(_GF_TEXT[args.which](args.cap, matrices))
     return 0
 
 
@@ -156,21 +163,21 @@ def cmd_verify(args, parser) -> int:
 
 
 def _write_artifacts(args, out: Path) -> None:
+    def write(stem: str, table, value) -> None:  # as <stem>.<format>
+        for fmt, text in table.items():
+            if fmt != _PRETTY:
+                (out / f"{stem}.{fmt}").write_text(text(value))
+
     out.mkdir(parents=True, exist_ok=True)
     for n in range(1, args.n_max + 1):
-        mat = build_matrix(n, args.strategy)
-        (out / f"matrix_{n}.json").write_text(mat.to_json() + "\n")
-        (out / f"matrix_{n}.csv").write_text(mat.to_csv() + "\n")
-    tri = poupard_triangle(args.n_max)
-    (out / "triangle.json").write_text(tri.to_json() + "\n")
-    (out / "triangle.bfile").write_text("\n".join(tri.bfile_lines()) + "\n")
+        write(f"matrix_{n}", _MATRIX_TEXT, build_matrix(n, args.strategy))
+    write("triangle", _TRIANGLE_TEXT, poupard_triangle(args.n_max))
     matrices = delta_matrices(gfmod.required_matrix_count(args.cap))
-    for which, fn in (("lambda", gfmod.lambda_lhs), ("omega", gfmod.omega_lhs)):
-        lines = dump_lines(fn(args.cap, matrices))
-        (out / f"gf_{which}.txt").write_text("\n".join(lines) + ("\n" if lines else ""))
+    for which, text in _GF_TEXT.items():
+        (out / f"gf_{which}.txt").write_text(text(args.cap, matrices))
 
 
-def cmd_export(args) -> int:
+def cmd_export(args, parser) -> int:
     out = Path(args.out)
     try:
         _write_artifacts(args, out)
@@ -185,7 +192,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _run(args, parser)
+        code = args.run(args, parser)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early (`poupard trees | head`): end quietly
@@ -194,22 +201,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     return code
-
-
-def _run(args, parser) -> int:
-    if args.command == "matrix":
-        return cmd_matrix(args)
-    if args.command == "triangle":
-        return cmd_triangle(args)
-    if args.command == "trees":
-        return cmd_trees(args)
-    if args.command == "gf":
-        return cmd_gf(args)
-    if args.command == "verify":
-        return cmd_verify(args, parser)
-    if args.command == "export":
-        return cmd_export(args)
-    parser.error(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -348,6 +348,8 @@ def solve_constraints(
     nonzero residual or an odd middle value) takes precedence over
     Unresolved (cells left unknown).
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     twice = _twice_prev(n, prev)
     w = 2 * n
     pairs = known.items() if hasattr(known, "items") else known

@@ -29,6 +29,7 @@ arrays, changed in place, so no per-tree tuple or Tree is built.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -117,20 +118,22 @@ class Tree:
 
     @staticmethod
     def deserialize(text: str) -> "Tree":
+        """Parse `serialize` text; a child pair may come in either order."""
         parts = [p.strip() for p in text.split(";") if p.strip()]
-        if not parts or not parts[0].startswith("n="):
+        # plain ASCII decimals only: int() would also read 1_0, +1 and ٣
+        head = re.fullmatch(r"n=([0-9]+)", parts[0]) if parts else None
+        if head is None:
             raise ValueError(f"malformed tree text: {text!r}")
-        n = int(parts[0][2:])
         children: Dict[int, Tuple[int, int]] = {}
         for item in parts[1:]:
-            head, _, tail = item.partition(":")
-            a, b = tail.strip().lstrip("(").rstrip(")").split(",")
-            ca, cb = int(a), int(b)
-            parent = int(head)
+            match = re.fullmatch(r"([0-9]+):\(([0-9]+),([0-9]+)\)", item)
+            if match is None:
+                raise ValueError(f"malformed tree item {item!r} in {text!r}")
+            parent, ca, cb = map(int, match.groups())
             if parent in children:
                 raise ValueError(f"parent {parent} listed twice in {text!r}")
             children[parent] = (min(ca, cb), max(ca, cb))
-        tree = Tree(n=n, children=children)
+        tree = Tree(n=int(head[1]), children=children)
         tree.validate()
         return tree
 
@@ -211,7 +214,10 @@ def minimal_chain(t: Tree) -> List[int]:
     chain = [1]
     node = 1
     while node in t.children:
-        node = min(t.children[node])
+        child = min(t.children[node])
+        if child <= node:
+            raise ValueError(f"label order violated on edge {node}->{child}")
+        node = child
         chain.append(node)
     return chain
 

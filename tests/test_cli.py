@@ -176,6 +176,32 @@ def test_export_onto_a_file_is_a_usage_error(tmp_path, capsys, below):
     assert target.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize("cap", [0, 6])
+@pytest.mark.parametrize("strategy", ["d1", "d5"])
+def test_export_writes_what_the_commands_print(tmp_path, capsys, cap, strategy):
+    code, _, _ = run_cli(
+        capsys, "export", "--out", str(tmp_path), "--n-max", "3",
+        "--cap", str(cap), "--strategy", strategy,
+    )
+    assert code == 0
+    commands = {
+        "triangle.json": ("triangle", "--n-max", "3", "--format", "json"),
+        "triangle.bfile": ("triangle", "--n-max", "3", "--format", "bfile"),
+    }
+    for n in range(1, 4):
+        for fmt in ("json", "csv"):
+            commands[f"matrix_{n}.{fmt}"] = (
+                "matrix", "--n", str(n), "--strategy", strategy, "--format", fmt
+            )
+    for which in ("lambda", "omega"):
+        commands[f"gf_{which}.txt"] = ("gf", "--cap", str(cap), "--which", which)
+    assert {p.name for p in tmp_path.iterdir()} == commands.keys()
+    for name, argv in commands.items():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert (tmp_path / name).read_bytes() == out.encode(), name
+
+
 # sha256 of every file `poupard export --n-max 5 --cap 10` writes
 EXPORT_DIGESTS = {
     "gf_lambda.txt": "970b6d337fa18ccf89a026a50c86b7d9f4a10841b87b988f0c6a12c3d2deaa69",

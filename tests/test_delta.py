@@ -87,6 +87,12 @@ def test_solver_inconsistent_with_corrupted_cell():
         solve_constraints(2, assignments, frozenset({"R1", "R2"}), M1)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_solver_rejects_n_below_one(n):
+    with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+        solve_constraints(n, {}, [], None)
+
+
 def test_solver_detects_violated_instance():
     # force a wrong value in a cell that a recurrence can cross-check
     known = {(i, i): 0 for i in range(1, 5)}

@@ -1,9 +1,14 @@
 """Enumeration, statistics, and the chain-shift bijection."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import poupard
 from poupard import trees
 from poupard.trees import (
     DEFAULT_ENUMERATION_LIMIT,
@@ -125,6 +130,34 @@ def test_stats_follow_edited_children():
     assert pom(t) == 1
 
 
+@pytest.mark.parametrize(
+    "n, children, edge",
+    [(1, {1: (1, 3)}, "1->1"), (2, {1: (2, 3), 2: (1, 4)}, "2->1")],
+)
+def test_minimal_chain_rejects_a_child_below_its_parent(n, children, edge):
+    # a child process, so that an endless chain fails by the timeout instead
+    # of hanging the suite; under -O, so that the check is no assert
+    script = (
+        "from poupard.trees import Tree, eoc, ha12_map, minimal_chain\n"
+        f"t = Tree({n}, {children!r})\n"
+        "for stat in (minimal_chain, eoc, ha12_map):\n"
+        "    try:\n"
+        "        stat(t)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(poupard.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"label order violated on edge {edge}"] * 3
+
+
 def test_stats_reject_single_node_tree():
     t0 = Tree(0, {})
     with pytest.raises(StatisticUndefined):
@@ -170,6 +203,7 @@ def test_serialization_roundtrip():
     for t in enumerate_trees(3):
         assert Tree.deserialize(t.serialize()) == t
     assert Tree.deserialize("n=0") == Tree(0, {})
+    assert Tree.deserialize("  n=1; 1:(3,2);  ") == Tree(1, {1: (2, 3)})
 
 
 @pytest.mark.parametrize(
@@ -184,6 +218,11 @@ def test_serialization_roundtrip():
         "n=1; 1:(2,x)",
         "n=3; 1:(2,3)",
         "n=1; 2:(1,3)",
+        "n=1; 1:(2,\u0663)",
+        "n=5; 1:(2,3); 3:(4,5); 5:(6,7); 7:(8,9); 9:(1_0,11)",
+        "n=+1; 1:(2,3)",
+        "n=1; 1:2,3",
+        "n=1; 1:((2,3))",
     ],
 )
 def test_deserialize_rejects_malformed(text):
