@@ -36,7 +36,6 @@ from .trees import (
     joint_distribution,
     minimal_chain,
     pom,
-    structural_census,
     tree_count,
 )
 from .verify import run_checks
@@ -50,8 +49,8 @@ __all__ = [
     "RootTwoScalar",
     "STRATEGIES",
     "Tree",
-    "Triangle",
     "TriSeries",
+    "Triangle",
     "Unresolved",
     "bivariate_closed_form_failures",
     "boundary_relations_check",
@@ -77,7 +76,6 @@ __all__ = [
     "reindex_omega",
     "run_checks",
     "solve_constraints",
-    "structural_census",
     "tangent_numbers",
     "tree_count",
     "trig_series",

@@ -33,7 +33,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 Cell = Tuple[int, int]
 
@@ -109,16 +109,16 @@ class DeltaMatrix:
         return "\n".join(",".join(str(v) for v in row) for row in self.rows)
 
     @staticmethod
-    def from_csv(text: str, n: Optional[int] = None) -> "DeltaMatrix":
+    def from_csv(text: str) -> "DeltaMatrix":
+        """Parse `to_csv` text: 2n rows fix n, and any grid that is not
+        (2n)x(2n) is rejected."""
         cells = [line.split(",") for line in text.strip().splitlines()]
         # plain ASCII decimals only: int() would also read 1_0, +1 and ١
         bad = [v for row in cells for v in row if not re.fullmatch(r"-?[0-9]+", v.strip())]
         if bad:
             raise ValueError(f"not an integer cell: {bad[0]!r}")
         rows = tuple(tuple(int(v) for v in row) for row in cells)
-        if n is None:
-            n = len(rows) // 2
-        return DeltaMatrix._checked(n, rows)
+        return DeltaMatrix._checked(len(rows) // 2, rows)
 
     @staticmethod
     def _checked(n: int, rows: Tuple[Tuple[int, ...], ...]) -> "DeltaMatrix":
@@ -330,45 +330,45 @@ M1 = DeltaMatrix(1, ((0, 0), (1, 0)))
 # ---------------------------------------------------------------------------
 
 
+# count byte of an instance that solved its last cell; a real count is 0..3
+_SOLVED = 255
+
+
 def solve_constraints(
     n: int,
-    known,
+    known: Mapping[Cell, int],
     recurrences: FrozenSet[str] | Sequence[str],
     prev: Optional[DeltaMatrix],
 ) -> DeltaMatrix:
     """Determine M_n from known-cell assignments plus recurrence instances.
 
-    `known` is a mapping or an iterable of ((m, k), value) pairs with int
-    values; duplicate assignments with different values raise Inconsistent.
-    `prev` is M_{n-1}, or None for the bare second differences.  Propagation
-    counts the unknown cells of every instance and queues an instance only
-    when its count is 1, at setup or when a newly solved cell brings it down
-    to 1; a popped instance whose count is still 1 solves its last cell.  A
-    final sweep checks every fully determined instance, so Inconsistent (a
-    nonzero residual or an odd middle value) takes precedence over
-    Unresolved (cells left unknown).
+    `known` maps cells (m, k) to int values.  `prev` is M_{n-1}, or None
+    for the bare second differences.  Propagation counts the unknown cells
+    of every instance and queues an instance only when its count is 1, at
+    setup or when a newly solved cell brings it down to 1; a popped instance
+    whose count is still 1 solves its last cell, so its residual is 0.  A
+    final sweep checks every other fully determined instance, so
+    Inconsistent (a nonzero residual or an odd middle value) takes
+    precedence over Unresolved (cells left unknown).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     twice = _twice_prev(n, prev)
     w = 2 * n
-    pairs = known.items() if hasattr(known, "items") else known
     vals: List[Optional[int]] = [None] * (w * w)  # vals[(m-1)*w + k-1] = f_n(m, k)
-    for cell, v in pairs:
+    for cell, v in known.items():
         m, k = cell
         if not (1 <= m <= w and 1 <= k <= w):
             raise ValueError(f"known cell {cell} outside the {w}x{w} grid")
         if type(v) is not int:  # exact arithmetic: no float, Fraction or bool
             raise ValueError(f"known value at {cell} must be an int, got {v!r}")
-        i = (m - 1) * w + k - 1
-        if vals[i] is not None and vals[i] != v:
-            raise Inconsistent(n, f"conflicting known values at {cell}: {vals[i]} vs {v}")
-        vals[i] = v
+        vals[(m - 1) * w + k - 1] = v
 
     # Recurrence r's instance at anchor a is queued as the int a*nrec + r.
     # counts[r][a] is the number of its unknown cells.  It is 0 where r anchors
     # no instance, and at least 1 at an anchor whose instance holds a cell not
     # yet solved, so a nonzero count also marks the instances a new cell wakes.
+    # An instance that solves its last cell is marked _SOLVED instead of 0.
     table = _instance_table(n, recurrences)
     nrec = len(table)
     steps = [s for _, s, _, _ in table]
@@ -404,15 +404,21 @@ def solve_constraints(
         else:
             cell, v = a + 2 * s, 2 * y - x - c
         vals[cell] = v
-        # this instance falls to 0; an instance that falls to 1 is queued,
-        # which happens once per instance
+        # this instance falls to 0 and is then marked; an instance that falls
+        # to 1 is queued, which happens once per instance
         for r2, (s2, count) in touching:
             for a2 in (cell, cell - s2, cell - 2 * s2):
                 if a2 >= 0 and count[a2]:
                     count[a2] -= 1
                     if count[a2] == 1:
                         stack.append(a2 * nrec + r2)
+        counts[r][a] = _SOLVED
 
+    # only the instances known from the start or completed by others remain
+    table = [
+        (tag, s, off, [a for a in anchors if not count[a]])
+        for (tag, s, off, anchors), count in zip(table, counts)
+    ]
     failure = _residual_failure(n, table, vals, twice)
     if failure is not None:
         raise Inconsistent(n, failure)
@@ -557,15 +563,14 @@ def marginals_failure(
     return None
 
 
-def recurrence_residuals(
-    mat: DeltaMatrix, prev: Optional[DeltaMatrix]
-) -> Iterator[Tuple[str, Tuple[Cell, ...], int]]:
-    """(tag, cells, residual) for every R1-R4 instance of M_n; with prev=None
-    the residuals are the bare second differences of `mat`."""
+def recurrence_residuals(mat: DeltaMatrix) -> Iterator[Tuple[str, Tuple[Cell, ...], int]]:
+    """(tag, cells, x - 2y + z) for every R1-R4 instance of M_n: the bare
+    second differences of `mat`, without the 2 f_{n-1} term, which
+    `recurrence_failure` adds."""
     n = mat.n
     vals = [v for row in mat.rows for v in row]
     table = _instance_table(n, _RECURRENCES)
-    for tag, a, s, r in _residuals(table, vals, _twice_prev(n, prev)):
+    for tag, a, s, r in _residuals(table, vals, _twice_prev(n, None)):
         yield tag, _cells(n, a, a + s, a + 2 * s), r
 
 

@@ -177,10 +177,6 @@ def permute_axes(coeffs: Dict[Monomial, T], perm: Tuple[int, int, int]) -> Dict[
     return {(mono[a], mono[b], mono[c]): v for mono, v in coeffs.items()}
 
 
-def swap_variables(series: TriSeries, perm: Tuple[int, int, int]) -> TriSeries:
-    return TriSeries(series.cap, permute_axes(series.coeffs, perm))
-
-
 # ---------------------------------------------------------------------------
 # Integer path: the same identities cross-multiplied in EGF normalization
 # ---------------------------------------------------------------------------
@@ -235,28 +231,36 @@ def _exp_weights(a: int, d: int, cap: int) -> Tuple[tuple, tuple]:
 
 
 def _times_exp_line(
-    f: List[int], g: Optional[List[int]], a: int, d: int, cap: int
+    f: List[int], g: Optional[List[int]], a: int, d: int, cap: int, real_only: bool = False
 ) -> Tuple[List[int], List[int]]:
     """(f + g c)(t) -> sum_s C(t,s) (ac)^(t-s) (f + g c)(s) along one line,
     c^2 = d: in EGF normalization, multiplication by exp(acx).  g is None
-    for a real line."""
+    for a real line; with real_only the c part is left empty."""
     even, odd = _exp_weights(a, d, cap)
     re, im = [], []
     for t in range(len(f)):
         e, o = even[t], odd[t]  # o is empty at t = 0, so the slices never wrap
         re.append(sum(map(mul, e, f[t::-2])))
-        im.append(sum(map(mul, o, f[t - 1 :: -2])))
         if g is not None:
             re[t] += d * sum(map(mul, o, g[t - 1 :: -2]))
-            im[t] += sum(map(mul, e, g[t::-2]))
+        if not real_only:
+            im.append(sum(map(mul, o, f[t - 1 :: -2])))
+            if g is not None:
+                im[t] += sum(map(mul, e, g[t::-2]))
     return re, im
 
 
 def _times_exp_lines(
-    re: List[List[int]], im: Optional[List[List[int]]], a: int, d: int, cap: int
+    re: List[List[int]],
+    im: Optional[List[List[int]]],
+    a: int,
+    d: int,
+    cap: int,
+    real_only: bool = False,
 ) -> Tuple[List[List[int]], List[List[int]]]:
     """`_times_exp_line` on each line; im is None for real lines."""
-    pairs = [_times_exp_line(f, g, a, d, cap) for f, g in zip(re, im or [None] * len(re))]
+    lines = zip(re, im or [None] * len(re))
+    pairs = [_times_exp_line(f, g, a, d, cap, real_only) for f, g in lines]
     return [pair[0] for pair in pairs], [pair[1] for pair in pairs]
 
 
@@ -265,14 +269,16 @@ def _times_cos_sqrt2_sum(grid: Grid3, cap: int) -> Grid3:
 
     cos(sqrt2 S) is the rational part of exp(cS) with c = sqrt(-2), so each
     axis in turn is multiplied by exp(cx) (`_times_exp_line` with a = 1,
-    d = -2) as the last one, then rotated away.
+    d = -2) as the last one, then rotated away; the third pass computes
+    the rational part only.
     """
     re, im = grid, [None] * len(grid)
-    for _ in range(3):
+    for _ in range(2):
         planes = [_times_exp_lines(pre, pim, 1, -2, cap) for pre, pim in zip(re, im)]
         re = _rotate([plane[0] for plane in planes], cap)
         im = _rotate([plane[1] for plane in planes], cap)
-    return re
+    planes = [_times_exp_lines(pre, pim, 1, -2, cap, True)[0] for pre, pim in zip(re, im)]
+    return _rotate(planes, cap)
 
 
 def closed_form_mismatch(lhs: EGF, numerator: EGF, cap: int) -> Optional[Monomial]:

@@ -233,7 +233,11 @@ def pom(t: Tree) -> int:
     """Parent of the maximum leaf 2n+1; defined for n >= 1, in [1, 2n-1]."""
     if t.n == 0:
         raise StatisticUndefined("pom is undefined on the single-node tree")
-    return t.parents()[2 * t.n + 1]
+    top = 2 * t.n + 1
+    try:
+        return t.parents()[top]
+    except KeyError:
+        raise ValueError(f"maximum label {top} has no parent") from None
 
 
 def ha12_map(t: Tree) -> Tree:
@@ -253,22 +257,18 @@ def ha12_map(t: Tree) -> Tree:
         if v not in chain_set:
             relabel[v] = v - 1
     children = {}
-    for p, (a, b) in t.children.items():
-        ca, cb = relabel[a], relabel[b]
-        children[relabel[p]] = (min(ca, cb), max(ca, cb))
+    try:
+        for p, (a, b) in t.children.items():
+            ca, cb = relabel[a], relabel[b]
+            children[relabel[p]] = (min(ca, cb), max(ca, cb))
+    except KeyError as err:
+        raise ValueError(f"label {err.args[0]} out of range 1..{2 * t.n + 1}") from None
     return Tree(n=t.n, children=children)
 
 
 # ---------------------------------------------------------------------------
 # Joint distribution and structural censuses
 # ---------------------------------------------------------------------------
-
-
-#: structural_census condition tags
-R1_WITNESS = "R1Witness"
-R2_WITNESS_OUTSIDE = "R2WitnessOutside"
-R2_WITNESS_INSIDE = "R2WitnessInside"
-_CONDITIONS = (R1_WITNESS, R2_WITNESS_OUTSIDE, R2_WITNESS_INSIDE)
 
 
 @dataclass(frozen=True)
@@ -391,22 +391,3 @@ def joint_distribution(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> DeltaM
     (m, k) counts the trees with eoc = m and pom = k."""
     return DeltaMatrix(n, census_tables(n, limit).joint)
 
-
-def structural_census(
-    n: int, m: int, k: int, condition: str, limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> int:
-    """Exact count of the structurally conditioned families used by the
-    second-difference census identities; see CensusTables for definitions."""
-    if condition not in _CONDITIONS:
-        raise ValueError(f"unknown condition {condition!r}; expected one of {_CONDITIONS}")
-    if n < 2:
-        raise ValueError("structural census requires n >= 2")
-    tables = census_tables(n, limit)
-    grid = {
-        R1_WITNESS: tables.r1_witness,
-        R2_WITNESS_OUTSIDE: tables.r2_outside,
-        R2_WITNESS_INSIDE: tables.r2_inside,
-    }[condition]
-    if 1 <= m <= 2 * n and 1 <= k <= 2 * n:
-        return grid[m - 1][k - 1]
-    return 0

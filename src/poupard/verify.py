@@ -25,7 +25,7 @@ from .delta import (
     sub_super_diagonal_failure,
 )
 from .report import SKIPPED, CheckRecord, VerifyReport, timed_check
-from .triangle import is_poupard_matrix, poupard_triangle
+from .triangle import Triangle, is_poupard_matrix, poupard_triangle
 from .trees import (
     ENUMERATION_CAPS,
     Tree,
@@ -72,11 +72,11 @@ def check_golden(report: VerifyReport, n_max: int) -> None:
                 failures.append(f"built M_{n} differs from the golden fixture")
 
     with timed_check(report, "golden/triangle", {"rows": "0..4"}) as failures:
-        fixture_rows = json.loads((FIXTURES / "triangle.json").read_text())["rows"]
+        fixture = Triangle.from_json((FIXTURES / "triangle.json").read_text())
         tri = poupard_triangle(4)
-        for n, row in enumerate(fixture_rows):
-            if list(tri.row(n)) != row:
-                failures.append(f"triangle row {n}: {list(tri.row(n))} != {row}")
+        for n, row in enumerate(fixture.rows):
+            if tri.row(n) != row:
+                failures.append(f"triangle row {n}: {list(tri.row(n))} != {list(row)}")
                 break
 
     with timed_check(report, "golden/bijection-pair", {}) as failures:
@@ -210,7 +210,7 @@ def check_census(report: VerifyReport, n_max: int, force: bool) -> None:
         with timed_check(report, "census/second-difference", {"n": n}) as failures:
             tables = census_tables(n, limit=n_max)
             # R1/R3 are row second differences, R2/R4 column ones
-            for tag, cells, d2 in recurrence_residuals(DeltaMatrix(n, tables.joint), None):
+            for tag, cells, d2 in recurrence_residuals(DeltaMatrix(n, tables.joint)):
                 m, k = cells[0]
                 if tag in ("R1", "R3"):
                     witness = tables.r1_witness[m - 1][k - 1]

@@ -14,23 +14,17 @@ from poupard.trees import (
     eoc,
     minimal_chain,
     pom,
-    structural_census,
 )
 from poupard.verify import run_checks
 
 
-def test_structural_census_examples():
-    assert structural_census(3, 3, 1, "R1Witness") == 1
-    assert structural_census(3, 2, 3, "R2WitnessInside") == 0
-    total = structural_census(2, 4, 1, "R2WitnessOutside") + structural_census(
-        2, 4, 1, "R2WitnessInside"
-    )
+def test_census_witness_examples():
+    # grids are 0-based: field[m-1][k-1] counts the trees at (m, k)
+    assert census_tables(3).r1_witness[3 - 1][1 - 1] == 1
+    assert census_tables(3).r2_inside[2 - 1][3 - 1] == 0
+    tables = census_tables(2)
+    total = tables.r2_outside[4 - 1][1 - 1] + tables.r2_inside[4 - 1][1 - 1]
     assert total == 1  # equals f_1(2,1) via the reduction identity
-
-
-def test_unknown_condition_rejected():
-    with pytest.raises(ValueError):
-        structural_census(2, 2, 1, "NoSuchCondition")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -178,7 +172,7 @@ def test_census_enumerates_each_n_once():
     first = census_tables(3, limit=5)
     assert census_tables(3, limit=6) is first
     assert trees.joint_distribution(3, limit=4).rows == first.joint
-    assert trees.structural_census(3, 3, 1, "R1Witness", limit=3) == 1
+    assert census_tables(3, limit=3).r1_witness[3 - 1][1 - 1] == 1
     assert walks() == 1
     with pytest.raises(EnumerationLimitError):
         census_tables(3, limit=2)

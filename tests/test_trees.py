@@ -158,6 +158,35 @@ def test_minimal_chain_rejects_a_child_below_its_parent(n, children, edge):
     assert proc.stdout.splitlines() == [f"label order violated on edge {edge}"] * 3
 
 
+def test_missing_label_is_a_value_error():
+    # label 3 is missing and 4 is out of range: pom and ha12_map name the
+    # label instead of raising a bare KeyError, also under -O
+    expected = ["maximum label 3 has no parent", "label 4 out of range 1..3"]
+    t = Tree(1, {1: (2, 4)})
+    for stat, text in zip((pom, ha12_map), expected):
+        with pytest.raises(ValueError) as info:
+            stat(t)
+        assert str(info.value) == text
+    script = (
+        "from poupard.trees import Tree, ha12_map, pom\n"
+        "for stat in (pom, ha12_map):\n"
+        "    try:\n"
+        "        stat(Tree(1, {1: (2, 4)}))\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(poupard.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == expected
+
+
 def test_stats_reject_single_node_tree():
     t0 = Tree(0, {})
     with pytest.raises(StatisticUndefined):
