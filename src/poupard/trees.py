@@ -110,11 +110,8 @@ class Tree:
 
     def serialize(self) -> str:
         """Canonical text form `n=<n>; p:(a,b); ...`, parents ascending."""
-        parts = [f"n={self.n}"]
-        for p in sorted(self.children):
-            a, b = self.children[p]
-            parts.append(f"{p}:({a},{b})")
-        return "; ".join(parts)
+        c = self.children
+        return "; ".join([f"n={self.n}"] + [f"{p}:({c[p][0]},{c[p][1]})" for p in sorted(c)])
 
     @staticmethod
     def deserialize(text: str) -> "Tree":
@@ -213,8 +210,10 @@ def minimal_chain(t: Tree) -> List[int]:
     """Root-to-leaf path taking the minimum-labeled child at each step."""
     chain = [1]
     node = 1
-    while node in t.children:
-        child = min(t.children[node])
+    children = t.children
+    while node in children:
+        a, b = children[node]
+        child = a if a < b else b
         if child <= node:
             raise ValueError(f"label order violated on edge {node}->{child}")
         node = child
@@ -234,10 +233,10 @@ def pom(t: Tree) -> int:
     if t.n == 0:
         raise StatisticUndefined("pom is undefined on the single-node tree")
     top = 2 * t.n + 1
-    try:
-        return t.parents()[top]
-    except KeyError:
-        raise ValueError(f"maximum label {top} has no parent") from None
+    for p, pair in t.children.items():
+        if top in pair:
+            return p
+    raise ValueError(f"maximum label {top} has no parent")
 
 
 def ha12_map(t: Tree) -> Tree:
@@ -249,20 +248,24 @@ def ha12_map(t: Tree) -> Tree:
     """
     if t.n == 0:
         raise StatisticUndefined("bijection undefined on the single-node tree")
+    size = 2 * t.n + 1
+    if len(t.children) != t.n:
+        raise ValueError(f"n={t.n} needs {t.n} interior labels, got {len(t.children)}")
     chain = minimal_chain(t)
-    relabel = {a: chain[i + 1] - 1 for i, a in enumerate(chain[:-1])}
-    relabel[chain[-1]] = 2 * t.n + 1
-    chain_set = set(chain)
-    for v in range(1, 2 * t.n + 2):
-        if v not in chain_set:
-            relabel[v] = v - 1
+    relabel = list(range(-1, size))  # v -> v - 1 off the chain; index 0 unused
     children = {}
     try:
+        for a, b in zip(chain, chain[1:]):
+            relabel[a] = b - 1
+        relabel[chain[-1]] = size
         for p, (a, b) in t.children.items():
+            if p < 1 or a < 1 or b < 1:  # a negative index would not raise
+                raise IndexError
             ca, cb = relabel[a], relabel[b]
-            children[relabel[p]] = (min(ca, cb), max(ca, cb))
-    except KeyError as err:
-        raise ValueError(f"label {err.args[0]} out of range 1..{2 * t.n + 1}") from None
+            children[relabel[p]] = (ca, cb) if ca < cb else (cb, ca)
+    except IndexError:
+        bad = next(v for p, pair in t.children.items() for v in (p, *pair) if not 0 < v <= size)
+        raise ValueError(f"label {bad} out of range 1..{size}") from None
     return Tree(n=t.n, children=children)
 
 
@@ -312,17 +315,21 @@ def _census_walk(n: int) -> CensusTables:
     """One depth-first pass over T_{2n+1} that fills the joint, R1, R2-outside
     and R2-inside grids of CensusTables, by position = label - 1; no Tree is built.
 
-    Positions 1..2n are attached in increasing order.  Position j becomes the
-    second child of a position `ones` holds (those with exactly one child) or
-    the first child of one with none; a branch is cut when `ones` outnumbers
-    the positions still to place, and the last position closes the only one
-    left.  Every tree of T_{2n+1} has exactly one such sequence of parents,
+    Positions 1..2n are attached in increasing order, as in West's generating
+    tree of the family.  Position j becomes the second child of a position
+    `ones` holds (those with exactly one child) or the first child of one
+    with none; a branch is cut when `ones` outnumbers the positions still to
+    place.  Every tree of T_{2n+1} has exactly one such sequence of parents,
     so each is visited once.  first / second / parent hold the tree under
     construction, with 0 for none (the root, position 0, is nobody's child):
     child entries are set on the way down and cleared on the way back, and
-    parent[j] is rewritten with each choice.  At a complete tree the
-    statistics are read from these arrays; positions grow along every path,
-    so eoc is under k iff walking up from it hits k."""
+    parent[j] is rewritten with each choice.  The walk carries eoc as the
+    tail of the first-child chain, which moves only when j becomes the
+    first child of the tail.  The last two positions are placed together:
+    by parity 0 or 2 positions are open at 2n-1, so either 2n-1 and 2n close
+    the two (in both orders), or 2n-1 opens a leaf p and 2n closes p.  At a
+    complete tree the statistics are read from these arrays; positions grow
+    along every path, so eoc is under k iff walking up from it hits k."""
     size = 2 * n + 1
     last = size - 1
     w = 2 * n
@@ -334,51 +341,62 @@ def _census_walk(n: int) -> CensusTables:
     second = [0] * size
     parent = [0] * size
 
-    def walk(j: int, ones: Tuple[int, ...]) -> None:
-        if j < last:
+    def walk(j: int, ones: Tuple[int, ...], tail: int) -> None:
+        if j < last - 1:
             for i, p in enumerate(ones):
                 parent[j] = p
                 second[p] = j
-                walk(j + 1, ones[:i] + ones[i + 1:])
+                walk(j + 1, ones[:i] + ones[i + 1:], tail)
                 second[p] = 0
             if len(ones) < last - j:
                 for p in range(j):
                     if not first[p]:
                         parent[j] = p
                         first[p] = j
-                        walk(j + 1, ones + (p,))
+                        walk(j + 1, ones + (p,), j if p == tail else tail)
                         first[p] = 0
             return
-        q = ones[0]  # the last position closes the only open one
-        parent[j] = q
-        second[q] = j
-        e = first[0]  # eoc
-        while first[e]:
-            e = first[e]
-        kp = parent[last]  # pom
-        joint[e][kp] += 1
+        # j = 2n-1 with 0 or 2 open positions: (parent of j, parent of 2n)
+        if ones:
+            a, b = ones
+            ends = ((a, b), (b, a))
+        else:
+            ends = [(p, p) for p in range(j) if not first[p]]
+        for q, kp in ends:
+            parent[j] = q
+            parent[last] = kp
+            if q == kp:  # j opens the leaf kp, and 2n closes it
+                first[kp] = j
+                e = j if kp == tail else tail
+            else:  # j closes q, and 2n closes kp
+                second[q] = j
+                e = tail
+            second[kp] = last
+            joint[e][kp] += 1
 
-        # R1 witness: m := eoc-1 is the parent of leaves m+1 = eoc and m+2.
-        m = e - 1
-        if first[m] == e and second[m] == e + 1 and not first[e + 1]:
-            r1w[m][kp] += 1
+            # R1 witness: m := eoc-1 is the parent of leaves m+1 = eoc and m+2.
+            m = e - 1
+            if first[m] == e and second[m] == e + 1 and not first[e + 1]:
+                r1w[m][kp] += 1
 
-        # R2 witnesses key on k := pom-1, the parent of pom, with k+2 a leaf.
-        k = kp - 1
-        if k >= 0 and parent[kp] == k and not first[kp + 1]:
-            # outside: k+1's children are {k+2, 2n+1}; inside: k's are {k+1, k+2}
-            outside = first[kp] == kp + 1
-            if outside or second[k] == kp + 1:
-                up = e
-                while up > k:
-                    up = parent[up]
-                if outside and up != k:
-                    r2o[e][k] += 1
-                elif not outside and up == k:
-                    r2i[e][k] += 1
-        second[q] = 0
+            # R2 witnesses key on k := pom-1, the parent of pom, with k+2 a leaf.
+            k = kp - 1
+            if k >= 0 and parent[kp] == k and not first[kp + 1]:
+                # outside: k+1's children are {k+2, 2n+1}; inside: k's are {k+1, k+2}
+                outside = first[kp] == kp + 1
+                if outside or second[k] == kp + 1:
+                    up = e
+                    while up > k:
+                        up = parent[up]
+                    if outside and up != k:
+                        r2o[e][k] += 1
+                    elif not outside and up == k:
+                        r2i[e][k] += 1
+            second[q] = second[kp] = 0
+            if q == kp:
+                first[kp] = 0
 
-    walk(1, ())
+    walk(1, (), 0)
     freeze = lambda g: tuple(tuple(row) for row in g)
     return CensusTables(n, *(freeze(g) for g in (joint, r1w, r2o, r2i)))
 

@@ -6,7 +6,7 @@ import pytest
 
 from poupard import trees, verify
 from poupard.delta import DeltaMatrix, build_matrix, region_cells
-from poupard.report import PASS, SKIPPED
+from poupard.report import FAIL, PASS, SKIPPED
 from poupard.trees import (
     EnumerationLimitError,
     census_tables,
@@ -141,6 +141,40 @@ def test_suite_records_n_above_its_cap_as_skipped(monkeypatch, suite, name, n_mi
     checked = {n: PASS for n in range(n_min, 3)}
     assert statuses(False) == {**checked, 3: SKIPPED}
     assert statuses(True) == {**checked, 3: PASS}
+
+
+def _bijection_records(n_max):
+    report = run_checks(["bijection"], n_max=n_max)
+    return {r.params["n"]: r for r in report.checks if r.name == "bijection/chain-shift"}
+
+
+def test_bijection_check_fails_on_an_image_collision(monkeypatch):
+    # every tree of one n is sent to the image of the first tree of that n
+    firsts = {}
+
+    def colliding(t):
+        return trees.ha12_map(firsts.setdefault(t.n, t))
+
+    monkeypatch.setattr(verify, "ha12_map", colliding)
+    records = _bijection_records(3)
+    assert records[1].status == PASS  # T_3 has one tree, so nothing collides
+    second = list(enumerate_trees(2))[1]
+    assert records[2].status == FAIL
+    assert records[2].counterexample == f"image collision at {second.serialize()}"
+    assert records[3].status == FAIL
+    assert records[3].counterexample.startswith("image collision at n=3;")
+
+
+def test_bijection_check_fails_where_eoc_is_not_pom_of_the_image_plus_one(monkeypatch):
+    # the identity is a bijection, but eoc(t) = pom(t) + 1 fails on most trees
+    monkeypatch.setattr(verify, "ha12_map", lambda t: t)
+    records = _bijection_records(2)
+    assert records[1].status == PASS  # the one tree of T_3 is a fixed point of the map
+    bad = next(t for t in enumerate_trees(2) if eoc(t) != pom(t) + 1)
+    assert records[2].status == FAIL
+    assert records[2].counterexample == (
+        f"eoc != pom(image)+1 at {bad.serialize()}: {eoc(bad)} vs {pom(bad)}"
+    )
 
 
 def test_report_that_checked_nothing_does_not_pass():

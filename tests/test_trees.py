@@ -187,6 +187,44 @@ def test_missing_label_is_a_value_error():
     assert proc.stdout.splitlines() == expected
 
 
+def test_ha12_map_rejects_a_tree_with_too_few_interior_labels():
+    # n = 2 needs two interior labels; with one, label 5 is never placed and
+    # the map would otherwise return Tree(2, {1: (2, 5)}), also under -O
+    expected = "n=2 needs 2 interior labels, got 1"
+    with pytest.raises(ValueError) as info:
+        ha12_map(Tree(2, {1: (2, 3)}))
+    assert str(info.value) == expected
+    script = (
+        "from poupard.trees import Tree, ha12_map\n"
+        "try:\n"
+        "    ha12_map(Tree(2, {1: (2, 3)}))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(poupard.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [expected]
+
+
+@pytest.mark.parametrize(
+    "t, label",
+    [
+        (Tree(1, {0: (2, 3)}), "0 out of range 1..3"),
+        (Tree(2, {1: (2, 3), -1: (4, 5)}), "-1 out of range 1..5"),
+    ],
+)
+def test_ha12_map_rejects_a_label_below_one(t, label):
+    with pytest.raises(ValueError, match=f"^label {label}$"):
+        ha12_map(t)
+
+
 def test_stats_reject_single_node_tree():
     t0 = Tree(0, {})
     with pytest.raises(StatisticUndefined):
