@@ -12,42 +12,36 @@ over 2 <= k+1 <= m <= 2n, and the upper-triangle entries into
 
 both truncated by total degree (a monomial from M_n has total degree 2n-2).
 
-Each identity is checked by two independent paths:
-
-* The Q(sqrt2) series path builds both sides as TriSeries: `lambda_lhs` /
-  `omega_lhs` from the matrix entries over factorials, and `lambda_rhs` /
-  `omega_rhs` by dividing the numerators by 2cos^2((x+y+z)/sqrt2).  The
-  sqrt2-parts must cancel, which is checked rather than assumed.  The tests
-  use this path as the oracle, and `poupard gf` / `export` dump `*_lhs`.
-* The integer path, used by `verify --checks gf`, works with
-  E(i,j,l) = i! j! l! [x^i y^j z^l].  There the left-hand sides are the
-  matrix entries themselves (`lambda_egf`, `omega_egf`) and the numerators
-  have integer coefficients.  The denominator 2cos^2(S/sqrt2) =
-  1 + cos(sqrt2 S), S = x+y+z, is a unit, so each identity is equivalent to
-  E(lhs (1 + cos(sqrt2 S))) = E(N) (`closed_form_mismatch`), computed with
-  ints and binomials only: in EGF normalization, multiplying by exp(cx) is
-  the binomial transform sum_s C(t,s) c^(t-s) E(s) along x
-  (`_times_exp_line`), the one kernel of every integer product here.
-
 The same entries, reindexed, give infinite matrices lambda^(p), omega^(p)
 (slice p collects the p-th diagonal layer of lower/upper triangles).  These
 satisfy the four-term Poupard rule, fixed column/row transfer relations, and
-closed-form bivariate generating functions, all checked here exactly.  The
-closed forms have the same two paths: `lambda1_closed_forms` divides
-Q(sqrt2) series and is the tests' oracle, and
-`bivariate_closed_form_failures`, used by `verify --checks closed-forms`,
-substitutes x -> sqrt2 x, y -> sqrt2 y so that every grid and trig factor
-has integer EGF coefficients, then cross-multiplies each ratio by its unit
-denominator.  Each product there has one factor cos or sin of a linear
-form, so it is the same transform along each axis, not a 2-D convolution.
+closed-form bivariate generating functions, all checked here exactly.
+
+Each generating-function identity is checked by two independent paths:
+
+* The Q(sqrt2) series path divides TriSeries (`lambda_rhs`, `omega_rhs`,
+  `lambda1_closed_forms`); the sqrt2-parts must cancel, which is checked
+  rather than assumed.  The tests use this path as the oracle, and
+  `poupard gf` / `export` dump `lambda_lhs` / `omega_lhs`.
+* The integer path, used by `verify`, works with the EGF
+  E(i,j,...) = i! j! ... [x^i y^j ...] on a dense grid.  Every identity is a
+  grid times cos or sin of a linear form against a numerator, once the unit
+  denominator is cross-multiplied, and in EGF normalization multiplying by
+  exp(c sum_k a_k x_k), c^2 = d, is the binomial transform
+  sum_s C(t,s) (a_k c)^(t-s) E(s) along each axis in turn (`_times_exp`),
+  with ints only.  In the trivariate check (`closed_form_mismatch`) the
+  left-hand sides are the matrix entries themselves (`lambda_egf`,
+  `omega_egf`) and 2cos^2(S/sqrt2) = 1 + cos(sqrt2 S), S = x+y+z; the
+  bivariate one (`bivariate_closed_form_failures`) first substitutes
+  x -> sqrt2 x, y -> sqrt2 y so that every coefficient is an integer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from math import comb, factorial
-from operator import mul
+from operator import getitem, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .delta import DeltaMatrix
@@ -55,7 +49,7 @@ from .scalars import HALF_SQRT2, SQRT2, ZERO, RootTwoScalar
 from .series import LinearForm, Monomial, TriSeries, of_linear_form, reciprocal
 from .series import trig_in_x, trig_series
 
-Grid = Tuple[Tuple[int, ...], ...]
+Rows = Tuple[Tuple[int, ...], ...]
 EGF = Dict[Monomial, int]  # E(i,j,l) = i! j! l! [x^i y^j z^l]
 T = TypeVar("T")
 
@@ -200,23 +194,54 @@ def omega_numerator_egf(cap: int) -> EGF:
     }
 
 
-# A dense EGF: grid[i][j][l] = E(i,j,l) for i+j+l <= cap.
-Grid3 = List[List[List[int]]]
+# A dense EGF over one or more axes: grid[i][j]... = E(i, j, ...) over total
+# degree <= cap, as nested lists, so grid[i] is the grid of cap - i with one
+# axis fewer.
+Grid = list
 
 
-def _dense(coeffs: EGF, cap: int) -> Grid3:
-    return [
-        [[coeffs.get((i, j, l), 0) for l in range(cap + 1 - i - j)] for j in range(cap + 1 - i)]
-        for i in range(cap + 1)
-    ]
+def _grid(value: Callable[..., int], cap: int, dims: int) -> Grid:
+    """The grid of value(i, j, ...)."""
+    if dims == 1:
+        return [value(i) for i in range(cap + 1)]
+    return [_grid(partial(value, i), cap - i, dims - 1) for i in range(cap + 1)]
 
 
-def _rotate(grid: Grid3, cap: int) -> Grid3:
-    """out[j][l][i] = grid[i][j][l], so the first axis becomes the last."""
-    return [
-        [[grid[i][j][l] for i in range(cap + 1 - j - l)] for l in range(cap + 1 - j)]
-        for j in range(cap + 1)
-    ]
+def _dense(coeffs: Dict[Tuple[int, ...], int], cap: int, dims: int) -> Grid:
+    """The grid of a sparse EGF whose monomials are within the cap: a zero
+    grid with each coefficient set."""
+    if dims == 1:
+        grid = [0] * (cap + 1)
+    elif dims == 2:
+        grid = [[0] * (cap + 1 - i) for i in range(cap + 1)]
+    else:
+        grid = [_dense({}, cap - i, dims - 1) for i in range(cap + 1)]
+    for mono, v in coeffs.items():
+        reduce(getitem, mono[:-1], grid)[mono[-1]] = v
+    return grid
+
+
+def _rotate(grid: Grid, dims: int) -> Grid:
+    """out[j]...[i] = grid[i][j]..., so the first axis becomes the last."""
+    if dims == 1:
+        return grid
+    out = [[row[j] for row in grid[: len(grid) - j]] for j in range(len(grid))]
+    return out if dims == 2 else [_rotate(part, dims - 1) for part in out]
+
+
+def _add(f: Grid, g: Grid, c: int = 1) -> Grid:
+    """f + c g."""
+    if isinstance(f[0], list):
+        return [_add(u, v, c) for u, v in zip(f, g)]
+    return [u + c * v for u, v in zip(f, g)]
+
+
+def _first_difference(f: Grid, g: Grid) -> Optional[Tuple[int, ...]]:
+    """First (i, j, ...), lexicographic, where the grids differ."""
+    for i, (u, v) in enumerate(zip(f, g)):
+        if u != v:
+            return (i, *_first_difference(u, v)) if isinstance(u, list) else (i,)
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -251,48 +276,51 @@ def _times_exp_line(
 
 
 def _times_exp_lines(
-    re: List[List[int]],
-    im: Optional[List[List[int]]],
-    a: int,
-    d: int,
-    cap: int,
-    real_only: bool = False,
-) -> Tuple[List[List[int]], List[List[int]]]:
-    """`_times_exp_line` on each line; im is None for real lines."""
+    re: Grid, im: Optional[Grid], a: int, d: int, cap: int, dims: int, real_only: bool
+) -> Tuple[Grid, Grid]:
+    """`_times_exp_line` on every line along the last axis; im is None for
+    a real grid."""
+    if dims == 1:
+        return _times_exp_line(re, im, a, d, cap, real_only)
     lines = zip(re, im or [None] * len(re))
-    pairs = [_times_exp_line(f, g, a, d, cap, real_only) for f, g in lines]
+    if dims == 2:
+        pairs = [_times_exp_line(f, g, a, d, cap, real_only) for f, g in lines]
+    else:
+        pairs = [_times_exp_lines(f, g, a, d, cap, dims - 1, real_only) for f, g in lines]
     return [pair[0] for pair in pairs], [pair[1] for pair in pairs]
 
 
-def _times_cos_sqrt2_sum(grid: Grid3, cap: int) -> Grid3:
-    """E(F cos(sqrt2 (x+y+z))) from E(F), over the integers.
-
-    cos(sqrt2 S) is the rational part of exp(cS) with c = sqrt(-2), so each
-    axis in turn is multiplied by exp(cx) (`_times_exp_line` with a = 1,
-    d = -2) as the last one, then rotated away; the third pass computes
-    the rational part only.
-    """
-    re, im = grid, [None] * len(grid)
-    for _ in range(2):
-        planes = [_times_exp_lines(pre, pim, 1, -2, cap) for pre, pim in zip(re, im)]
-        re = _rotate([plane[0] for plane in planes], cap)
-        im = _rotate([plane[1] for plane in planes], cap)
-    planes = [_times_exp_lines(pre, pim, 1, -2, cap, True)[0] for pre, pim in zip(re, im)]
-    return _rotate(planes, cap)
+def _times_exp(
+    grid: Grid, coeffs: Tuple[int, ...], d: int, real_only: bool = False
+) -> Tuple[Grid, Optional[Grid]]:
+    """The rational part and the c part of E(G exp(c sum_k a_k x_k)), c^2 = d,
+    (a_k) = coeffs; with d = -1, E(G cos L) and E(G sin L).  The last axis is
+    transformed first, then each other one as it is rotated into the last
+    place; an axis whose coefficient is 0 is skipped.  With real_only the
+    last pass computes the rational part only, and the c part is None."""
+    dims, cap = len(coeffs), len(grid) - 1
+    # step s transforms axis s - 1 (the last axis at s = 0), then rotates;
+    # dims rotations restore the axes, and none is needed if only the last moves
+    last = max((s for s in range(dims) if coeffs[s - 1]), default=0)
+    re, im = grid, None
+    for s in range(dims if last else 1):
+        if coeffs[s - 1]:
+            only = real_only and s == last
+            re, im = _times_exp_lines(re, im, coeffs[s - 1], d, cap, dims, only)
+            im = None if only else im
+        if last:
+            re, im = _rotate(re, dims), im and _rotate(im, dims)
+    return re, im
 
 
 def closed_form_mismatch(lhs: EGF, numerator: EGF, cap: int) -> Optional[Monomial]:
     """First monomial (lexicographic, total degree <= cap) where
     E(lhs (1 + cos(sqrt2 (x+y+z)))) != E(numerator), or None if the
-    identity lhs = numerator / (2cos^2((x+y+z)/sqrt2)) holds to the cap."""
-    grid = _dense(lhs, cap)
-    cos_part = _times_cos_sqrt2_sum(grid, cap)
-    for i in range(cap + 1):
-        for j in range(cap + 1 - i):
-            for l in range(cap + 1 - i - j):
-                if grid[i][j][l] + cos_part[i][j][l] != numerator.get((i, j, l), 0):
-                    return (i, j, l)
-    return None
+    identity lhs = numerator / (2cos^2((x+y+z)/sqrt2)) holds to the cap.
+    cos(sqrt2 S) is the rational part of exp(cS), c = sqrt(-2)."""
+    grid = _dense(lhs, cap, 3)
+    cos_part = _times_exp(grid, (1, 1, 1), -2, real_only=True)[0]
+    return _first_difference(_add(grid, cos_part), _dense(numerator, cap, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +346,13 @@ def omega_entry(p: int, i: int, j: int, matrices: Sequence[DeltaMatrix]) -> int:
     return _lookup(matrices, two_n // 2).value(p + 1, p + j + 2)
 
 
-def reindex_lambda(p: int, size: int, matrices: Sequence[DeltaMatrix]) -> Grid:
+def reindex_lambda(p: int, size: int, matrices: Sequence[DeltaMatrix]) -> Rows:
     return tuple(
         tuple(lambda_entry(p, i, j, matrices) for j in range(size)) for i in range(size)
     )
 
 
-def reindex_omega(p: int, size: int, matrices: Sequence[DeltaMatrix]) -> Grid:
+def reindex_omega(p: int, size: int, matrices: Sequence[DeltaMatrix]) -> Rows:
     return tuple(
         tuple(omega_entry(p, i, j, matrices) for j in range(size)) for i in range(size)
     )
@@ -469,52 +497,14 @@ def lambda1_closed_forms(cap: int, matrices: Sequence[DeltaMatrix]) -> List[str]
 # Integer path for the bivariate closed forms
 # ---------------------------------------------------------------------------
 
-# A dense bivariate EGF: grid[i][j] = i! j! [x^i y^j] for i+j <= cap.
-Grid2 = List[List[int]]
-
-
-def _grid2(value: Callable[[int, int], int], cap: int) -> Grid2:
-    return [[value(i, j) for j in range(cap + 1 - i)] for i in range(cap + 1)]
-
-
-def _scaled_grid(value: Callable[[int, int], int], shift: int, cap: int) -> Grid2:
+def _scaled_grid(value: Callable[[int, int], int], shift: int, cap: int) -> Grid:
     """S(i,j) = 2^((i+j+shift)/2) value(i,j): the EGF of G(sqrt2 x, sqrt2 y)
     times 2^(shift/2).  The grids here are zero where i+j+shift is odd
     (lambda_entry and omega_entry return 0 on that parity class), so S is
     an integer and those cells are not evaluated."""
-    return _grid2(
-        lambda i, j: value(i, j) << (i + j + shift) // 2 if (i + j + shift) % 2 == 0 else 0, cap
+    return _grid(
+        lambda i, j: value(i, j) << (i + j + shift) // 2 if (i + j + shift) % 2 == 0 else 0, cap, 2
     )
-
-
-def _add(f: Grid2, g: Grid2, c: int = 1) -> Grid2:
-    """f + c g."""
-    return [[u + c * v for u, v in zip(rf, rg)] for rf, rg in zip(f, g)]
-
-
-def _transpose(grid: Grid2) -> Grid2:
-    return [[grid[i][j] for i in range(len(grid) - j)] for j in range(len(grid))]
-
-
-def _times_trig(grid: Grid2, a: int, b: int) -> Tuple[Grid2, Grid2]:
-    """(E(G cos(ax+by)), E(G sin(ax+by))) from E(G), (a, b) != (0, 0): the
-    two parts of G exp(i(ax+by)), transformed along y (the rows), then along
-    x after a transpose.  An axis whose coefficient is 0 is skipped."""
-    re, im, cap = grid, None, len(grid) - 1
-    if b:
-        re, im = _times_exp_lines(re, im, b, -1, cap)
-    if a:
-        re, im = _times_exp_lines(_transpose(re), im and _transpose(im), a, -1, cap)
-        re, im = _transpose(re), _transpose(im)
-    return re, im
-
-
-def _first_difference(f: Grid2, g: Grid2) -> Optional[Tuple[int, int]]:
-    """First (i, j), lexicographic, where the grids differ."""
-    for i, (rf, rg) in enumerate(zip(f, g)):
-        if rf != rg:
-            return i, next(j for j, (u, v) in enumerate(zip(rf, rg)) if u != v)
-    return None
 
 
 def bivariate_closed_form_failures(cap: int, matrices: Sequence[DeltaMatrix]) -> List[str]:
@@ -528,33 +518,37 @@ def bivariate_closed_form_failures(cap: int, matrices: Sequence[DeltaMatrix]) ->
     for row 1 of omega^(p).  The denominators cos(x+y) and
     2cos^2(x+y) = 1 + cos(2(x+y)) are units, so each ratio is checked by
     cross-multiplication.  Every product has one factor cos or sin of a
-    linear form and is a binomial transform along each axis (`_times_trig`);
-    the trig factors themselves are the unit grid so transformed.  Returns
-    the same failure texts, each followed by the first differing monomial.
+    linear form, so it is `_times_exp` with c = i; the trig factors
+    themselves are the unit grid so transformed.  Returns the same failure
+    texts, each followed by the first differing monomial.
     """
     failures: List[str] = []
 
-    def check(lhs: Grid2, rhs: Grid2, identity: str) -> None:
+    def check(lhs: Grid, rhs: Grid, identity: str) -> None:
         mono = _first_difference(lhs, rhs)
         if mono is not None:
             failures.append(f"{identity} (first at x^{mono[0]} y^{mono[1]})")
 
-    def grid(entry: Callable[..., int], p: int, shift: int) -> Grid2:
+    def grid(entry: Callable[..., int], p: int, shift: int) -> Grid:
         return _scaled_grid(lambda i, j: entry(p, i, j, matrices), shift, cap)
 
     lam1 = grid(lambda_entry, 1, 0)
-    one = _grid2(lambda i, j: int(i == j == 0), cap)
-    (cos_2x, sin_2x), (cos_2y, sin_2y) = _times_trig(one, 2, 0), _times_trig(one, 0, 2)
-    cos_xmy = _times_trig(one, 1, -1)[0]
-    lam1_cos_2xy, lam1_sin_2xy = _times_trig(lam1, 2, 2)
+    one = _dense({(0, 0): 1}, cap, 2)
+    (cos_2x, sin_2x), (cos_2y, sin_2y) = _times_exp(one, (2, 0), -1), _times_exp(one, (0, 2), -1)
+    cos_xmy = _times_exp(one, (1, -1), -1, real_only=True)[0]
+    lam1_cos_2xy, lam1_sin_2xy = _times_exp(lam1, (2, 2), -1)
 
     # H cos(x+y) = cos(x-y);  H sin(2(x+y)) = sin 2x + sin 2y
-    check(_times_trig(lam1, 1, 1)[0], cos_xmy, "cos-ratio closed form != lambda^(1) grid series")
+    check(
+        _times_exp(lam1, (1, 1), -1, real_only=True)[0],
+        cos_xmy,
+        "cos-ratio closed form != lambda^(1) grid series",
+    )
     sin_sum = _add(sin_2x, sin_2y)
     check(lam1_sin_2xy, sin_sum, "sine-ratio closed form != lambda^(1) grid series")
     check(
-        _times_trig(sin_sum, 1, 1)[0],
-        _times_trig(cos_xmy, 2, 2)[1],
+        _times_exp(sin_sum, (1, 1), -1, real_only=True)[0],
+        _times_exp(cos_xmy, (2, 2), -1)[1],
         "sine-ratio and cos-ratio closed forms disagree",
     )
     # H 2cos^2(x+y) = H (1 + cos 2(x+y)) = cos 2x + cos 2y
@@ -563,13 +557,13 @@ def bivariate_closed_form_failures(cap: int, matrices: Sequence[DeltaMatrix]) ->
         _add(cos_2x, cos_2y),
         "cosine-sum closed form != lambda^(1) grid series",
     )
-    axes = _grid2(lambda i, j: lam1[i][j] if i * j == 0 else 0, cap)
+    axes = _grid(lambda i, j: lam1[i][j] if i * j == 0 else 0, cap, 2)
     check(axes, one, "lambda^(1)(x,0) or lambda^(1)(0,y) differs from 1")
 
     # K 2cos^2(x+y) = 2 sin 2x, K the grid of sqrt2 omega^(1)
     om1 = grid(omega_entry, 1, 1)
     check(
-        _add(om1, _times_trig(om1, 2, 2)[0]),
+        _add(om1, _times_exp(om1, (2, 2), -1, real_only=True)[0]),
         _add(sin_2x, sin_2x),
         "omega^(1) closed form != omega^(1) grid series",
     )
@@ -577,7 +571,9 @@ def bivariate_closed_form_failures(cap: int, matrices: Sequence[DeltaMatrix]) ->
     # L_p = 2 C_(p-1) cos 2y + C_p sin 2y;  W_p = sin 2x R_p.  Each column
     # C_q times exp(2iy) serves compositions q and q+1.
     columns = [
-        _times_trig(_scaled_grid(lambda i, j: lambda_entry(1, i + j, q, matrices), q, cap), 0, 2)
+        _times_exp(
+            _scaled_grid(lambda i, j: lambda_entry(1, i + j, q, matrices), q, cap), (0, 2), -1
+        )
         for q in range(5)
     ]
     for p in range(1, 5):
@@ -585,7 +581,7 @@ def bivariate_closed_form_failures(cap: int, matrices: Sequence[DeltaMatrix]) ->
         check(composed, grid(lambda_entry, p, p + 1), f"column composition fails for lambda^({p})")
         row1 = _scaled_grid(lambda i, j: omega_entry(p, 1, i + j, matrices), p - 1, cap)
         check(
-            _times_trig(row1, 2, 0)[1],
+            _times_exp(row1, (2, 0), -1)[1],
             grid(omega_entry, p, p),
             f"row composition fails for omega^({p})",
         )

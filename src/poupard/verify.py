@@ -160,26 +160,14 @@ def check_marginals(report: VerifyReport, n_max: int) -> None:
     for n in range(2, n_max + 1):
         with timed_check(report, "marginals/initial-condition-erratum", {"n": n}) as failures:
             mat = build_matrix(n, "D1")
-            prev = build_matrix(n - 1, "D1")
-            total_prev = prev.total()
-            if mat.row_sum(2) == 2 * total_prev:
-                failures.append(
-                    f"doubled row initial condition unexpectedly holds at n={n}"
-                )
-            if mat.row_sum(2) != total_prev:
-                failures.append(
-                    f"row initial condition without the factor fails: "
-                    f"{mat.row_sum(2)} != {total_prev}"
-                )
-            if mat.col_sum(1) == 2 * total_prev:
-                failures.append(
-                    f"doubled column initial condition unexpectedly holds at n={n}"
-                )
-            if mat.col_sum(1) != total_prev:
-                failures.append(
-                    f"column initial condition without the factor fails: "
-                    f"{mat.col_sum(1)} != {total_prev}"
-                )
+            total = build_matrix(n - 1, "D1").total()
+            for axis, value in (("row", mat.row_sum(2)), ("column", mat.col_sum(1))):
+                if value == 2 * total:
+                    failures.append(f"doubled {axis} initial condition unexpectedly holds at n={n}")
+                if value != total:
+                    failures.append(
+                        f"{axis} initial condition without the factor fails: {value} != {total}"
+                    )
 
 
 def check_bijection(report: VerifyReport, n_max: int, force: bool) -> None:
@@ -253,14 +241,10 @@ def check_poupard_matrices(report: VerifyReport) -> None:
     matrices = delta_matrices((p_max + 2 * size) // 2 + 1)
     for p in range(0, p_max + 1):
         with timed_check(report, "poupard-matrices/reindexed", {"p": p, "size": size}) as failures:
-            lam = gf.reindex_lambda(p, size, matrices)
-            omg = gf.reindex_omega(p, size, matrices)
-            res = is_poupard_matrix(lam)
-            if not res.ok:
-                failures.append(f"lambda^({p}) violates the four-term rule at {res.violation}")
-            res = is_poupard_matrix(omg)
-            if not res.ok:
-                failures.append(f"omega^({p}) violates the four-term rule at {res.violation}")
+            for name, reindex in (("lambda", gf.reindex_lambda), ("omega", gf.reindex_omega)):
+                res = is_poupard_matrix(reindex(p, size, matrices))
+                if not res.ok:
+                    failures.append(f"{name}^({p}) violates the four-term rule at {res.violation}")
     for p in range(1, p_max + 1):
         with timed_check(report, "poupard-matrices/transfer", {"p": p, "size": size}) as failures:
             failures.extend(gf.boundary_relations_check(p, size, matrices))

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import poupard
-from poupard import delta
+from poupard import delta, verify
 from poupard.delta import (
     M1,
     STRATEGIES,
@@ -232,6 +232,33 @@ def test_recurrence_failure_texts_pinned():
                 lines.append(str(recurrence_failure(_bumped(mat, m, k), prev)))
     assert len(lines) == 556
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RECURRENCE_FAILURE_DIGEST
+
+
+def test_marginals_erratum_check_lists_every_failure_in_order(monkeypatch):
+    # adding M_2's total to f_3(2,1) doubles both row sum 2 and column sum 1
+    total = build_matrix(2).total()
+
+    def corrupted(n, tag="D1"):
+        mat = build_matrix(n, tag)
+        if n != 3:
+            return mat
+        rows = [list(r) for r in mat.rows]
+        rows[1][0] += total
+        return DeltaMatrix(3, tuple(tuple(r) for r in rows))
+
+    monkeypatch.setattr(verify, "build_matrix", corrupted)
+    report = run_checks(["marginals"], n_max=3)
+    (record,) = [
+        r
+        for r in report.checks
+        if r.name == "marginals/initial-condition-erratum" and r.params == {"n": 3}
+    ]
+    assert list(record.failures) == [
+        "doubled row initial condition unexpectedly holds at n=3",
+        f"row initial condition without the factor fails: {2 * total} != {total}",
+        "doubled column initial condition unexpectedly holds at n=3",
+        f"column initial condition without the factor fails: {2 * total} != {total}",
+    ]
 
 
 def test_recurrence_oracle_never_calls_the_solver(monkeypatch):

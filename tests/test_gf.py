@@ -1,6 +1,7 @@
 """Generating functions: triple series, reindexed grids, closed forms."""
 
 import ast
+import hashlib
 import json
 import os
 import random
@@ -9,7 +10,10 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import comb
+from functools import reduce
+from itertools import product
+from math import comb, prod
+from operator import getitem, sub
 from pathlib import Path
 
 import pytest
@@ -358,47 +362,71 @@ def strip_monomial(failures):
     return [re.sub(r" \(first at x\^\d+ y\^\d+\)$", "", f) for f in failures]
 
 
-TRIG_COEFFICIENTS = ((1, 1), (1, -1), (2, 0), (0, 2), (2, 2))
+# (a, b) of cos(ax+by) and sin(ax+by), and (a,) of cos(ax) and sin(ax)
+TRIG_COEFFICIENTS = ((1, 1), (1, -1), (2, 0), (0, 2), (2, 2), (3,), (-2,))
 
 
-def test_times_trig_is_the_binomial_convolution():
+def at(grid):
+    """The grid as a function of the monomial."""
+    return lambda *mono: reduce(getitem, mono, grid)
+
+
+def convolution(f, g):
+    """E(FG) from E(F) and E(G), as functions of the monomial, by brute force:
+    the sum over s <= mono of prod_k C(mono_k, s_k) E(F)(s) E(G)(mono - s)."""
+
+    def value(*mono):
+        return sum(
+            prod(map(comb, mono, s)) * f(*s) * g(*map(sub, mono, s))
+            for s in product(*(range(m + 1) for m in mono))
+        )
+
+    return value
+
+
+def test_times_exp_is_the_binomial_convolution():
     cap = 7
     rng = random.Random(5)
-    mixed = gf._grid2(lambda i, j: rng.randint(-3, 3), cap)
-    odd = gf._grid2(lambda i, j: rng.randint(-3, 3) if (i + j) % 2 else 0, cap)
-    for a, b in TRIG_COEFFICIENTS:
-        # E of cos(ax+by) and sin(ax+by): a^i b^j (-1)^((i+j)//2), where i+j
-        # is even for cos and odd for sin
+    grids = {
+        dims: (
+            gf._grid(lambda *mono: rng.randint(-3, 3), cap, dims),
+            gf._grid(lambda *mono: rng.randint(-3, 3) if sum(mono) % 2 else 0, cap, dims),
+        )
+        for dims in (2, 1)
+    }
+    for coeffs in TRIG_COEFFICIENTS:
+        # E of cos(L) and sin(L), L = sum_k a_k x_k: prod_k a_k^(i_k) times
+        # (-1)^(t//2) at total degree t, even for cos and odd for sin
         trig = [
-            gf._grid2(lambda i, j: a**i * b**j * (-1) ** ((i + j) // 2) * ((i + j) % 2 == r), cap)
+            lambda *mono, r=r: prod(map(pow, coeffs, mono))
+            * (-1) ** (sum(mono) // 2)
+            * (sum(mono) % 2 == r)
             for r in (0, 1)
         ]
-        for f in (mixed, odd):
-            expected = [
-                gf._grid2(
-                    lambda i, j: sum(
-                        comb(i, s) * comb(j, t) * f[s][t] * g[i - s][j - t]
-                        for s in range(i + 1)
-                        for t in range(j + 1)
-                    ),
-                    cap,
-                )
-                for g in trig
-            ]
-            assert list(gf._times_trig(f, a, b)) == expected, (a, b)
+        dims = len(coeffs)
+        for f in grids[dims]:
+            expected = [gf._grid(convolution(at(f), g), cap, dims) for g in trig]
+            assert list(gf._times_exp(f, coeffs, -1)) == expected, coeffs
+            assert gf._times_exp(f, coeffs, -1, real_only=True) == (expected[0], None), coeffs
 
 
 def test_trig_grids_match_trig_series():
     cap = 9
-    one = gf._grid2(lambda i, j: int(i == j == 0), cap)
-    for a, b in TRIG_COEFFICIENTS:
-        form = LinearForm(RootTwoScalar(a), RootTwoScalar(b), RootTwoScalar(0))
-        for kind, grid in zip(("cos", "sin"), gf._times_trig(one, a, b)):
-            egf = {(i, j, 0): v for i, row in enumerate(grid) for j, v in enumerate(row) if v}
-            assert gf._egf_series(cap, egf) == trig_series(kind, form, cap), (kind, a, b)
+    for coeffs in TRIG_COEFFICIENTS:
+        dims = len(coeffs)
+        one = gf._dense({(0,) * dims: 1}, cap, dims)
+        padding = (0,) * (3 - dims)
+        form = LinearForm(*(RootTwoScalar(a) for a in coeffs + padding))
+        for kind, grid in zip(("cos", "sin"), gf._times_exp(one, coeffs, -1)):
+            egf = {
+                mono + padding: v
+                for mono in product(range(cap + 1), repeat=dims)
+                if sum(mono) <= cap and (v := at(grid)(*mono))
+            }
+            assert gf._egf_series(cap, egf) == trig_series(kind, form, cap), (kind, coeffs)
 
 
-def test_times_cos_sqrt2_sum_is_the_binomial_convolution():
+def test_times_exp_cos_sqrt2_sum_is_the_binomial_convolution():
     rng = random.Random(7)
     for cap in range(7):
         cells = [
@@ -418,7 +446,17 @@ def test_times_cos_sqrt2_sum_is_the_binomial_convolution():
             )
             for i, j, l in cells
         }
-        assert gf._times_cos_sqrt2_sum(gf._dense(f, cap), cap) == gf._dense(expected, cap), cap
+        grid = gf._dense(f, cap, 3)
+        cos_part = gf._times_exp(grid, (1, 1, 1), -2, real_only=True)
+        assert cos_part == (gf._dense(expected, cap, 3), None), cap
+        assert gf._times_exp(grid, (1, 1, 1), -2)[0] == cos_part[0], cap
+        # one rotation moves the first axis last, and three restore the grid
+        turned = gf._rotate(grid, 3)
+        assert turned == gf._dense({(j, l, i): v for (i, j, l), v in f.items()}, cap, 3), cap
+        assert gf._rotate(gf._rotate(turned, 3), 3) == grid, cap
+        for dims in (1, 2):
+            flat = gf._grid(lambda *mono: rng.randint(-3, 3), cap, dims)
+            assert reduce(lambda g, _: gf._rotate(g, dims), range(dims), flat) == flat, (cap, dims)
 
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM_CORRUPTIONS))
@@ -480,6 +518,43 @@ def test_closed_form_paths_agree(matrices):
         for index, mats in enumerate(variants + [last_degree]):
             integer = gf.bivariate_closed_form_failures(cap, mats)
             assert strip_monomial(integer) == gf.lambda1_closed_forms(cap, mats), (cap, index)
+
+
+# sha256 of the integer checks' verdicts below, recorded before the grid
+# engine behind them was rewritten
+INTEGER_VERDICTS_SHA256 = "3d35f4b8e10109910ef9d5c28146aecc60b6ae9ed5764c1976c9b03d86756326"
+
+
+def integer_verdict_lines():
+    """One line per (cap, variant): both `closed_form_mismatch` monomials and
+    the `bivariate_closed_form_failures` list, for caps 0..24 on the true
+    matrices, the degree-cap axis cell and four seeded +1 corruptions."""
+    top = delta_matrices((24 + 7) // 2)
+    lines = []
+    for cap in range(25):
+        need = (cap + 7) // 2
+        matrices = top[:need]
+        rng = random.Random(cap)
+        variants = [matrices, bumped(matrices, *axis_cell(cap))]
+        for _ in range(4):
+            n = rng.randint(1, need)
+            variants.append(bumped(matrices, n, rng.randint(1, 2 * n), rng.randint(1, 2 * n)))
+        for mats in variants:
+            monomials = [
+                gf.closed_form_mismatch(
+                    getattr(gf, f"{which}_egf")(cap, mats),
+                    getattr(gf, f"{which}_numerator_egf")(cap),
+                    cap,
+                )
+                for which in ("lambda", "omega")
+            ]
+            lines.append(repr((cap, monomials, gf.bivariate_closed_form_failures(cap, mats))))
+    return lines
+
+
+def test_integer_verdicts_are_pinned():
+    digest = hashlib.sha256("\n".join(integer_verdict_lines()).encode()).hexdigest()
+    assert digest == INTEGER_VERDICTS_SHA256
 
 
 def test_closed_forms_check_reaches_cap_60():
