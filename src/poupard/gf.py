@@ -12,9 +12,11 @@ over 2 <= k+1 <= m <= 2n, and the upper-triangle entries into
 
 both truncated by total degree (a monomial from M_n has total degree 2n-2).
 
-The same entries, reindexed, give infinite matrices lambda^(p), omega^(p)
-(slice p collects the p-th diagonal layer of lower/upper triangles).  These
-satisfy the four-term Poupard rule, fixed column/row transfer relations, and
+The paper's reindexed infinite matrices are layers of their EGFs
+E(i,j,l) = i! j! l! [x^i y^j z^l]: lambda^(p)_{i,j} = E_Lambda(i, j, p-1) and
+omega^(p)_{i,j} = E_Omega(i, j, p), that is f_n(i+j+2, j+1) at 2n = p+i+j+1
+and f_n(p+1, p+j+2) at 2n = p+i+j+2, and 0 off that parity.  They satisfy
+the four-term Poupard rule, fixed column/row transfer relations, and
 closed-form bivariate generating functions, all checked here exactly.
 
 Each generating-function identity is checked by two independent paths:
@@ -42,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import comb, factorial
 from operator import getitem, mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .delta import DeltaMatrix
 from .scalars import HALF_SQRT2, SQRT2, ZERO, RootTwoScalar
@@ -56,13 +58,6 @@ T = TypeVar("T")
 
 class InsufficientMatrices(ValueError):
     """A required M_n is missing from the supplied list."""
-
-
-def _lookup(matrices: Sequence[DeltaMatrix], n: int) -> DeltaMatrix:
-    for mat in matrices:
-        if mat.n == n:
-            return mat
-    raise InsufficientMatrices(f"M_{n} required but not supplied")
 
 
 # ---------------------------------------------------------------------------
@@ -110,36 +105,37 @@ def required_matrix_count(cap: int) -> int:
 
 
 def _triangle_egf(
-    cap: int,
-    matrices: Sequence[DeltaMatrix],
-    exponents: Callable[[int, int, int], Optional[Monomial]],
+    cap: int, matrices: Sequence[DeltaMatrix], lower: bool, layers: Sequence[int]
 ) -> EGF:
-    """{(i, j, l): f_n(m,k)} over the nonzero cells where exponents(2n, m, k)
-    gives (i, j, l); each monomial comes from one cell."""
+    """E(i,j,l) = f_n(m,k) over the nonzero cells of the lower (k < m) or
+    upper (m < k) triangles of M_1..M_N, N = required_matrix_count(cap), on
+    the given layers.  Layer l of M_n is part of one row, filling i+j = d in
+    order: row m = 2n-l in the lower triangle, (m-k-1, k-1, 2n-m), and row
+    m = l+1 in the upper, (2n-k, k-m-1, m-1)."""
+    by_n = {mat.n: mat for mat in matrices}
     coeffs: EGF = {}
     for n in range(1, required_matrix_count(cap) + 1):
-        mat = _lookup(matrices, n)
-        for m, row in enumerate(mat.rows, 1):
-            for k, v in enumerate(row, 1):
-                mono = exponents(2 * n, m, k)
-                if v and mono is not None:
-                    coeffs[mono] = v
+        if n not in by_n:
+            raise InsufficientMatrices(f"M_{n} required but not supplied")
+        for l in layers:
+            if 0 <= l <= 2 * n - 2:
+                m = 2 * n - l if lower else l + 1
+                row = by_n[n].rows[m - 1]
+                cells = row[: m - 1] if lower else row[m:]
+                d = len(cells) - 1
+                coeffs.update({(d - j, j, l): v for j, v in enumerate(cells) if v})
     return coeffs
 
 
 def lambda_egf(cap: int, matrices: Sequence[DeltaMatrix]) -> EGF:
     """E(i,j,l) of the lower-triangle series: the matrix entries themselves."""
-    return _triangle_egf(
-        cap, matrices, lambda w, m, k: (m - k - 1, k - 1, w - m) if k < m else None
-    )
+    return _triangle_egf(cap, matrices, True, range(cap + 1))
 
 
 def omega_egf(cap: int, matrices: Sequence[DeltaMatrix]) -> EGF:
     """E(i,j,l) of the upper-triangle series (column 2n is zero, so summing the
     full upper triangle matches the k <= 2n-1 statement)."""
-    return _triangle_egf(
-        cap, matrices, lambda w, m, k: (w - k, k - m - 1, m - 1) if m < k else None
-    )
+    return _triangle_egf(cap, matrices, False, range(cap + 1))
 
 
 def _egf_series(cap: int, coeffs: EGF) -> TriSeries:
@@ -328,58 +324,55 @@ def closed_form_mismatch(lhs: EGF, numerator: EGF, cap: int) -> Optional[Monomia
 # ---------------------------------------------------------------------------
 
 
-def lambda_entry(p: int, i: int, j: int, matrices: Sequence[DeltaMatrix]) -> int:
-    """lambda^(p)_{i,j}: zero on one parity class, else a lower-triangle
-    f_n(m,k) with k=j+1, m=i+j+2, 2n=p+i+j+1."""
-    if (i + j) % 2 == p % 2:
-        return 0
-    two_n = p + i + j + 1
-    return _lookup(matrices, two_n // 2).value(i + j + 2, j + 1)
+def _reindexed(
+    cap: int, matrices: Sequence[DeltaMatrix], lower: bool, ps: Iterable[int]
+) -> Callable[[int, int, int], int]:
+    """(p, i, j) -> lambda^(p)_{i,j} = E_Lambda(i, j, p-1) (lower) or
+    omega^(p)_{i,j} = E_Omega(i, j, p) for p in ps, over degree <= cap."""
+    shift = 1 if lower else 0
+    egf = _triangle_egf(cap, matrices, lower, [p - shift for p in ps])
+    return lambda p, i, j: egf.get((i, j, p - shift), 0)
 
 
-def omega_entry(p: int, i: int, j: int, matrices: Sequence[DeltaMatrix]) -> int:
-    """omega^(p)_{i,j}: zero off the parity class of p, else an upper-triangle
-    f_n(m,k) with m=p+1, k=p+j+2, 2n=p+i+j+2."""
-    if (i + j) % 2 != p % 2:
-        return 0
-    two_n = p + i + j + 2
-    return _lookup(matrices, two_n // 2).value(p + 1, p + j + 2)
+def _reindex(p: int, size: int, cap: int, matrices: Sequence[DeltaMatrix], lower: bool) -> Rows:
+    """The size x size corner of lambda^(p) (lower) or omega^(p), whose cell
+    [size-1, size-1] has degree cap, the largest."""
+    if p < 0 or size < 1:  # no matrix has p < 0; a 0 x 0 grid checks nothing
+        raise ValueError(f"need p >= 0 and size >= 1, got p={p}, size={size}")
+    entry = _reindexed(cap, matrices, lower, (p,))
+    return tuple(tuple(entry(p, i, j) for j in range(size)) for i in range(size))
 
 
 def reindex_lambda(p: int, size: int, matrices: Sequence[DeltaMatrix]) -> Rows:
-    return tuple(
-        tuple(lambda_entry(p, i, j, matrices) for j in range(size)) for i in range(size)
-    )
+    return _reindex(p, size, 2 * size + p - 3, matrices, True)
 
 
 def reindex_omega(p: int, size: int, matrices: Sequence[DeltaMatrix]) -> Rows:
-    return tuple(
-        tuple(omega_entry(p, i, j, matrices) for j in range(size)) for i in range(size)
-    )
+    return _reindex(p, size, 2 * size + p - 2, matrices, False)
 
 
 def boundary_relations_check(
     p: int, size: int, matrices: Sequence[DeltaMatrix]
 ) -> List[str]:
     """Column/row transfer relations tying lambda^(p) and omega^(p) back to
-    the p=1 matrices; returns human-readable failure strings (empty = pass)."""
+    the p=1 matrices; returns human-readable failure strings (empty = pass).
+    The lambda cells read have degree <= size+p-1, the omega ones size+p."""
+    if p < 1 or size < 1:
+        raise ValueError(f"transfer relations need p >= 1 and size >= 1, got p={p}, size={size}")
+    lam = _reindexed(size + p - 1, matrices, True, (1, p))
+    om = _reindexed(size + p, matrices, False, (1, p))
     failures = []
-    if p < 1:
-        raise ValueError("transfer relations need p >= 1")
     for i in range(size):
-        lhs = lambda_entry(p, i, 0, matrices)
-        rhs = lambda_entry(1, i, p - 1, matrices)
+        lhs, rhs = lam(p, i, 0), lam(1, i, p - 1)
         if lhs != rhs:
             failures.append(f"lambda^{p}[{i},0]={lhs} != lambda^1[{i},{p-1}]={rhs}")
-        lhs = lambda_entry(p, i, 1, matrices)
-        rhs = lambda_entry(1, i + 1, p - 1, matrices) + lambda_entry(1, i, p, matrices)
+        lhs, rhs = lam(p, i, 1), lam(1, i + 1, p - 1) + lam(1, i, p)
         if lhs != rhs:
             failures.append(
                 f"lambda^{p}[{i},1]={lhs} != lambda^1[{i+1},{p-1}]+lambda^1[{i},{p}]={rhs}"
             )
     for j in range(size):
-        lhs = omega_entry(p, 1, j, matrices)
-        rhs = omega_entry(1, p, j, matrices)
+        lhs, rhs = om(p, 1, j), om(1, p, j)
         if lhs != rhs:
             failures.append(f"omega^{p}[1,{j}]={lhs} != omega^1[{p},{j}]={rhs}")
     return failures
@@ -402,14 +395,6 @@ def _bivariate_egf(value: Callable[[int, int], int], cap: int) -> TriSeries:
     return TriSeries(cap, coeffs)
 
 
-def grid_egf(
-    entry: Callable[..., int], p: int, cap: int, matrices: Sequence[DeltaMatrix]
-) -> TriSeries:
-    """sum g^(p)_{i,j} x^i y^j / (i! j!) to total degree cap, where g is
-    lambda_entry or omega_entry."""
-    return _bivariate_egf(lambda i, j: entry(p, i, j, matrices), cap)
-
-
 FORM_XY_OVER_S2 = LinearForm(HALF_SQRT2, HALF_SQRT2, ZERO)  # (x+y)/sqrt2
 FORM_XmY_OVER_S2 = LinearForm(HALF_SQRT2, -HALF_SQRT2, ZERO)  # (x-y)/sqrt2
 FORM_S2_XY = LinearForm(SQRT2, SQRT2, ZERO)  # sqrt2*(x+y)
@@ -426,10 +411,13 @@ def lambda1_closed_forms(cap: int, matrices: Sequence[DeltaMatrix]) -> List[str]
       * omega^(1) grid function equals sin(sqrt2 x)/(sqrt2 cos^2((x+y)/sqrt2));
       * the column/row composition formulas reproduce lambda^(p), omega^(p)
         grid functions for p <= 4.
-    Returns failure descriptions; empty means all identities hold.
+    Returns failure descriptions; empty means all identities hold.  Column
+    4 of lambda^(1) reaches degree cap+4, row 1 of omega^(4) cap+5.
     """
     failures: List[str] = []
-    grid1 = grid_egf(lambda_entry, 1, cap, matrices)
+    lam = _reindexed(cap + 4, matrices, True, range(1, 5))
+    om = _reindexed(cap + 5, matrices, False, range(1, 5))
+    grid1 = _bivariate_egf(partial(lam, 1), cap)
     sin_s2x = trig_series("sin", FORM_S2X, cap)
     sin_s2y = trig_series("sin", FORM_S2Y, cap)
     cos_s2y = trig_series("cos", FORM_S2Y, cap)
@@ -466,7 +454,7 @@ def lambda1_closed_forms(cap: int, matrices: Sequence[DeltaMatrix]) -> List[str]
         failures.append("lambda^(1)(x,0) or lambda^(1)(0,y) differs from 1")
 
     # omega^(1): sin(sqrt2 x) / (sqrt2 cos^2((x+y)/sqrt2))
-    omega1 = grid_egf(omega_entry, 1, cap, matrices)
+    omega1 = _bivariate_egf(partial(om, 1), cap)
     om_closed = sin_s2x * over_xy(cos2_x.scale(SQRT2))
     if om_closed != omega1:
         failures.append("omega^(1) closed form != omega^(1) grid series")
@@ -475,20 +463,13 @@ def lambda1_closed_forms(cap: int, matrices: Sequence[DeltaMatrix]) -> List[str]
     sin_s2y_over = sin_s2y.scale(HALF_SQRT2)
     sin_s2x_over = sin_s2x.scale(HALF_SQRT2)
 
-    def lambda1_column_at_xy(q: int) -> TriSeries:
-        return _bivariate_egf(lambda i, j: lambda_entry(1, i + j, q, matrices), cap)
-
-    lambda1_columns = [lambda1_column_at_xy(q) for q in range(5)]
-
-    def omega_row1_at_xy(p: int) -> TriSeries:
-        return _bivariate_egf(lambda i, j: omega_entry(p, 1, i + j, matrices), cap)
-
+    lambda1_columns = [_bivariate_egf(lambda i, j: lam(1, i + j, q), cap) for q in range(5)]
     for p in range(1, 5):
         composed = lambda1_columns[p - 1] * cos_s2y + lambda1_columns[p] * sin_s2y_over
-        if composed != grid_egf(lambda_entry, p, cap, matrices):
+        if composed != _bivariate_egf(partial(lam, p), cap):
             failures.append(f"column composition fails for lambda^({p})")
-        ocomposed = sin_s2x_over * omega_row1_at_xy(p)
-        if ocomposed != grid_egf(omega_entry, p, cap, matrices):
+        ocomposed = sin_s2x_over * _bivariate_egf(lambda i, j: om(p, 1, i + j), cap)
+        if ocomposed != _bivariate_egf(partial(om, p), cap):
             failures.append(f"row composition fails for omega^({p})")
     return failures
 
@@ -500,8 +481,8 @@ def lambda1_closed_forms(cap: int, matrices: Sequence[DeltaMatrix]) -> List[str]
 def _scaled_grid(value: Callable[[int, int], int], shift: int, cap: int) -> Grid:
     """S(i,j) = 2^((i+j+shift)/2) value(i,j): the EGF of G(sqrt2 x, sqrt2 y)
     times 2^(shift/2).  The grids here are zero where i+j+shift is odd
-    (lambda_entry and omega_entry return 0 on that parity class), so S is
-    an integer and those cells are not evaluated."""
+    (every monomial of M_n has even total degree 2n-2), so S is an integer
+    and those cells are not evaluated."""
     return _grid(
         lambda i, j: value(i, j) << (i + j + shift) // 2 if (i + j + shift) % 2 == 0 else 0, cap, 2
     )
@@ -523,16 +504,15 @@ def bivariate_closed_form_failures(cap: int, matrices: Sequence[DeltaMatrix]) ->
     texts, each followed by the first differing monomial.
     """
     failures: List[str] = []
+    lam = _reindexed(cap + 4, matrices, True, range(1, 5))
+    om = _reindexed(cap + 5, matrices, False, range(1, 5))
 
     def check(lhs: Grid, rhs: Grid, identity: str) -> None:
         mono = _first_difference(lhs, rhs)
         if mono is not None:
             failures.append(f"{identity} (first at x^{mono[0]} y^{mono[1]})")
 
-    def grid(entry: Callable[..., int], p: int, shift: int) -> Grid:
-        return _scaled_grid(lambda i, j: entry(p, i, j, matrices), shift, cap)
-
-    lam1 = grid(lambda_entry, 1, 0)
+    lam1 = _scaled_grid(partial(lam, 1), 0, cap)
     one = _dense({(0, 0): 1}, cap, 2)
     (cos_2x, sin_2x), (cos_2y, sin_2y) = _times_exp(one, (2, 0), -1), _times_exp(one, (0, 2), -1)
     cos_xmy = _times_exp(one, (1, -1), -1, real_only=True)[0]
@@ -561,7 +541,7 @@ def bivariate_closed_form_failures(cap: int, matrices: Sequence[DeltaMatrix]) ->
     check(axes, one, "lambda^(1)(x,0) or lambda^(1)(0,y) differs from 1")
 
     # K 2cos^2(x+y) = 2 sin 2x, K the grid of sqrt2 omega^(1)
-    om1 = grid(omega_entry, 1, 1)
+    om1 = _scaled_grid(partial(om, 1), 1, cap)
     check(
         _add(om1, _times_exp(om1, (2, 2), -1, real_only=True)[0]),
         _add(sin_2x, sin_2x),
@@ -571,18 +551,17 @@ def bivariate_closed_form_failures(cap: int, matrices: Sequence[DeltaMatrix]) ->
     # L_p = 2 C_(p-1) cos 2y + C_p sin 2y;  W_p = sin 2x R_p.  Each column
     # C_q times exp(2iy) serves compositions q and q+1.
     columns = [
-        _times_exp(
-            _scaled_grid(lambda i, j: lambda_entry(1, i + j, q, matrices), q, cap), (0, 2), -1
-        )
+        _times_exp(_scaled_grid(lambda i, j: lam(1, i + j, q), q, cap), (0, 2), -1)
         for q in range(5)
     ]
     for p in range(1, 5):
         composed = _add(columns[p][1], columns[p - 1][0], 2)
-        check(composed, grid(lambda_entry, p, p + 1), f"column composition fails for lambda^({p})")
-        row1 = _scaled_grid(lambda i, j: omega_entry(p, 1, i + j, matrices), p - 1, cap)
+        lambda_p = _scaled_grid(partial(lam, p), p + 1, cap)
+        check(composed, lambda_p, f"column composition fails for lambda^({p})")
+        row1 = _scaled_grid(lambda i, j: om(p, 1, i + j), p - 1, cap)
         check(
             _times_exp(row1, (2, 0), -1)[1],
-            grid(omega_entry, p, p),
+            _scaled_grid(partial(om, p), p, cap),
             f"row composition fails for omega^({p})",
         )
     return failures

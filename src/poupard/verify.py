@@ -238,7 +238,8 @@ def check_gf(report: VerifyReport, cap: int) -> None:
 
 def check_poupard_matrices(report: VerifyReport) -> None:
     p_max, size = 5, 8  # the reindexed matrices lambda^(p), omega^(p) for p <= 5, 8 x 8
-    matrices = delta_matrices((p_max + 2 * size) // 2 + 1)
+    # omega^(p_max)[size-1, size-1] is the cell of largest degree read
+    matrices = delta_matrices(gf.required_matrix_count(2 * size + p_max - 2))
     for p in range(0, p_max + 1):
         with timed_check(report, "poupard-matrices/reindexed", {"p": p, "size": size}) as failures:
             for name, reindex in (("lambda", gf.reindex_lambda), ("omega", gf.reindex_omega)):
@@ -256,8 +257,8 @@ def check_closed_forms(report: VerifyReport, cap: int) -> None:
     is the tests' oracle.  The cap is at least 12, that of acceptance
     criterion 11."""
     cap = max(cap, 12)
-    need = (cap + 7) // 2
-    matrices = delta_matrices(need)
+    # row 1 of omega^(4) reaches degree cap + 5, the largest read
+    matrices = delta_matrices(gf.required_matrix_count(cap + 5))
     with timed_check(report, "closed-forms/bivariate", {"cap": cap}) as failures:
         failures.extend(gf.bivariate_closed_form_failures(cap, matrices))
 

@@ -185,8 +185,47 @@ def test_insufficient_matrices():
     few = delta_matrices(2)
     with pytest.raises(gf.InsufficientMatrices):
         gf.lambda_lhs(10, few)
-    with pytest.raises(gf.InsufficientMatrices):
+    with pytest.raises(gf.InsufficientMatrices, match="M_3 required but not supplied"):
         gf.reindex_lambda(3, 8, few)
+    with pytest.raises(gf.InsufficientMatrices, match="M_3 required but not supplied"):
+        gf.boundary_relations_check(3, 8, few)
+    with pytest.raises(gf.InsufficientMatrices, match="M_3 required but not supplied"):
+        gf.bivariate_closed_form_failures(12, few)
+    # the last matrix the corner cell reads is missing
+    with pytest.raises(gf.InsufficientMatrices, match="M_10 required but not supplied"):
+        gf.reindex_omega(4, 8, delta_matrices(9))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mats: gf.reindex_lambda(-1, 4, mats),
+        lambda mats: gf.reindex_omega(-1, 4, mats),
+        lambda mats: gf.reindex_lambda(1, 0, mats),
+        lambda mats: gf.reindex_omega(1, 0, mats),
+        lambda mats: gf.boundary_relations_check(1, 0, mats),
+    ],
+    ids=["lambda-p-1", "omega-p-1", "lambda-size0", "omega-size0", "transfer-size0"],
+)
+def test_meaningless_sizes_are_rejected(call, matrices):
+    # p = -1 names no matrix, and a 0 x 0 grid would pass having checked nothing
+    with pytest.raises(ValueError, match=r"need p >= [01] and size >= 1, got p=-?\d+, size=\d+$"):
+        call(matrices)
+
+
+def test_matrix_order_does_not_matter(matrices):
+    backwards = list(reversed(matrices))
+    for p in range(6):
+        for reindex in (gf.reindex_lambda, gf.reindex_omega):
+            assert reindex(p, 6, backwards) == reindex(p, 6, matrices), (p, reindex)
+    for p in range(1, 6):
+        assert gf.boundary_relations_check(p, 6, backwards) == []
+    corrupted = bumped(matrices, 4, 8, 3)
+    for cap in (0, 9, 12):
+        for mats in (matrices, corrupted):
+            assert gf.bivariate_closed_form_failures(cap, mats[::-1]) == (
+                gf.bivariate_closed_form_failures(cap, mats)
+            ), cap
 
 
 def test_reindex_lambda1_grid(matrices):
@@ -215,25 +254,96 @@ def test_reindexed_grids_are_poupard(p, matrices):
     assert is_poupard_matrix(gf.reindex_omega(p, 6, matrices)).ok
 
 
+def lambda_cell(p, i, j):
+    """(n, m, k) of lambda^(p)_{i,j} = f_n(i+j+2, j+1) at 2n = p+i+j+1, or
+    None off that parity, where the entry is 0."""
+    two_n = p + i + j + 1
+    return None if two_n % 2 else (two_n // 2, i + j + 2, j + 1)
+
+
+def omega_cell(p, i, j):
+    """(n, m, k) of omega^(p)_{i,j} = f_n(p+1, p+j+2) at 2n = p+i+j+2, or
+    None off that parity, where the entry is 0."""
+    two_n = p + i + j + 2
+    return None if two_n % 2 else (two_n // 2, p + 1, p + j + 2)
+
+
+def paper_grid(cell, p, size, matrices):
+    """The size x size reindexed matrix spelled from the paper's definition
+    through DeltaMatrix.value (zero outside [1, 2n]^2)."""
+    by_n = {mat.n: mat for mat in matrices}
+    return tuple(
+        tuple(
+            0 if (c := cell(p, i, j)) is None else by_n[c[0]].value(c[1], c[2])
+            for j in range(size)
+        )
+        for i in range(size)
+    )
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 4, 5])
+def test_reindexed_grids_match_the_definitions(p, matrices):
+    assert gf.reindex_lambda(p, 8, matrices) == paper_grid(lambda_cell, p, 8, matrices)
+    assert gf.reindex_omega(p, 8, matrices) == paper_grid(omega_cell, p, 8, matrices)
+
+
 def test_transfer_relations(matrices):
     for p in range(1, 5):
         assert gf.boundary_relations_check(p, 6, matrices) == []
+    lam1, lam2 = (paper_grid(lambda_cell, p, 6, matrices) for p in (1, 2))
     # p=2, i=0: lambda^(2)[0,0] = lambda^(1)[0,1] = 0
-    assert gf.lambda_entry(2, 0, 0, matrices) == gf.lambda_entry(1, 0, 1, matrices) == 0
+    assert lam2[0][0] == lam1[0][1] == 0
     # p=2, i=1: lambda^(2)[1,1] = lambda^(1)[2,1] + lambda^(1)[1,2]
-    assert gf.lambda_entry(2, 1, 1, matrices) == gf.lambda_entry(
-        1, 2, 1, matrices
-    ) + gf.lambda_entry(1, 1, 2, matrices)
+    assert lam2[1][1] == lam1[2][1] + lam1[1][2]
+    # a corrupted lambda^(1) cell the relation reads is named
+    n, m, k = lambda_cell(1, 1, 1)
+    failures = gf.boundary_relations_check(2, 6, bumped(matrices, n, m, k))
+    assert failures[0] == f"lambda^2[0,1]=1 != lambda^1[1,1]+lambda^1[0,2]={lam1[1][1] + 1}"
+
+
+# sha256 of the reindex and transfer verdicts below, recorded before the
+# reindexed matrices were read as slices of the trivariate EGFs
+REINDEX_VERDICTS_SHA256 = "9401b0ddcf4695221b35d1ddcd84e6171aef1ca681042290aa50bb120ea69960"
+
+
+def reindex_verdict_lines():
+    """One line per (p, variant): `is_poupard_matrix` of both reindexed
+    matrices and, for p >= 1, the `boundary_relations_check` failures, for
+    p <= 5 at size 8 on the true matrices and eight seeded +1 corruptions
+    of single cells: two anywhere, two read by lambda^(p), two by omega^(p)
+    and one each by lambda^(1) and omega^(1)."""
+    size, p_max = 8, 5
+    top = gf.required_matrix_count(2 * size + p_max - 2)
+    matrices = delta_matrices(top)
+    lines = []
+    for p in range(p_max + 1):
+        rng = random.Random(p)
+        cells = []
+        for _ in range(2):
+            n = rng.randint(1, top)
+            cells.append((n, rng.randint(1, 2 * n), rng.randint(1, 2 * n)))
+        reads = [(lambda_cell, max(p, 1))] * 2 + [(omega_cell, p)] * 2
+        for cell, q in reads + [(lambda_cell, 1), (omega_cell, 1)]:
+            found = None
+            while found is None:
+                found = cell(q, rng.randrange(size), rng.randrange(size))
+            cells.append(found)
+        for mats in [matrices] + [bumped(matrices, *cell) for cell in cells]:
+            verdicts = [is_poupard_matrix(gf.reindex_lambda(p, size, mats))]
+            verdicts.append(is_poupard_matrix(gf.reindex_omega(p, size, mats)))
+            if p >= 1:
+                verdicts.append(gf.boundary_relations_check(p, size, mats))
+            lines.append(repr((p, verdicts)))
+    return lines
+
+
+def test_reindex_verdicts_are_pinned():
+    digest = hashlib.sha256("\n".join(reindex_verdict_lines()).encode()).hexdigest()
+    assert digest == REINDEX_VERDICTS_SHA256
 
 
 def test_closed_forms_small_cap(matrices):
     assert gf.lambda1_closed_forms(8, matrices) == []
-
-
-def test_grid_egf_spot_value(matrices):
-    series = gf.grid_egf(gf.lambda_entry, 1, 6, matrices)
-    # coefficient of x^1 y^1 is lambda^(1)_{1,1} = f_2(4,2) = 1
-    assert series.coefficient((1, 1, 0)) == RootTwoScalar(1)
 
 
 # ---------------------------------------------------------------------------
