@@ -549,6 +549,8 @@ def marginals_failure(
     # column sums at index k+1 (the verified alignment).
     if triangle_row is not None:
         tri = list(triangle_row)  # entries f_n(1..2n+1)
+        if len(tri) != w + 1:
+            raise ValueError(f"triangle row for n={n} must have {w + 1} entries, got {len(tri)}")
         for m in range(1, w + 1):
             if rs[m] != tri[m - 1]:
                 return f"row marginal != triangle at m={m}"

@@ -17,14 +17,15 @@ contains the smallest remaining label to come first.  Blocks are visited by
 ascending first-block size, then lexicographically, and the first subtree
 varies slowest, so output order is reproducible across runs.
 
-The enumerator yields each tree as a shape, a tuple of (parent, childA,
-childB) position triples, and enumerate_trees turns each shape into a Tree
-for the public API, the ha12_map bijection and the `trees` CLI.  One
-recursion over the split streams the top level; only the sub-blocks it
-reuses, up to size 11, are memoized.  The census tables do not use the
-enumerator: they come from a depth-first walk that
-attaches the labels in increasing order to one set of child and parent
-arrays, changed in place, so no per-tree tuple or Tree is built.
+The enumerator works in label space: it yields each tree as a tuple of
+(parent, childA, childB) label triples, which enumerate_trees reads into the
+child dict of a Tree for the public API, the ha12_map bijection and the
+`trees` CLI.  One recursion over the split streams the top level; only the
+sub-blocks it reuses, up to size 11, are memoized, each on labels 1..size
+and relabeled into its block as it is read.  The census tables do not use
+the enumerator: they come from a depth-first walk that attaches the labels
+in increasing order to one set of child and parent arrays, changed in place,
+so no per-tree tuple or Tree is built.
 """
 
 from __future__ import annotations
@@ -138,41 +139,29 @@ class Tree:
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
-#
-# A "shape" is a tuple of (parent, childA, childB) position triples over
-# 0..size-1, positions ordered like the labels they will receive.
-
-
-def _compose(b1: Tuple[int, ...], b2: Tuple[int, ...], sh1, sh2):
-    out = [(0, b1[0], b2[0])]
-    out.extend((b1[p], b1[a], b1[b]) for (p, a, b) in sh1)
-    out.extend((b2[p], b2[a], b2[b]) for (p, a, b) in sh2)
-    return tuple(out)
-
-
-def _splits(size: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Odd-sized partitions (b1, b2) of positions 1..size-1 with 1 in b1,
-    by ascending |b1| then lexicographic b1."""
-    rest = tuple(range(1, size))
-    others = rest[1:]
-    for s in range(1, size - 1, 2):
-        for extra in combinations(others, s - 1):
-            b1 = (1,) + extra
-            chosen = set(extra)
-            b2 = tuple(p for p in others if p not in chosen)
-            yield b1, b2
 
 
 def _iter_shapes(size: int) -> Iterator[tuple]:
-    """Stream the shapes of `size` by the split; sub-blocks up to
-    _MEMO_MAX_SIZE come from the memo, larger ones stream as well."""
+    """Stream the trees on labels 1..size, each a tuple of (parent, childA,
+    childB) triples.  The root 1 splits 2..size into two odd blocks, with 2
+    in the first, b1: by ascending |b1|, then lexicographic b1, the first
+    subtree varying slowest.  A subtree on a block b is a tree on 1..|b|
+    relabeled by l -> b[l]; sub-blocks up to _MEMO_MAX_SIZE come from the
+    memo, larger ones stream as well."""
     if size == 1:
         yield ()
         return
-    for b1, b2 in _splits(size):
-        for sh1 in _sub_shapes(len(b1)):
-            for sh2 in _sub_shapes(len(b2)):
-                yield _compose(b1, b2, sh1, sh2)
+    others = range(3, size + 1)
+    for s in range(1, size - 1, 2):
+        for extra in combinations(others, s - 1):
+            chosen = set(extra)
+            b1 = (0, 2, *extra)  # b[l] for l >= 1; b[0] is never read
+            b2 = (0, *(v for v in others if v not in chosen))
+            root = (1, 2, b2[1])
+            for sh1 in _sub_shapes(s):
+                t1 = [(b1[p], b1[a], b1[b]) for p, a, b in sh1]
+                for sh2 in _sub_shapes(size - 1 - s):
+                    yield (root, *t1, *[(b2[p], b2[a], b2[b]) for p, a, b in sh2])
 
 
 def _sub_shapes(size: int) -> Iterable[tuple]:
@@ -189,8 +178,7 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     for shape in _iter_shapes(2 * n + 1):
-        children = {p + 1: (a + 1, b + 1) for (p, a, b) in shape}
-        yield Tree(n=n, children=children)
+        yield Tree(n, {p: (a, b) for p, a, b in shape})
 
 
 def tree_count(n: int) -> int:
@@ -221,10 +209,17 @@ def minimal_chain(t: Tree) -> List[int]:
     return chain
 
 
+def _check_interior_count(t: Tree) -> None:
+    # a tree short of interior labels still has a minimal chain to read
+    if len(t.children) != t.n:
+        raise ValueError(f"n={t.n} needs {t.n} interior labels, got {len(t.children)}")
+
+
 def eoc(t: Tree) -> int:
     """End of the minimal chain; defined for n >= 1 and lies in [2, 2n]."""
     if t.n == 0:
         raise StatisticUndefined("eoc is undefined on the single-node tree")
+    _check_interior_count(t)
     return minimal_chain(t)[-1]
 
 
@@ -249,8 +244,7 @@ def ha12_map(t: Tree) -> Tree:
     if t.n == 0:
         raise StatisticUndefined("bijection undefined on the single-node tree")
     size = 2 * t.n + 1
-    if len(t.children) != t.n:
-        raise ValueError(f"n={t.n} needs {t.n} interior labels, got {len(t.children)}")
+    _check_interior_count(t)
     chain = minimal_chain(t)
     relabel = list(range(-1, size))  # v -> v - 1 off the chain; index 0 unused
     children = {}

@@ -25,14 +25,15 @@ class Triangle:
 
     def value(self, n: int, m: int) -> int:
         """f_n(m) with the zero convention outside 1 <= m <= 2n+1."""
-        if n < 0 or n >= len(self.rows):
-            raise IndexError(f"row {n} not computed")
-        row = self.rows[n]
+        row = self.row(n)
         if 1 <= m <= len(row):
             return row[m - 1]
         return 0
 
     def row(self, n: int) -> Tuple[int, ...]:
+        """Row n, entries f_n(1..2n+1); IndexError unless 0 <= n <= n_max."""
+        if n < 0 or n >= len(self.rows):
+            raise IndexError(f"row {n} not computed")
         return self.rows[n]
 
     def to_json(self) -> str:

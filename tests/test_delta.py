@@ -26,6 +26,7 @@ from poupard.delta import (
     counter_diagonal_failure,
     eoc_pom_polynomial,
     in_region,
+    marginals_failure,
     matrix_properties_check,
     recurrence_failure,
     region_cells,
@@ -183,6 +184,17 @@ def test_matrix_properties_check():
         prev = build_matrix(n - 1, "D1") if n > 1 else None
         result = matrix_properties_check(mat, prev, tri.row(n))
         assert result.ok, result.failures
+
+
+@pytest.mark.parametrize("row", [(0, 1, 2, 1, 0, 7), (0, 1, 2, 1)])
+def test_properties_check_rejects_a_triangle_row_of_the_wrong_length(row):
+    # M_2 needs the 5 entries f_2(1..5): a 6th was never read, a 4th missing
+    # raised a bare IndexError
+    mat, prev = build_matrix(2, "D1"), build_matrix(1, "D1")
+    expected = f"^triangle row for n=2 must have 5 entries, got {len(row)}$"
+    for check in (marginals_failure, matrix_properties_check):
+        with pytest.raises(ValueError, match=expected):
+            check(mat, prev, row)
 
 
 def test_crossing_spot_value():

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -79,13 +80,27 @@ _ORDER_DIGESTS = {
     3: "15c77bb208347a949a3752d14af867ae257ecaeb96ccc784c0f05f8c4b3efd9d",
     4: "d0f5d95da9597483eeda25951c236a09119919cf8d54ecaa6cecdbe079df13bb",
     5: "0483ba8beca374d6ad5a7c42ae51d179e0f11b02991e4aecdaa1db0cd5c4618c",
+    # n = 6 reads its size-11 sub-blocks from the memo
+    6: "c0e96be69e3f23aa3263c55e9ae58c177d9c5fc87ab86062df39ee09858bfdf0",
 }
+
+# the same digest over the first 100 000 trees of n = 7, which pass through a
+# streamed size-13 sub-block, above _MEMO_MAX_SIZE
+_ORDER_DIGEST_7_PREFIX = "1d411c7249537b39f5bdf56fac3682e59155a261a24bd5d056945fb200a70265"
+
+
+def _order_digest(enumerated):
+    text = "\n".join(t.serialize() for t in enumerated)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("n", sorted(_ORDER_DIGESTS))
 def test_enumeration_order_matches_recorded_digest(n):
-    text = "\n".join(t.serialize() for t in enumerate_trees(n))
-    assert hashlib.sha256(text.encode()).hexdigest() == _ORDER_DIGESTS[n]
+    assert _order_digest(enumerate_trees(n)) == _ORDER_DIGESTS[n]
+
+
+def test_enumeration_order_past_the_memo_matches_recorded_digest():
+    assert _order_digest(islice(enumerate_trees(7), 100_000)) == _ORDER_DIGEST_7_PREFIX
 
 
 def _assert_memo_holds(sizes):
@@ -189,17 +204,20 @@ def test_missing_label_is_a_value_error():
 
 def test_ha12_map_rejects_a_tree_with_too_few_interior_labels():
     # n = 2 needs two interior labels; with one, label 5 is never placed and
-    # the map would otherwise return Tree(2, {1: (2, 5)}), also under -O
+    # the map would otherwise return Tree(2, {1: (2, 5)}) and eoc 2, also
+    # under -O
     expected = "n=2 needs 2 interior labels, got 1"
-    with pytest.raises(ValueError) as info:
-        ha12_map(Tree(2, {1: (2, 3)}))
-    assert str(info.value) == expected
+    for stat in (ha12_map, eoc):
+        with pytest.raises(ValueError) as info:
+            stat(Tree(2, {1: (2, 3)}))
+        assert str(info.value) == expected
     script = (
-        "from poupard.trees import Tree, ha12_map\n"
-        "try:\n"
-        "    ha12_map(Tree(2, {1: (2, 3)}))\n"
-        "except ValueError as exc:\n"
-        "    print(exc)\n"
+        "from poupard.trees import Tree, eoc, ha12_map\n"
+        "for stat in (ha12_map, eoc):\n"
+        "    try:\n"
+        "        stat(Tree(2, {1: (2, 3)}))\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
     )
     src = str(Path(poupard.__file__).resolve().parent.parent)
     proc = subprocess.run(
@@ -210,7 +228,7 @@ def test_ha12_map_rejects_a_tree_with_too_few_interior_labels():
         timeout=20,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [expected]
+    assert proc.stdout.splitlines() == [expected] * 2
 
 
 @pytest.mark.parametrize(

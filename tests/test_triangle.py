@@ -47,6 +47,14 @@ def test_row_properties_through_n8():
             assert sum(row) == TANGENT_ORACLE[n] // 2**n
 
 
+@pytest.mark.parametrize("n", [-3, -1, 3])
+def test_rows_outside_0_to_n_max_are_not_computed(n):
+    tri = poupard_triangle(2)
+    for read in (tri.row, lambda n: tri.value(n, 1)):
+        with pytest.raises(IndexError, match=f"^row {n} not computed$"):
+            read(n)
+
+
 def test_row5_sum():
     assert sum(poupard_triangle(5).row(5)) == 11056
 
