@@ -55,6 +55,19 @@ class Inconsistent(ValueError):
         super().__init__(f"M_{n}: {detail}")
 
 
+def first_difference(f: Sequence, g: Sequence) -> Optional[Tuple[int, ...]]:
+    """First index path (i, j, ...), lexicographic, where two grids of nested
+    lists or tuples differ, or None if they are equal.  A length mismatch at
+    any depth is a difference, at the index where the shorter one ends."""
+    for i, (u, v) in enumerate(zip(f, g)):
+        if u != v:
+            nested = isinstance(u, (list, tuple)) and isinstance(v, (list, tuple))
+            at = first_difference(u, v) if nested else ()
+            if at is not None:  # None: a list and a tuple of equal entries
+                return (i, *at)
+    return None if len(f) == len(g) else (min(len(f), len(g)),)
+
+
 @dataclass(frozen=True)
 class DeltaMatrix:
     """(2n)x(2n) big-integer grid; rows[m-1][k-1] = f_n(m, k)."""
@@ -84,6 +97,17 @@ class DeltaMatrix:
 
     def total(self) -> int:
         return sum(sum(r) for r in self.rows)
+
+    def first_difference(self, other: "DeltaMatrix") -> Optional[tuple]:
+        """(m, k, f_n(m,k), other's f(m,k)) at the first cell, in (m, k)
+        order, where the grids differ, or None if they are equal; a cell off
+        either grid reads None there."""
+        at = first_difference(self.rows, other.rows)
+        if at is None:
+            return None
+        m, k = at[0], at[1] if len(at) > 1 else 0
+        grids = (self.rows, other.rows)
+        return m + 1, k + 1, *(g[m][k] if m < len(g) and k < len(g[m]) else None for g in grids)
 
     # -- interchange formats -------------------------------------------
 
@@ -242,14 +266,10 @@ def _residual_failure(n: int, table, vals, twice) -> Optional[str]:
 # Boundary conditions
 # ---------------------------------------------------------------------------
 
-def boundary_cells(tag: str, n: int, prev: DeltaMatrix) -> Dict[Cell, int]:
-    """Known-cell assignments contributed by one boundary condition."""
-    return _boundary_cells(tag, 2 * n, prev.row_sums(), prev.col_sums())
-
-
 def _boundary_cells(
     tag: str, w: int, rs: Tuple[int, ...], cs: Tuple[int, ...]
 ) -> Dict[Cell, int]:
+    """Known-cell assignments contributed by one boundary condition."""
     # rs[m-1] = f_{n-1}(m, .) and cs[k-1] = f_{n-1}(., k), for 1..2n-2
     out: Dict[Cell, int] = {}
     if tag == "I1":
@@ -488,16 +508,11 @@ class PropertyReport:
 
 def counter_diagonal_failure(mat: DeltaMatrix) -> Optional[str]:
     """f_n(m,k) = f_n(2n+1-k, 2n+1-m) for every cell."""
-    w = 2 * mat.n
-    f = mat.value
-    for m in range(1, w + 1):
-        for k in range(1, w + 1):
-            if f(m, k) != f(w + 1 - k, w + 1 - m):
-                return (
-                    f"counter-diagonal symmetry fails at (m,k)=({m},{k}): "
-                    f"{f(m,k)} != {f(w+1-k,w+1-m)}"
-                )
-    return None
+    # the counter-transpose: columns right to left, each read bottom up
+    diff = mat.first_difference(DeltaMatrix(mat.n, tuple(zip(*mat.rows[::-1]))[::-1]))
+    if diff is None:
+        return None
+    return "counter-diagonal symmetry fails at (m,k)=({},{}): {} != {}".format(*diff)
 
 
 def sub_super_diagonal_failure(mat: DeltaMatrix) -> Optional[str]:
@@ -559,10 +574,8 @@ def marginals_failure(
                 return f"column marginal != triangle at k={k} (index k+1)"
 
     # the marginal equidistribution: #(eoc = k+1) = #(pom = k)
-    for k in range(1, w + 1):
-        if rs[k + 1] != cs[k]:
-            return f"eoc/pom marginal equality fails at k={k}"
-    return None
+    at = first_difference(rs[2 : w + 2], cs[1 : w + 1])
+    return None if at is None else f"eoc/pom marginal equality fails at k={at[0] + 1}"
 
 
 def recurrence_residuals(mat: DeltaMatrix) -> Iterator[Tuple[str, Tuple[Cell, ...], int]]:
@@ -603,10 +616,10 @@ def matrix_properties_check(
 def eoc_pom_polynomial(mat: DeltaMatrix) -> Tuple[Tuple[int, ...], ...]:
     """Coefficient grid g_n(m,k) = f_n(m, 2n+1-k) of the symmetric joint
     generating polynomial (the pom axis reversed).  g = g^T is the
-    counter-diagonal symmetry of M_n; raises AssertionError if it fails."""
+    counter-diagonal symmetry of M_n; raises ValueError if it fails."""
     failure = counter_diagonal_failure(mat)
     if failure is not None:
-        raise AssertionError(f"joint generating polynomial not symmetric: {failure}")
+        raise ValueError(f"joint generating polynomial not symmetric: {failure}")
     w = 2 * mat.n
     return tuple(
         tuple(mat.value(m, w + 1 - k) for k in range(1, w + 1)) for m in range(1, w + 1)

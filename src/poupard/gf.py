@@ -46,7 +46,7 @@ from math import comb, factorial
 from operator import getitem, mul
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
-from .delta import DeltaMatrix
+from .delta import DeltaMatrix, first_difference
 from .scalars import HALF_SQRT2, SQRT2, ZERO, RootTwoScalar
 from .series import LinearForm, Monomial, TriSeries, of_linear_form, reciprocal
 from .series import trig_in_x, trig_series
@@ -232,14 +232,6 @@ def _add(f: Grid, g: Grid, c: int = 1) -> Grid:
     return [u + c * v for u, v in zip(f, g)]
 
 
-def _first_difference(f: Grid, g: Grid) -> Optional[Tuple[int, ...]]:
-    """First (i, j, ...), lexicographic, where the grids differ."""
-    for i, (u, v) in enumerate(zip(f, g)):
-        if u != v:
-            return (i, *_first_difference(u, v)) if isinstance(u, list) else (i,)
-    return None
-
-
 @lru_cache(maxsize=None)
 def _exp_weights(a: int, d: int, cap: int) -> Tuple[tuple, tuple]:
     """C(t,k) (ac)^k for t <= cap, c^2 = d, with (ac)^k = (a^2 d)^(k//2),
@@ -316,7 +308,7 @@ def closed_form_mismatch(lhs: EGF, numerator: EGF, cap: int) -> Optional[Monomia
     cos(sqrt2 S) is the rational part of exp(cS), c = sqrt(-2)."""
     grid = _dense(lhs, cap, 3)
     cos_part = _times_exp(grid, (1, 1, 1), -2, real_only=True)[0]
-    return _first_difference(_add(grid, cos_part), _dense(numerator, cap, 3))
+    return first_difference(_add(grid, cos_part), _dense(numerator, cap, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +500,7 @@ def bivariate_closed_form_failures(cap: int, matrices: Sequence[DeltaMatrix]) ->
     om = _reindexed(cap + 5, matrices, False, range(1, 5))
 
     def check(lhs: Grid, rhs: Grid, identity: str) -> None:
-        mono = _first_difference(lhs, rhs)
+        mono = first_difference(lhs, rhs)
         if mono is not None:
             failures.append(f"{identity} (first at x^{mono[0]} y^{mono[1]})")
 

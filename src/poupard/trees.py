@@ -73,13 +73,6 @@ class Tree:
     def size(self) -> int:
         return 2 * self.n + 1
 
-    def parents(self) -> Dict[int, int]:
-        """{child: parent}, built from `children` on every call."""
-        return {c: p for p, (a, b) in self.children.items() for c in (a, b)}
-
-    def is_leaf(self, label: int) -> bool:
-        return label not in self.children
-
     def validate(self) -> None:
         """Check every axiom; raises ValueError on the first violation."""
         if self.n < 0:

@@ -19,6 +19,7 @@ from .delta import (
     counter_diagonal_failure,
     crossing_failure,
     delta_matrices,
+    first_difference,
     marginals_failure,
     recurrence_failure,
     recurrence_residuals,
@@ -66,18 +67,19 @@ def _capped(
 def check_golden(report: VerifyReport, n_max: int) -> None:
     for n in range(1, min(n_max, 5) + 1):
         with timed_check(report, "golden/matrix", {"n": n}) as failures:
-            built = build_matrix(n, "D1")
-            fixture = load_fixture_matrix(n)
-            if built != fixture:
-                failures.append(f"built M_{n} differs from the golden fixture")
+            diff = build_matrix(n, "D1").first_difference(load_fixture_matrix(n))
+            if diff is not None:
+                failures.append("f_{}({},{}): built {}, fixture {}".format(n, *diff))
 
     with timed_check(report, "golden/triangle", {"rows": "0..4"}) as failures:
-        fixture = Triangle.from_json((FIXTURES / "triangle.json").read_text())
+        golden = Triangle.from_json((FIXTURES / "triangle.json").read_text())
         tri = poupard_triangle(4)
-        for n, row in enumerate(fixture.rows):
-            if tri.row(n) != row:
-                failures.append(f"triangle row {n}: {list(tri.row(n))} != {list(row)}")
-                break
+        at = first_difference(tri.rows, golden.rows)
+        if at is not None and len(at) == 1:  # from_json fixes each row's length
+            failures.append(f"built {len(tri.rows)} triangle rows, fixture {len(golden.rows)}")
+        elif at is not None:
+            n, j = at
+            failures.append(f"f_{n}({j + 1}): built {tri.rows[n][j]}, fixture {golden.rows[n][j]}")
 
     with timed_check(report, "golden/bijection-pair", {}) as failures:
         pair = json.loads((FIXTURES / "bijection_pair.json").read_text())
@@ -85,20 +87,20 @@ def check_golden(report: VerifyReport, n_max: int) -> None:
         image = ha12_map(src)
         if image.serialize() != pair["image"]:
             failures.append(f"map image {image.serialize()!r} != fixture {pair['image']!r}")
-        if eoc(src) != pair["eoc_source"] or pom(src) != pair["pom_source"]:
-            failures.append("source statistics differ from fixture")
-        if pom(image) != pair["pom_image"]:
-            failures.append("image pom differs from fixture")
+        stats = {"eoc_source": eoc(src), "pom_source": pom(src), "pom_image": pom(image)}
+        for key, value in stats.items():
+            if value != pair[key]:
+                failures.append(f"{key}: computed {value}, fixture {pair[key]}")
 
 
 def check_equivalence(report: VerifyReport, n_max: int) -> None:
     for n in range(1, n_max + 1):
         with timed_check(report, "equivalence/strategies", {"n": n}) as failures:
             reference = build_matrix(n, "D1")
-            for tag in sorted(STRATEGIES):
-                candidate = build_matrix(n, tag)  # Unresolved/Inconsistent -> fail
-                if candidate != reference:
-                    failures.append(f"{tag} differs from D1 at n={n}")
+            for tag in sorted(STRATEGIES):  # Unresolved/Inconsistent -> fail
+                diff = build_matrix(n, tag).first_difference(reference)
+                if diff is not None:
+                    failures.append("f_{}({},{}): {tag} {}, D1 {}".format(n, *diff, tag=tag))
                     break
 
 
@@ -110,9 +112,9 @@ def check_enumeration(report: VerifyReport, n_max: int, force: bool) -> None:
             expected = tree_count(n)
             if dist.total() != expected:
                 failures.append(f"enumerated {dist.total()} trees, expected {expected}")
-            mat = build_matrix(n, "D1")
-            if dist != mat:
-                failures.append("joint (eoc, pom) counts differ from the built matrix")
+            diff = dist.first_difference(build_matrix(n, "D1"))
+            if diff is not None:
+                failures.append("f_{}({},{}): enumerated {}, built {}".format(n, *diff))
             totals.append(dist.total())
     with timed_check(
         report, "enumeration/totals", {"values": ",".join(str(t) for t in totals)}
@@ -147,13 +149,12 @@ def check_crossing(report: VerifyReport, n_max: int) -> None:
 
 def check_marginals(report: VerifyReport, n_max: int) -> None:
     tri = poupard_triangle(n_max)
-    for n in range(1, n_max + 1):
-        with timed_check(report, "marginals/identities", {"n": n}) as failures:
-            mat = build_matrix(n, "D1")
-            prev = build_matrix(n - 1, "D1") if n >= 2 else None
-            failure = marginals_failure(mat, prev, tri.row(n))
-            if failure is not None:
-                failures.append(failure)
+
+    def identities(mat: DeltaMatrix):
+        prev = build_matrix(mat.n - 1, "D1") if mat.n >= 2 else None
+        return marginals_failure(mat, prev, tri.row(mat.n))
+
+    _check_each(report, "marginals/identities", 1, n_max, identities)
 
     # The stated doubled initial condition contradicts the data; record the
     # demonstration (pass = the doubled form fails AND the plain form holds).
@@ -205,15 +206,15 @@ def check_census(report: VerifyReport, n_max: int, force: bool) -> None:
                 else:
                     witness = tables.r2_outside[m - 1][k - 1] + tables.r2_inside[m - 1][k - 1]
                 if d2 + 2 * witness != 0:
-                    failures.append(f"{tag} second difference at (m,k)=({m},{k})")
+                    text = f"{tag} second difference at (m,k)=({m},{k}): {d2}, witness {witness}"
+                    failures.append(text)
                     break
 
     # the reduced recurrences as pure matrix identities
-    for n in range(2, n_max + 1):
-        with timed_check(report, "census/matrix-recurrences", {"n": n}) as failures:
-            failure = recurrence_failure(build_matrix(n, "D1"), build_matrix(n - 1, "D1"))
-            if failure is not None:
-                failures.append(failure)
+    _check_each(
+        report, "census/matrix-recurrences", 2, n_max,
+        lambda mat: recurrence_failure(mat, build_matrix(mat.n - 1, "D1")),
+    )
 
 
 def check_gf(report: VerifyReport, cap: int) -> None:

@@ -227,8 +227,8 @@ def _tables_from_tree_api(n):
     grids = {name: [[0] * w for _ in range(w)] for name in ("joint", "r1", "out", "in")}
     for t in enumerate_trees(n):
         m, k = eoc(t), pom(t)
-        assert m == minimal_chain(t)[-1] and t.is_leaf(m)
-        par = t.parents()
+        assert m == minimal_chain(t)[-1] and m not in t.children
+        par = {c: p for p, pair in t.children.items() for c in pair}
         ancestors = set()
         v = m
         while v != 1:
@@ -237,11 +237,11 @@ def _tables_from_tree_api(n):
         grids["joint"][m - 1][k - 1] += 1
         # r1_witness at (eoc-1, pom): eoc-1 is the parent of leaves eoc, eoc+1
         r = m - 1
-        if t.children.get(r) == (r + 1, r + 2) and t.is_leaf(r + 1) and t.is_leaf(r + 2):
+        if t.children.get(r) == (r + 1, r + 2) and not {r + 1, r + 2} & t.children.keys():
             grids["r1"][r - 1][k - 1] += 1
         # r2 witnesses at (eoc, pom-1)
         q = k - 1
-        if q < 1 or not t.is_leaf(q + 2):
+        if q < 1 or q + 2 in t.children:
             continue
         if q + 2 in t.children.get(q + 1, ()) and par[q + 1] == q and q not in ancestors:
             grids["out"][m - 1][q - 1] += 1

@@ -139,6 +139,7 @@ def test_verify_detects_corrupted_golden(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert "FAIL" in out
     assert "counterexample" in out
+    assert "f_2(3,1): built 1, fixture 99" in out
 
 
 def test_export_writes_artifacts(tmp_path, capsys):

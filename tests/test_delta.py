@@ -21,9 +21,9 @@ from poupard.delta import (
     Inconsistent,
     Unresolved,
     _known_for,
-    boundary_cells,
     build_matrix,
     counter_diagonal_failure,
+    crossing_failure,
     eoc_pom_polynomial,
     in_region,
     marginals_failure,
@@ -31,11 +31,16 @@ from poupard.delta import (
     recurrence_failure,
     region_cells,
     solve_constraints,
+    sub_super_diagonal_failure,
 )
 from poupard.triangle import poupard_triangle
 from poupard.verify import load_fixture_matrix, run_checks
 
 M2_ROWS = ((0, 0, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0), (0, 1, 0, 0))
+
+
+def boundary_cells(tag, n, prev):
+    return delta._boundary_cells(tag, 2 * n, prev.row_sums(), prev.col_sums())
 
 
 def test_m1_constant():
@@ -246,6 +251,34 @@ def test_recurrence_failure_texts_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RECURRENCE_FAILURE_DIGEST
 
 
+# sha256 of the 2184 texts ("None" where the identity still holds) of the
+# symmetry, diagonal, crossing and three marginals predicates for +1 on each
+# cell of M_1..M_6, recorded before the predicates shared one comparison
+PREDICATE_FAILURE_DIGEST = "5cbc8af4e34b799b85d45de84aaf058e6f974a258f9e8e7005ff3fec963f877d"
+
+
+def test_predicate_failure_texts_pinned():
+    tri = poupard_triangle(6)
+    lines = []
+    for n in range(1, 7):
+        mat = build_matrix(n)
+        prev = build_matrix(n - 1) if n > 1 else None
+        for m in range(1, 2 * n + 1):
+            for k in range(1, 2 * n + 1):
+                bumped = _bumped(mat, m, k)
+                texts = (
+                    counter_diagonal_failure(bumped),
+                    sub_super_diagonal_failure(bumped),
+                    crossing_failure(bumped),
+                    marginals_failure(bumped, prev, tri.row(n)),
+                    marginals_failure(bumped, prev),
+                    marginals_failure(bumped, None),
+                )
+                lines.extend(map(str, texts))
+    assert len(lines) == 2184
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PREDICATE_FAILURE_DIGEST
+
+
 def test_marginals_erratum_check_lists_every_failure_in_order(monkeypatch):
     # adding M_2's total to f_3(2,1) doubles both row sum 2 and column sum 1
     total = build_matrix(2).total()
@@ -302,6 +335,40 @@ def test_eoc_pom_polynomial():
     assert g2[2][3] == m2.value(3, 1) == 1
     assert g2[3][2] == m2.value(4, 2) == 1
     eoc_pom_polynomial(build_matrix(4, "D1"))  # full 8x8 symmetry holds
+
+
+def test_eoc_pom_polynomial_rejects_an_asymmetric_matrix():
+    damaged = _bumped(build_matrix(3), 3, 1)
+    with pytest.raises(ValueError, match=re.escape(counter_diagonal_failure(damaged))):
+        eoc_pom_polynomial(damaged)
+
+
+@pytest.mark.parametrize(
+    "f, g, at",
+    [
+        ([[1], [2, 3]], [[1], [2, 3]], None),
+        ([[1], [2, 3]], ((1,), (2, 3)), None),
+        ([[1], [2, 3]], [[1], [2, 4]], (1, 1)),
+        # a length mismatch at any depth is a difference, never a TypeError
+        ([[1], [2]], [[1], [2, 3]], (1, 1)),
+        ([[1], [2, 3]], [[1], [2]], (1, 1)),
+        ([[1]], [[1], [2]], (1,)),
+        ([[1], 2], [[1], [2]], (1,)),
+        ([[[0, 1]], [[2]]], [[[0, 1]], [[5]]], (1, 0, 0)),
+    ],
+)
+def test_first_difference(f, g, at):
+    assert delta.first_difference(f, g) == at
+    assert delta.first_difference(g, f) == at
+
+
+def test_matrix_first_difference_names_the_cell_and_both_values():
+    mat = build_matrix(3)
+    assert mat.first_difference(build_matrix(3, "D9")) is None
+    assert _bumped(mat, 4, 2).first_difference(mat) == (4, 2, 4, 3)
+    # a shape mismatch neither passes nor raises: the missing cell reads None
+    assert mat.first_difference(M1) == (1, 3, 0, None)
+    assert M1.first_difference(mat) == (1, 3, None, 0)
 
 
 def test_json_roundtrip_bit_exact():

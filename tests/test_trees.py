@@ -257,7 +257,7 @@ def test_stat_ranges():
     for n in range(1, 5):
         for t in enumerate_trees(n):
             assert 2 <= eoc(t) <= 2 * n
-            assert t.is_leaf(eoc(t))
+            assert eoc(t) not in t.children  # a leaf
             assert 1 <= pom(t) <= 2 * n - 1
             assert eoc(t) != pom(t)
 
