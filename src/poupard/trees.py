@@ -23,9 +23,8 @@ child dict of a Tree for the public API, the ha12_map bijection and the
 `trees` CLI.  One recursion over the split streams the top level; only the
 sub-blocks it reuses, up to size 11, are memoized, each on labels 1..size
 and relabeled into its block as it is read.  The census tables do not use
-the enumerator: they come from a depth-first walk that attaches the labels
-in increasing order to one set of child and parent arrays, changed in place,
-so no per-tree tuple or Tree is built.
+the enumerator: they attach the labels in increasing order and count the
+partial trees by a small state, so no tree, per-tree tuple or Tree is built.
 """
 
 from __future__ import annotations
@@ -44,16 +43,18 @@ from .triangle import poupard_triangle
 # 349 504 shapes.
 _MEMO_MAX_SIZE = 11
 
-# joint_distribution / census_tables refuse larger n unless forced: the sets
-# T_{2n+1} grow like tangent numbers (n=7 already has ~14.9 million trees).
+# joint_distribution / census_tables refuse larger n unless given a larger limit.
+# They count states, not trees (n = 12 takes about 0.3 s); the caps below stay within it.
 DEFAULT_ENUMERATION_LIMIT = 7
 
-#: n ceilings of the enumeration-backed verify suites; verify --force lifts them
+#: n ceilings of the tree-backed verify suites; verify --force lifts them.
+#: Only bijection visits every tree; enumeration and census read the census
+#: tables, and a higher cap there would change which checks --n-max runs.
 ENUMERATION_CAPS = {"enumeration": 6, "bijection": 5, "census": 6}
 
 
 class EnumerationLimitError(ValueError):
-    """Raised when an enumeration-backed operation exceeds the size bound."""
+    """Raised when a census is asked for an n above its limit."""
 
 
 class StatisticUndefined(ValueError):
@@ -263,7 +264,7 @@ def ha12_map(t: Tree) -> Tree:
 
 @dataclass(frozen=True)
 class CensusTables:
-    """All enumeration-backed counters for one n, gathered in a single pass.
+    """All tree counters for one n, gathered in a single pass over the labels.
 
     joint[m][k]    #{eoc=m, pom=k}
     r1_witness     trees with eoc=m+1, pom=k where m is the parent of the
@@ -285,8 +286,8 @@ class CensusTables:
 
 
 def census_tables(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> CensusTables:
-    """Every per-(m,k) counter of T_{2n+1}; the trees of each n are
-    enumerated once per process, whatever limit the callers pass."""
+    """Every per-(m,k) counter of T_{2n+1}; the tables of each n are
+    counted once per process, whatever limit the callers pass."""
     if n < 1:
         raise ValueError("census requires n >= 1")
     if n > limit:
@@ -299,91 +300,75 @@ def census_tables(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> CensusTable
 # Keyed on n alone: a table is a few (2n)x(2n) grids, so keeping every n is cheap.
 @lru_cache(maxsize=None)
 def _census_walk(n: int) -> CensusTables:
-    """One depth-first pass over T_{2n+1} that fills the joint, R1, R2-outside
-    and R2-inside grids of CensusTables, by position = label - 1; no Tree is built.
+    """The joint, R1, R2-outside and R2-inside grids of CensusTables, by
+    position = label - 1, counted over the partial trees of T_{2n+1} merged
+    by state; no tree is built.
 
     Positions 1..2n are attached in increasing order, as in West's generating
-    tree of the family.  Position j becomes the second child of a position
-    `ones` holds (those with exactly one child) or the first child of one
-    with none; a branch is cut when `ones` outnumbers the positions still to
-    place.  Every tree of T_{2n+1} has exactly one such sequence of parents,
-    so each is visited once.  first / second / parent hold the tree under
-    construction, with 0 for none (the root, position 0, is nobody's child):
-    child entries are set on the way down and cleared on the way back, and
-    parent[j] is rewritten with each choice.  The walk carries eoc as the
-    tail of the first-child chain, which moves only when j becomes the
-    first child of the tail.  The last two positions are placed together:
-    by parity 0 or 2 positions are open at 2n-1, so either 2n-1 and 2n close
-    the two (in both orders), or 2n-1 opens a leaf p and 2n closes p.  At a
-    complete tree the statistics are read from these arrays; positions grow
-    along every path, so eoc is under k iff walking up from it hits k."""
-    size = 2 * n + 1
-    last = size - 1
+    tree of the family: position j becomes the second child of an open
+    position (one with exactly one child) or the first child of a leaf.  It
+    opens a leaf only while fewer than 2n - j positions are open; more could
+    not all close by 2n.  Each tree has one such sequence of moves.  A state
+    (o, t, p, po, f, g) keeps what the grids read of a partial tree:
+      o   the number of open positions;
+      t   the tail of the first-child chain from the root, a leaf; eoc at the end;
+      p   the position guessed as pom when it was placed (the root from the
+          start), or None; po says whether p is open.  p is never closed
+          before position 2n, so a wrong guess never completes;
+      f   1 if t was just placed as the first child of t - 1, 2 once t + 1
+          then closed t - 1, while t + 1 stays a leaf (the R1 witness);
+      g   "pin" / "pout" if p was just placed as the first child of p - 1,
+          which was / was not the tail (so eoc is inside / outside the
+          subtree of p - 1); "in" / "out" once p + 1 then closed p - 1 /
+          opened p, while p + 1 stays a leaf (the R2 witnesses).
+    Each position these fields name is a move of its own; all other open
+    positions make one move, and all other leaves another, weighted by their
+    number.  t and j - 1 are leaves; t - 1 if f = 1, p - 1 if g = "pin" open."""
     w = 2 * n
-    joint = [[0] * w for _ in range(w)]
-    r1w = [[0] * w for _ in range(w)]
-    r2o = [[0] * w for _ in range(w)]
-    r2i = [[0] * w for _ in range(w)]
-    first = [0] * size
-    second = [0] * size
-    parent = [0] * size
-
-    def walk(j: int, ones: Tuple[int, ...], tail: int) -> None:
-        if j < last - 1:
-            for i, p in enumerate(ones):
-                parent[j] = p
-                second[p] = j
-                walk(j + 1, ones[:i] + ones[i + 1:], tail)
-                second[p] = 0
-            if len(ones) < last - j:
-                for p in range(j):
-                    if not first[p]:
-                        parent[j] = p
-                        first[p] = j
-                        walk(j + 1, ones + (p,), j if p == tail else tail)
-                        first[p] = 0
-            return
-        # j = 2n-1 with 0 or 2 open positions: (parent of j, parent of 2n)
-        if ones:
-            a, b = ones
-            ends = ((a, b), (b, a))
-        else:
-            ends = [(p, p) for p in range(j) if not first[p]]
-        for q, kp in ends:
-            parent[j] = q
-            parent[last] = kp
-            if q == kp:  # j opens the leaf kp, and 2n closes it
-                first[kp] = j
-                e = j if kp == tail else tail
-            else:  # j closes q, and 2n closes kp
-                second[q] = j
-                e = tail
-            second[kp] = last
-            joint[e][kp] += 1
-
-            # R1 witness: m := eoc-1 is the parent of leaves m+1 = eoc and m+2.
-            m = e - 1
-            if first[m] == e and second[m] == e + 1 and not first[e + 1]:
-                r1w[m][kp] += 1
-
-            # R2 witnesses key on k := pom-1, the parent of pom, with k+2 a leaf.
-            k = kp - 1
-            if k >= 0 and parent[kp] == k and not first[kp + 1]:
-                # outside: k+1's children are {k+2, 2n+1}; inside: k's are {k+1, k+2}
-                outside = first[kp] == kp + 1
-                if outside or second[k] == kp + 1:
-                    up = e
-                    while up > k:
-                        up = parent[up]
-                    if outside and up != k:
-                        r2o[e][k] += 1
-                    elif not outside and up == k:
-                        r2i[e][k] += 1
-            second[q] = second[kp] = 0
-            if q == kp:
-                first[kp] = 0
-
-    walk(1, (), 0)
+    joint, r1w, r2o, r2i = ([[0] * w for _ in range(w)] for _ in range(4))
+    states = {(0, 0, None, False, 0, ""): 1, (0, 0, 0, False, 0, ""): 1}
+    for j in range(1, w):
+        step: Dict[tuple, int] = {}
+        for (o, t, p, po, f, g), count in states.items():
+            opened = {p if po else None, t - 1 if f == 1 else None, p - 1 if g == "pin" else None}
+            leaves = {t, j - 1, None if po else p, t + 1 if f == 2 else None,
+                      p + 1 if g in ("in", "out") else None}
+            opened.discard(None)
+            leaves.discard(None)
+            # (position, closed or opened, multiplicity); -1 is every unnamed one
+            moves = [(q, True, 1) for q in opened if q != p]
+            moves.append((-1, True, o - len(opened)))
+            if o < w - j:
+                moves += [(q, False, 1) for q in leaves]
+                closed = (j - 1 - o) // 2  # the j - 1 edges fill o + 2 * closed child slots
+                moves.append((-1, False, j - o - closed - len(leaves)))
+            for q, closes, mult in moves:
+                if mult <= 0:
+                    continue
+                if closes:
+                    new = (o - 1, t, p, po, (2 if q == t - 1 else 0) if f == 1 else f,
+                           "in" if g == "pin" and q == p - 1 else g if g in ("in", "out") else "")
+                else:
+                    new = (o + 1, j if q == t else t, p, po or q == p,
+                           int(t == j - 1) if q == t else 0 if f == 1 or q == t + 1 else f,
+                           "out" if g == "pout" and q == p
+                           else "" if g in ("pin", "pout") or g and q == p + 1 else g)
+                news = [new]
+                if p is None:  # j becomes p
+                    attach = ("pin" if q == t else "pout") if not closes and q == j - 1 else ""
+                    news.append(new[:2] + (j, False, new[4], attach))
+                for key in news:
+                    step[key] = step.get(key, 0) + count * mult
+        states = step
+    for (o, t, p, po, f, g), count in states.items():
+        if o == 1 and po:  # position 2n closes p, the one open position
+            joint[t][p] += count
+            if f:  # with f = 1, t - 1 is open, so it is p
+                r1w[t - 1][p] += count
+            if g == "in":
+                r2i[t][p - 1] += count
+            elif g == "out":
+                r2o[t][p - 1] += count
     freeze = lambda g: tuple(tuple(row) for row in g)
     return CensusTables(n, *(freeze(g) for g in (joint, r1w, r2o, r2i)))
 
@@ -392,7 +377,7 @@ census_tables.cache_clear = _census_walk.cache_clear
 
 
 def joint_distribution(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> DeltaMatrix:
-    """Exact joint (eoc, pom) counts on T_{2n+1} by full enumeration; entry
-    (m, k) counts the trees with eoc = m and pom = k."""
+    """Exact joint (eoc, pom) counts on T_{2n+1}, from the census tables;
+    entry (m, k) counts the trees with eoc = m and pom = k."""
     return DeltaMatrix(n, census_tables(n, limit).joint)
 

@@ -1,7 +1,7 @@
 """Executable verification suites for every identity the package implements.
 
-Each suite appends timed CheckRecords to a VerifyReport.  Enumeration-backed
-suites are capped (tree counts explode like tangent numbers) unless forced.
+Each suite appends timed CheckRecords to a VerifyReport.  The tree-backed
+suites stop at their ENUMERATION_CAPS entry unless forced.
 Golden reference data lives in fixtures/ so the suite runs offline.
 """
 
@@ -178,7 +178,8 @@ def check_bijection(report: VerifyReport, n_max: int, force: bool) -> None:
             count = 0
             for t in enumerate_trees(n):
                 image = ha12_map(t)
-                key = image.serialize()
+                # labels fit in a byte up to n = 127, far past any enumerable n
+                key = bytes([v for p, (a, b) in sorted(image.children.items()) for v in (p, a, b)])
                 if key in seen:
                     failures.append(f"image collision at {t.serialize()}")
                     break
@@ -194,7 +195,7 @@ def check_bijection(report: VerifyReport, n_max: int, force: bool) -> None:
 
 
 def check_census(report: VerifyReport, n_max: int, force: bool) -> None:
-    # enumeration-backed second differences against structural witnesses
+    # second differences of the tree census against its structural witnesses
     for n in _capped(report, "census/second-difference", 2, n_max, force):
         with timed_check(report, "census/second-difference", {"n": n}) as failures:
             tables = census_tables(n, limit=n_max)
@@ -233,8 +234,14 @@ def check_gf(report: VerifyReport, cap: int) -> None:
                     f"{triangle}-triangle series differs from its closed form "
                     "(first at x^{} y^{} z^{})".format(*mono)
                 )
-            if gf.permute_axes(lhs, perm) != lhs:
-                failures.append(f"{triangle}-triangle series not symmetric under {swap}")
+            mirror = gf.permute_axes(lhs, perm)
+            if mirror != lhs:
+                at = min(m for m in {*lhs, *mirror} if lhs.get(m) != mirror.get(m))
+                values = lhs.get(at, 0), mirror.get(at, 0)
+                failures.append(
+                    f"{triangle}-triangle series not symmetric under {swap} "
+                    "(first at x^{} y^{} z^{}: {}, swapped {})".format(*at, *values)
+                )
 
 
 def check_poupard_matrices(report: VerifyReport) -> None:

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from poupard import trees, verify
+from poupard import delta, trees, verify
 from poupard.delta import DeltaMatrix, build_matrix, region_cells
 from poupard.report import FAIL, PASS, SKIPPED
 from poupard.trees import (
@@ -304,6 +304,37 @@ def test_census_tables_match_recorded_digests(n):
     tables = census_tables(n)
     grids = (tables.joint, tables.r1_witness, tables.r2_outside, tables.r2_inside)
     assert tuple(_grid_digest(g) for g in grids) == _CENSUS_DIGESTS[n]
+
+
+def test_census_tables_need_no_solver(monkeypatch):
+    # the census is an oracle for the matrices, so it must not be built from them
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the census called the matrix solver")
+
+    monkeypatch.setattr(delta, "build_matrix", forbidden)
+    monkeypatch.setattr(delta, "solve_constraints", forbidden)
+    census_tables.cache_clear()
+    for n in sorted(_CENSUS_DIGESTS):
+        tables = census_tables(n)
+        grids = (tables.joint, tables.r1_witness, tables.r2_outside, tables.r2_inside)
+        assert tuple(_grid_digest(g) for g in grids) == _CENSUS_DIGESTS[n]
+
+
+def test_census_joint_matches_the_matrices_past_enumeration():
+    for n in range(7, 13):
+        assert census_tables(n, limit=n).joint == build_matrix(n, "D1").rows, n
+
+
+def test_forced_tree_suites_pass_up_to_n_9():
+    report = run_checks(["enumeration", "census"], n_max=9, force=True)
+    assert report.passed()
+    for name, n_min in (
+        ("enumeration/joint", 1),
+        ("census/second-difference", 2),
+        ("census/matrix-recurrences", 2),
+    ):
+        statuses = {r.params["n"]: r.status for r in report.checks if r.name == name}
+        assert statuses == {n: PASS for n in range(n_min, 10)}, name
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

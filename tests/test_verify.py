@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from poupard import verify
+from poupard import gf, verify
 from poupard.delta import DeltaMatrix, build_matrix
 from poupard.triangle import poupard_triangle
 from poupard.trees import census_tables, joint_distribution
@@ -107,3 +107,26 @@ def test_census_names_the_second_difference_and_the_witness(monkeypatch):
     assert _failures(report, "census/second-difference") == [
         "R1 second difference at (m,k)=(3,1): -2, witness 2"
     ]
+
+
+@pytest.mark.parametrize(
+    "egf, mono, name, expected",
+    [
+        ("lambda_egf", (1, 2, 1), "gf/lower-triangle",
+         "lower-triangle series not symmetric under y<->z (first at x^1 y^1 z^2: 3, swapped 4)"),
+        ("omega_egf", (2, 1, 1), "gf/upper-triangle",
+         "upper-triangle series not symmetric under x<->z (first at x^1 y^1 z^2: 2, swapped 3)"),
+    ],
+    ids=["lower", "upper"],
+)
+def test_gf_symmetry_names_the_monomial_and_both_values(monkeypatch, egf, mono, name, expected):
+    build = getattr(gf, egf)
+
+    def corrupted(cap, matrices):
+        coeffs = build(cap, matrices)
+        return {**coeffs, mono: coeffs[mono] + 1}
+
+    monkeypatch.setattr(gf, egf, corrupted)
+    report = run_checks(["gf"], cap=6)
+    # the bumped coefficient breaks the closed form first, then the symmetry
+    assert _failures(report, name)[-1] == expected
