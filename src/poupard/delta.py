@@ -554,11 +554,13 @@ def marginals_failure(
         prev_rs = (0, *prev.row_sums(), 0)
         prev_cs = (0, *prev.col_sums())
         for m in range(1, w):
-            if rs[m + 2] - 2 * rs[m + 1] + rs[m] + 2 * prev_rs[m] != 0:
-                return f"row-marginal difference equation fails at m={m}"
+            residual = rs[m + 2] - 2 * rs[m + 1] + rs[m] + 2 * prev_rs[m]
+            if residual != 0:
+                return f"row-marginal difference equation fails at m={m}: residual {residual}"
         for k in range(0, w - 1):
-            if cs[k + 2] - 2 * cs[k + 1] + cs[k] + 2 * prev_cs[k] != 0:
-                return f"column-marginal difference equation fails at k={k}"
+            residual = cs[k + 2] - 2 * cs[k + 1] + cs[k] + 2 * prev_cs[k]
+            if residual != 0:
+                return f"column-marginal difference equation fails at k={k}: residual {residual}"
 
     # marginals against the 1-D triangle: row sums align at the same index,
     # column sums at index k+1 (the verified alignment).
@@ -568,14 +570,20 @@ def marginals_failure(
             raise ValueError(f"triangle row for n={n} must have {w + 1} entries, got {len(tri)}")
         for m in range(1, w + 1):
             if rs[m] != tri[m - 1]:
-                return f"row marginal != triangle at m={m}"
+                return f"row marginal != triangle at m={m}: row sum {rs[m]}, triangle {tri[m - 1]}"
         for k in range(1, w + 1):
             if cs[k] != tri[k]:
-                return f"column marginal != triangle at k={k} (index k+1)"
+                return (
+                    f"column marginal != triangle at k={k} (index k+1): "
+                    f"column sum {cs[k]}, triangle {tri[k]}"
+                )
 
     # the marginal equidistribution: #(eoc = k+1) = #(pom = k)
     at = first_difference(rs[2 : w + 2], cs[1 : w + 1])
-    return None if at is None else f"eoc/pom marginal equality fails at k={at[0] + 1}"
+    if at is None:
+        return None
+    k = at[0] + 1
+    return f"eoc/pom marginal equality fails at k={k}: eoc {rs[k + 1]}, pom {cs[k]}"
 
 
 def recurrence_residuals(mat: DeltaMatrix) -> Iterator[Tuple[str, Tuple[Cell, ...], int]]:

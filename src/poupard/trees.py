@@ -19,12 +19,13 @@ varies slowest, so output order is reproducible across runs.
 
 The enumerator works in label space: it yields each tree as a tuple of
 (parent, childA, childB) label triples, which enumerate_trees reads into the
-child dict of a Tree for the public API, the ha12_map bijection and the
-`trees` CLI.  One recursion over the split streams the top level; only the
-sub-blocks it reuses, up to size 11, are memoized, each on labels 1..size
-and relabeled into its block as it is read.  The census tables do not use
-the enumerator: they attach the labels in increasing order and count the
-partial trees by a small state, so no tree, per-tree tuple or Tree is built.
+child dict of a Tree for the public API and the `trees` CLI; the bijection
+check relabels them directly, through the kernel that ha12_map wraps.  One
+recursion over the split streams the top level; only the sub-blocks it
+reuses, up to size 11, are memoized, each on labels 1..size and relabeled into
+its block as it is read.  The census tables do not use the enumerator: they
+attach the labels in increasing order and count the partial trees by a small
+state, so no tree, per-tree tuple or Tree is built.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ _MEMO_MAX_SIZE = 11
 DEFAULT_ENUMERATION_LIMIT = 7
 
 #: n ceilings of the tree-backed verify suites; verify --force lifts them.
-#: Only bijection visits every tree; enumeration and census read the census
-#: tables, and a higher cap there would change which checks --n-max runs.
+#: Only bijection visits every tree, as label triples through one relabel
+#: kernel (n = 6 takes about 1.3 s); enumeration and census read the census
+#: tables.  A higher cap on any suite would change which checks --n-max runs.
 ENUMERATION_CAPS = {"enumeration": 6, "bijection": 5, "census": 6}
 
 
@@ -228,32 +230,45 @@ def pom(t: Tree) -> int:
     raise ValueError(f"maximum label {top} has no parent")
 
 
-def ha12_map(t: Tree) -> Tree:
-    """The chain-shift bijection with eoc(t) = pom(ha12_map(t)) + 1.
+def _chain_shift(triples: Iterable[Tuple[int, int, int]], size: int) -> Tuple[int, List[int]]:
+    """eoc of the tree on labels 1..size given by its (parent, childA,
+    childB) triples, and its chain-shift image as a parent list: index v
+    holds the image parent of v, 0 for the root and the unused index 0.
 
     With minimal chain a_1 < ... < a_j: chain node a_i is relabeled
-    a_{i+1} - 1, the final a_j becomes 2n+1, and every non-chain label a
-    becomes a - 1.
-    """
+    a_{i+1} - 1, the final a_j becomes size, and every non-chain label a
+    becomes a - 1.  The chain is walked once."""
+    first = {p: (a if a < b else b) for p, a, b in triples}
+    relabel = list(range(-1, size))  # v -> v - 1 off the chain; index 0 unused
+    node = 1
+    while node in first:
+        child = first[node]
+        if child <= node:
+            raise ValueError(f"label order violated on edge {node}->{child}")
+        relabel[node] = child - 1
+        node = child
+    relabel[node] = size
+    parent = [0] * (size + 1)
+    for p, a, b in triples:
+        parent[relabel[a]] = parent[relabel[b]] = relabel[p]
+    return node, parent
+
+
+def ha12_map(t: Tree) -> Tree:
+    """The chain-shift bijection with eoc(t) = pom(ha12_map(t)) + 1, as
+    relabeled by `_chain_shift`."""
     if t.n == 0:
         raise StatisticUndefined("bijection undefined on the single-node tree")
     size = 2 * t.n + 1
     _check_interior_count(t)
-    chain = minimal_chain(t)
-    relabel = list(range(-1, size))  # v -> v - 1 off the chain; index 0 unused
-    children = {}
-    try:
-        for a, b in zip(chain, chain[1:]):
-            relabel[a] = b - 1
-        relabel[chain[-1]] = size
-        for p, (a, b) in t.children.items():
-            if p < 1 or a < 1 or b < 1:  # a negative index would not raise
-                raise IndexError
-            ca, cb = relabel[a], relabel[b]
-            children[relabel[p]] = (ca, cb) if ca < cb else (cb, ca)
-    except IndexError:
-        bad = next(v for p, pair in t.children.items() for v in (p, *pair) if not 0 < v <= size)
-        raise ValueError(f"label {bad} out of range 1..{size}") from None
+    triples = [(p, *pair) for p, pair in t.children.items()]
+    bad = next((v for triple in triples for v in triple if not 0 < v <= size), None)
+    if bad is not None:
+        raise ValueError(f"label {bad} out of range 1..{size}")
+    _, parent = _chain_shift(triples, size)
+    children: Dict[int, Tuple[int, ...]] = {}
+    for v in range(2, size + 1):  # ascending, so each pair is (smaller, larger)
+        children[parent[v]] = children.get(parent[v], ()) + (v,)
     return Tree(n=t.n, children=children)
 
 

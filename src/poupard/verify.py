@@ -8,6 +8,7 @@ Golden reference data lives in fixtures/ so the suite runs offline.
 from __future__ import annotations
 
 import json
+from operator import ge
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -30,8 +31,9 @@ from .triangle import Triangle, is_poupard_matrix, poupard_triangle
 from .trees import (
     ENUMERATION_CAPS,
     Tree,
+    _chain_shift,
+    _iter_shapes,
     census_tables,
-    enumerate_trees,
     eoc,
     ha12_map,
     joint_distribution,
@@ -174,24 +176,35 @@ def check_marginals(report: VerifyReport, n_max: int) -> None:
 def check_bijection(report: VerifyReport, n_max: int, force: bool) -> None:
     for n in _capped(report, "bijection/chain-shift", 1, n_max, force):
         with timed_check(report, "bijection/chain-shift", {"n": n}) as failures:
+            size = 2 * n + 1
+            labels = range(1, size + 1)
             seen = set()
-            count = 0
-            for t in enumerate_trees(n):
-                image = ha12_map(t)
+            for shape in _iter_shapes(size):
+                end, parent = _chain_shift(shape, size)
                 # labels fit in a byte up to n = 127, far past any enumerable n
-                key = bytes([v for p, (a, b) in sorted(image.children.items()) for v in (p, a, b)])
+                key = bytes(parent)
                 if key in seen:
-                    failures.append(f"image collision at {t.serialize()}")
-                    break
-                seen.add(key)
-                if eoc(t) != pom(image) + 1:
+                    failures.append(f"image collision at {_source(n, shape)}")
+                elif any(map(ge, key[1:], labels)):  # an image parent >= its child
+                    v = next(v for v in labels if key[v] >= v)
                     failures.append(
-                        f"eoc != pom(image)+1 at {t.serialize()}: {eoc(t)} vs {pom(image)}"
+                        f"image not increasing at {_source(n, shape)}: edge {key[v]}->{v}"
                     )
-                    break
-                count += 1
-            if not failures and count != tree_count(n):
+                elif end != key[size] + 1:
+                    failures.append(
+                        f"eoc != pom(image)+1 at {_source(n, shape)}: {end} vs {key[size]}"
+                    )
+                else:
+                    seen.add(key)
+                    continue
+                break
+            if not failures and len(seen) != tree_count(n):
                 failures.append("bijection domain size mismatch")
+
+
+def _source(n: int, shape: tuple) -> str:
+    # the failure path alone builds a Tree, to name the source tree
+    return Tree(n, {p: (a, b) for p, a, b in shape}).serialize()
 
 
 def check_census(report: VerifyReport, n_max: int, force: bool) -> None:

@@ -1,9 +1,14 @@
 """Second-difference census identities on enumerated trees."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import poupard
 from poupard import delta, trees, verify
 from poupard.delta import DeltaMatrix, build_matrix, region_cells
 from poupard.report import FAIL, PASS, SKIPPED
@@ -152,10 +157,10 @@ def test_bijection_check_fails_on_an_image_collision(monkeypatch):
     # every tree of one n is sent to the image of the first tree of that n
     firsts = {}
 
-    def colliding(t):
-        return trees.ha12_map(firsts.setdefault(t.n, t))
+    def colliding(shape, size):
+        return trees._chain_shift(firsts.setdefault(size, shape), size)
 
-    monkeypatch.setattr(verify, "ha12_map", colliding)
+    monkeypatch.setattr(verify, "_chain_shift", colliding)
     records = _bijection_records(3)
     assert records[1].status == PASS  # T_3 has one tree, so nothing collides
     second = list(enumerate_trees(2))[1]
@@ -167,7 +172,13 @@ def test_bijection_check_fails_on_an_image_collision(monkeypatch):
 
 def test_bijection_check_fails_where_eoc_is_not_pom_of_the_image_plus_one(monkeypatch):
     # the identity is a bijection, but eoc(t) = pom(t) + 1 fails on most trees
-    monkeypatch.setattr(verify, "ha12_map", lambda t: t)
+    def identity(shape, size):
+        parent = [0] * (size + 1)
+        for p, a, b in shape:
+            parent[a] = parent[b] = p
+        return trees._chain_shift(shape, size)[0], parent
+
+    monkeypatch.setattr(verify, "_chain_shift", identity)
     records = _bijection_records(2)
     assert records[1].status == PASS  # the one tree of T_3 is a fixed point of the map
     bad = next(t for t in enumerate_trees(2) if eoc(t) != pom(t) + 1)
@@ -175,6 +186,53 @@ def test_bijection_check_fails_where_eoc_is_not_pom_of_the_image_plus_one(monkey
     assert records[2].counterexample == (
         f"eoc != pom(image)+1 at {bad.serialize()}: {eoc(bad)} vs {pom(bad)}"
     )
+
+
+_HUNG_UNDER_3 = """
+from poupard import trees, verify
+
+def hung(shape, size):
+    # label 2 hung under label 3 in every image: the map stays injective and
+    # eoc = pom(image) + 1 still holds, but the image edge 3->2 decreases
+    end, parent = trees._chain_shift(shape, size)
+    parent[2] = 3
+    return end, parent
+
+verify._chain_shift = hung
+for record in verify.run_checks(["bijection"], n_max=2).checks:
+    print(record.params["n"], record.status, record.counterexample)
+"""
+
+
+def test_bijection_check_fails_on_an_image_that_is_not_increasing():
+    # under -O as well, so that the check is no assert
+    src = str(Path(poupard.__file__).resolve().parent.parent)
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _HUNG_UNDER_3],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        firsts = [next(enumerate_trees(n)).serialize() for n in (1, 2)]
+        assert proc.stdout.splitlines() == [
+            f"{n} {FAIL} image not increasing at {first}: edge 3->2"
+            for n, first in zip((1, 2), firsts)
+        ]
+
+
+def test_bijection_check_builds_no_tree(monkeypatch):
+    # the check runs on label triples; a Tree per tree was most of its cost
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the bijection check built a Tree")
+
+    monkeypatch.setattr(trees, "Tree", forbidden)
+    monkeypatch.setattr(verify, "Tree", forbidden)
+    report = run_checks(["bijection"], n_max=5)
+    assert report.passed()
+    assert [r.params["n"] for r in report.checks] == [1, 2, 3, 4, 5]
 
 
 def test_report_that_checked_nothing_does_not_pass():

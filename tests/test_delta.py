@@ -254,7 +254,7 @@ def test_recurrence_failure_texts_pinned():
 # sha256 of the 2184 texts ("None" where the identity still holds) of the
 # symmetry, diagonal, crossing and three marginals predicates for +1 on each
 # cell of M_1..M_6, recorded before the predicates shared one comparison
-PREDICATE_FAILURE_DIGEST = "5cbc8af4e34b799b85d45de84aaf058e6f974a258f9e8e7005ff3fec963f877d"
+PREDICATE_FAILURE_DIGEST = "767cbb4a66ac88b4ff8132275b1e32545377e532a8f20b91c9a287417e0d10be"
 
 
 def test_predicate_failure_texts_pinned():
@@ -277,6 +277,30 @@ def test_predicate_failure_texts_pinned():
                 lines.extend(map(str, texts))
     assert len(lines) == 2184
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PREDICATE_FAILURE_DIGEST
+
+
+def test_marginal_failures_name_their_values():
+    # +1 on f_3(3,1); then -1 on f_3(3,2) as well, which keeps every row sum
+    # so that the column texts show
+    bumped = _bumped(build_matrix(3), 3, 1)
+    rows = [list(r) for r in bumped.rows]
+    rows[2][1] -= 1
+    moved = DeltaMatrix(3, tuple(tuple(r) for r in rows))
+    prev, tri = build_matrix(2), poupard_triangle(3).row(3)
+    texts = [
+        marginals_failure(bumped, prev),
+        marginals_failure(bumped, None, tri),
+        marginals_failure(moved, prev),
+        marginals_failure(moved, None, tri),
+        marginals_failure(bumped, None),
+    ]
+    assert texts == [
+        "row-marginal difference equation fails at m=1: residual 1",
+        "row marginal != triangle at m=3: row sum 9, triangle 8",
+        "column-marginal difference equation fails at k=0: residual -3",
+        "column marginal != triangle at k=1 (index k+1): column sum 5, triangle 4",
+        "eoc/pom marginal equality fails at k=1: eoc 4, pom 5",
+    ]
 
 
 def test_marginals_erratum_check_lists_every_failure_in_order(monkeypatch):

@@ -284,6 +284,26 @@ def test_ha12_bijection_exhaustive(n):
     assert len(images) == total == tree_count(n)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_chain_shift_kernel_matches_the_tree_api(n):
+    size = 2 * n + 1
+    for t in enumerate_trees(n):
+        end, parent = trees._chain_shift([(p, a, b) for p, (a, b) in t.children.items()], size)
+        assert end == eoc(t)
+        from_image = [0] * (size + 1)
+        for p, (a, b) in ha12_map(t).children.items():
+            from_image[a] = from_image[b] = p
+        assert parent == from_image
+        # the relabel rule spelled out again from minimal_chain
+        chain = minimal_chain(t)
+        relabel = {v: v - 1 for v in range(1, size + 1)}
+        relabel.update(zip(chain, [c - 1 for c in chain[1:]] + [size]))
+        expected = [0] * (size + 1)
+        for p, (a, b) in t.children.items():
+            expected[relabel[a]] = expected[relabel[b]] = relabel[p]
+        assert parent == expected
+
+
 def test_serialization_roundtrip():
     for t in enumerate_trees(3):
         assert Tree.deserialize(t.serialize()) == t
