@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--cap", type=_positive("cap", 0), default=10)
     p_verify.add_argument("--json", action="store_true", help="emit the full report as JSON")
     p_verify.add_argument(
-        "--force", action="store_true", help="lift the enumeration size cap"
+        "--force", action="store_true", help="lift the census limit and the bijection cap"
     )
 
     p_export = sub.add_parser("export", help="write artifacts to a directory")

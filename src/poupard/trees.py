@@ -31,6 +31,7 @@ state, so no tree, per-tree tuple or Tree is built.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -44,15 +45,9 @@ from .triangle import poupard_triangle
 # 349 504 shapes.
 _MEMO_MAX_SIZE = 11
 
-# joint_distribution / census_tables refuse larger n unless given a larger limit.
-# They count states, not trees (n = 12 takes about 0.3 s); the caps below stay within it.
+# The census limit: census_tables / joint_distribution refuse larger n unless given
+# a larger limit, and verify's census-backed suites stop here unless forced.
 DEFAULT_ENUMERATION_LIMIT = 7
-
-#: n ceilings of the tree-backed verify suites; verify --force lifts them.
-#: Only bijection visits every tree, as label triples through one relabel
-#: kernel (n = 6 takes about 1.3 s); enumeration and census read the census
-#: tables.  A higher cap on any suite would change which checks --n-max runs.
-ENUMERATION_CAPS = {"enumeration": 6, "bijection": 5, "census": 6}
 
 
 class EnumerationLimitError(ValueError):
@@ -94,12 +89,7 @@ class Tree:
                 if c <= p:
                     raise ValueError(f"label order violated on edge {p}->{c}")
                 seen_children.append(c)
-        if len(seen_children) != len(set(seen_children)):
-            raise ValueError("a node has two parents")
-        if 1 in seen_children:
-            raise ValueError("root has a parent")
-        if set(seen_children) != labels - {1}:
-            raise ValueError("nodes are not connected to the root")
+        _check_one_parent_each(seen_children, size)
         # Now each of 2..size has one parent, of smaller label, so every
         # parent chain reaches 1, and the 2n children form n pairs.
 
@@ -205,6 +195,15 @@ def minimal_chain(t: Tree) -> List[int]:
     return chain
 
 
+def _check_one_parent_each(children: Iterable[int], size: int) -> None:
+    """Raise ValueError naming the first of labels 2..size that is not listed
+    exactly once among the children."""
+    parents = Counter(children)
+    bad = next((v for v in range(2, size + 1) if parents[v] != 1), None)
+    if bad is not None:
+        raise ValueError(f"label {bad} has {parents[bad]} parents, not 1")
+
+
 def _check_interior_count(t: Tree) -> None:
     # a tree short of interior labels still has a minimal chain to read
     if len(t.children) != t.n:
@@ -266,6 +265,7 @@ def ha12_map(t: Tree) -> Tree:
     if bad is not None:
         raise ValueError(f"label {bad} out of range 1..{size}")
     _, parent = _chain_shift(triples, size)
+    _check_one_parent_each((c for _, a, b in triples for c in (a, b)), size)
     children: Dict[int, Tuple[int, ...]] = {}
     for v in range(2, size + 1):  # ascending, so each pair is (smaller, larger)
         children[parent[v]] = children.get(parent[v], ()) + (v,)
@@ -306,25 +306,21 @@ def census_tables(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> CensusTable
     if n < 1:
         raise ValueError("census requires n >= 1")
     if n > limit:
-        raise EnumerationLimitError(
-            f"n={n} exceeds the enumeration bound {limit}; pass a larger limit"
-        )
+        raise EnumerationLimitError(f"n={n} exceeds the census limit {limit}; pass a larger limit")
     return _census_walk(n)
 
 
-# Keyed on n alone: a table is a few (2n)x(2n) grids, so keeping every n is cheap.
-@lru_cache(maxsize=None)
-def _census_walk(n: int) -> CensusTables:
-    """The joint, R1, R2-outside and R2-inside grids of CensusTables, by
-    position = label - 1, counted over the partial trees of T_{2n+1} merged
-    by state; no tree is built.
+def _census_states(n: int) -> Dict[tuple, int]:
+    """The partial trees of T_{2n+1} after position 2n - 1, merged by state
+    and counted; position = label - 1, and no tree is built.
 
     Positions 1..2n are attached in increasing order, as in West's generating
     tree of the family: position j becomes the second child of an open
     position (one with exactly one child) or the first child of a leaf.  It
     opens a leaf only while fewer than 2n - j positions are open; more could
-    not all close by 2n.  Each tree has one such sequence of moves.  A state
-    (o, t, p, po, f, g) keeps what the grids read of a partial tree:
+    not all close by 2n, so no returned state has o > 1.  Each tree has one
+    such sequence of moves.  A state (o, t, p, po, f, g) keeps what the grids
+    read of a partial tree:
       o   the number of open positions;
       t   the tail of the first-child chain from the root, a leaf; eoc at the end;
       p   the position guessed as pom when it was placed (the root from the
@@ -340,7 +336,6 @@ def _census_walk(n: int) -> CensusTables:
     positions make one move, and all other leaves another, weighted by their
     number.  t and j - 1 are leaves; t - 1 if f = 1, p - 1 if g = "pin" open."""
     w = 2 * n
-    joint, r1w, r2o, r2i = ([[0] * w for _ in range(w)] for _ in range(4))
     states = {(0, 0, None, False, 0, ""): 1, (0, 0, 0, False, 0, ""): 1}
     for j in range(1, w):
         step: Dict[tuple, int] = {}
@@ -375,7 +370,15 @@ def _census_walk(n: int) -> CensusTables:
                 for key in news:
                     step[key] = step.get(key, 0) + count * mult
         states = step
-    for (o, t, p, po, f, g), count in states.items():
+    return states
+
+
+# Keyed on n alone: a table is a few (2n)x(2n) grids, so keeping every n is cheap.
+@lru_cache(maxsize=None)
+def _census_walk(n: int) -> CensusTables:
+    """The four grids of CensusTables, read off the final _census_states."""
+    joint, r1w, r2o, r2i = ([[0] * (2 * n) for _ in range(2 * n)] for _ in range(4))
+    for (o, t, p, po, f, g), count in _census_states(n).items():
         if o == 1 and po:  # position 2n closes p, the one open position
             joint[t][p] += count
             if f:  # with f = 1, t - 1 is open, so it is p

@@ -109,8 +109,9 @@ def test_matrix_recurrences(n):
 
 
 def test_force_lifts_census_cap(monkeypatch):
-    # a cap below n_max, so that only force can reach n = 6
-    monkeypatch.setitem(trees.ENUMERATION_CAPS, "census", 5)
+    # a census limit below n_max, so that only force can reach n = 6; verify
+    # reads it at call time
+    monkeypatch.setattr(trees, "DEFAULT_ENUMERATION_LIMIT", 5)
 
     def census_ns(force, status=PASS):
         report = run_checks(["census"], n_max=6, force=force)
@@ -136,7 +137,11 @@ def test_force_lifts_census_cap(monkeypatch):
     ],
 )
 def test_suite_records_n_above_its_cap_as_skipped(monkeypatch, suite, name, n_min):
-    monkeypatch.setitem(trees.ENUMERATION_CAPS, suite, 2)
+    # bijection has a cap of its own; the other two stop at the census limit
+    if suite == "bijection":
+        monkeypatch.setattr(verify, "BIJECTION_CAP", 2)
+    else:
+        monkeypatch.setattr(trees, "DEFAULT_ENUMERATION_LIMIT", 2)
 
     def statuses(force):
         report = run_checks([suite], n_max=3, force=force)
@@ -383,6 +388,31 @@ def test_census_joint_matches_the_matrices_past_enumeration():
         assert census_tables(n, limit=n).joint == build_matrix(n, "D1").rows, n
 
 
+def test_census_suites_stop_at_the_census_limit():
+    # n = 7 is the census limit itself, so it runs unforced; n = 8 is skipped
+    # in both suites, with the limit named
+    limit = trees.DEFAULT_ENUMERATION_LIMIT
+    report = run_checks(["enumeration", "census"], n_max=limit + 1)
+    assert report.passed()
+    skipped = {(r.name, r.params["n"], r.counterexample) for r in report.checks if r.status == SKIPPED}
+    reason = f"n={limit + 1} above census limit {limit}"
+    assert skipped == {
+        ("enumeration/joint", limit + 1, reason),
+        ("census/second-difference", limit + 1, reason),
+    }
+    ran = {(r.name, r.params["n"]) for r in report.checks if r.status == PASS}
+    assert {("enumeration/joint", limit), ("census/second-difference", limit)} <= ran
+
+
+def test_census_states_keep_at_most_one_open_position():
+    # a leaf opens only while o < 2n - j, so after position 2n - 1 no state
+    # has more than one open position; without the bound the end step would still
+    # drop such states, and the grids alone could not tell
+    for n in range(1, 7):
+        states = trees._census_states(n)
+        assert max(o for o, *_ in states) == 1, n
+
+
 def test_forced_tree_suites_pass_up_to_n_9():
     report = run_checks(["enumeration", "census"], n_max=9, force=True)
     assert report.passed()
@@ -400,11 +430,3 @@ def test_census_matches_tree_api_oracle(n):
     tables = census_tables(n)
     got = (tables.joint, tables.r1_witness, tables.r2_outside, tables.r2_inside)
     assert got == _tables_from_tree_api(n)
-
-
-def test_suite_caps_within_library_limit():
-    # a suite must never ask the library for more than its default allows
-    caps = trees.ENUMERATION_CAPS
-    assert verify.ENUMERATION_CAPS is caps
-    assert set(caps) == {"enumeration", "bijection", "census"}
-    assert all(cap <= trees.DEFAULT_ENUMERATION_LIMIT for cap in caps.values())

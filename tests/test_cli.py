@@ -4,6 +4,7 @@ import fcntl
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -231,6 +232,28 @@ def test_export_digests_pinned(tmp_path, capsys):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
     }
     assert digests == EXPORT_DIGESTS
+
+
+# sha256 of the passing `poupard verify --checks all` output: the summary text
+# with each `(…s)` timing stripped, and the --json report with each `seconds`
+# line stripped
+VERIFY_DIGESTS = {
+    "text": "b32ed9f100be152103d886dcba0c7a1be3ef2570230cf4c76d761a47911e2dda",
+    "json": "6f69c213d815630d35f0b2089fb2eea6cbce56ae49182e4ec9eda59e1bf2cfab",
+}
+
+
+def test_verify_report_digests_pinned(capsys):
+    code, text, _ = run_cli(capsys, "verify", "--checks", "all")
+    assert code == 0
+    json_code, report, _ = run_cli(capsys, "verify", "--checks", "all", "--json")
+    assert json_code == 0
+    stripped = {
+        "text": re.sub(r" \([0-9.]+s\)$", "", text, flags=re.M),
+        "json": re.sub(r'\n *"seconds": [^\n]*', "", report),
+    }
+    digests = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in stripped.items()}
+    assert digests == VERIFY_DIGESTS
 
 
 def test_usage_error_on_missing_subcommand(capsys):

@@ -243,6 +243,55 @@ def test_ha12_map_rejects_a_label_below_one(t, label):
         ha12_map(t)
 
 
+_NOT_TREES = [
+    # label 3 under both 1 and 2, so 5 is under nothing; the map returned
+    # Tree(2, {1: (2,), 2: (3, 5), 0: (4,)})
+    (2, {1: (2, 3), 2: (3, 4)}, "label 3 has 2 parents, not 1"),
+    # the root hung off the chain under 3: label 5 is under nothing
+    (2, {1: (2, 3), 3: (1, 4)}, "label 5 has 0 parents, not 1"),
+    (3, {1: (2, 3), 2: (3, 4), 4: (3, 5)}, "label 3 has 3 parents, not 1"),
+]
+
+
+def test_ha12_map_rejects_a_label_with_two_parents_or_none():
+    # the chain, interior count and label range of each are fine; also
+    # under -O, so that the check is no assert
+    for n, children, text in _NOT_TREES:
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            ha12_map(Tree(n, children))
+    script = (
+        "from poupard.trees import Tree, ha12_map\n"
+        f"for n, children, _ in {_NOT_TREES!r}:\n"
+        "    try:\n"
+        "        ha12_map(Tree(n, children))\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(poupard.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [text for *_, text in _NOT_TREES]
+
+
+@pytest.mark.parametrize(
+    "t, text",
+    [
+        (Tree(2, {1: (2, 3), 2: (3, 4)}), "label 3 has 2 parents, not 1"),
+        (Tree(2, {1: (2, 3)}), "label 4 has 0 parents, not 1"),
+    ],
+)
+def test_validate_names_the_label_without_one_parent(t, text):
+    # the same check as ha12_map's
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        t.validate()
+
+
 def test_stats_reject_single_node_tree():
     t0 = Tree(0, {})
     with pytest.raises(StatisticUndefined):
@@ -354,5 +403,6 @@ def test_joint_distribution_structure():
 
 
 def test_enumeration_limit_guard():
-    with pytest.raises(EnumerationLimitError):
-        joint_distribution(DEFAULT_ENUMERATION_LIMIT + 1)
+    limit = DEFAULT_ENUMERATION_LIMIT
+    with pytest.raises(EnumerationLimitError, match=f"^n={limit + 1} exceeds the census limit {limit};"):
+        joint_distribution(limit + 1)

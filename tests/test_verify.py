@@ -88,8 +88,8 @@ def test_enumeration_names_the_cell(monkeypatch):
     monkeypatch.setattr(verify, "joint_distribution", corrupted)
     report = run_checks(["enumeration"], n_max=3)
     assert _failures(report, "enumeration/joint") == [
-        "enumerated 35 trees, expected 34",
-        "f_3(4,2): enumerated 4, built 3",
+        "counted 35 trees, expected 34",
+        "f_3(4,2): census 4, built 3",
     ]
 
 
