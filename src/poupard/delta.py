@@ -16,15 +16,16 @@ over the four index triangles
 plus boundary data taken from the marginals of M_{n-1} (conditions I1-I4 on
 the outermost rows/columns, or just the 2x2 SW / NE corners).  Nine catalog
 strategies combine these; all are solved by one generic propagation engine.
-It counts the unknown cells of every recurrence instance and queues an
-instance only when that count is 1, so each instance is queued at most once
-and solves its last cell when popped (counter-based unit propagation).  It
-flags under-determination (Unresolved) and contradictions (Inconsistent)
-instead of trusting any particular fill order.
+It runs in rounds over int bitmasks of the flat grid: a round derives at once
+the lone unknown cell of every instance whose other two cells are known, z
+before y before x per recurrence (level-synchronous, bit-parallel
+propagation).  It flags under-determination (Unresolved) and contradictions
+(Inconsistent) instead of trusting any particular fill order.
 
 The instances are written once, as flat anchors with a step and a prev offset
-(`_instance_table`); one residual pass serves both the solver's final check
-and the oracle `recurrence_failure`, which never propagates.
+(`_instance_table`, and `_anchor_mask` as bits); one residual pass serves both
+the solver's final check and the oracle `recurrence_failure`, which never
+propagates.
 """
 
 from __future__ import annotations
@@ -225,6 +226,27 @@ def _instance_table(n: int, tags) -> List[Tuple[str, int, int, List[int]]]:
     return table
 
 
+@lru_cache(maxsize=None)
+def _anchor_mask(n: int, tag: str) -> Tuple[str, int, int, int]:
+    """One recurrence's row of `_instance_table`, with its anchors as a
+    bitmask of the flat grid: bit a is set when an instance anchors at a."""
+    ((tag, s, off, anchors),) = _instance_table(n, (tag,))
+    digits = bytearray(b"0" * (4 * n * n))  # bit i at index i
+    for a in anchors:
+        digits[a] = ord("1")
+    return tag, s, off, int(digits[::-1], 2)
+
+
+def _bits(mask: int) -> List[int]:
+    """The indices of the set bits of a nonnegative int, ascending."""
+    digits = bin(mask)[:1:-1] if mask else ""  # bit i at index i; most masks are 0
+    out, i = [], digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
 def _twice_prev(n: int, prev: Optional[DeltaMatrix]) -> List[int]:
     """2 f_{n-1} flattened onto the 2n x 2n grid, zero-padded (0 without prev)."""
     if prev is not None and prev.n != n - 1:
@@ -350,10 +372,6 @@ M1 = DeltaMatrix(1, ((0, 0), (1, 0)))
 # ---------------------------------------------------------------------------
 
 
-# count byte of an instance that solved its last cell; a real count is 0..3
-_SOLVED = 255
-
-
 def solve_constraints(
     n: int,
     known: Mapping[Cell, int],
@@ -363,83 +381,70 @@ def solve_constraints(
     """Determine M_n from known-cell assignments plus recurrence instances.
 
     `known` maps cells (m, k) to int values.  `prev` is M_{n-1}, or None
-    for the bare second differences.  Propagation counts the unknown cells
-    of every instance and queues an instance only when its count is 1, at
-    setup or when a newly solved cell brings it down to 1; a popped instance
-    whose count is still 1 solves its last cell, so its residual is 0.  A
-    final sweep checks every other fully determined instance, so
-    Inconsistent (a nonzero residual or an odd middle value) takes
-    precedence over Unresolved (cells left unknown).
+    for the bare second differences.  Propagation runs in rounds over
+    bitmasks of the flat grid: each round takes, per recurrence in tag
+    order, the instances missing only z, then only y, then only x, and
+    derives each such cell from cells known before the round, unless an
+    earlier instance derived it this round.  It stops after a round that
+    derives nothing.  A final sweep checks every fully known instance that
+    derived no cell, so Inconsistent (a nonzero residual or an odd middle
+    value) takes precedence over Unresolved (cells left unknown).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     twice = _twice_prev(n, prev)
     w = 2 * n
     vals: List[Optional[int]] = [None] * (w * w)  # vals[(m-1)*w + k-1] = f_n(m, k)
+    known_bits = 0  # bit i set when vals[i] is known
     for cell, v in known.items():
         m, k = cell
         if not (1 <= m <= w and 1 <= k <= w):
             raise ValueError(f"known cell {cell} outside the {w}x{w} grid")
         if type(v) is not int:  # exact arithmetic: no float, Fraction or bool
             raise ValueError(f"known value at {cell} must be an int, got {v!r}")
-        vals[(m - 1) * w + k - 1] = v
+        i = (m - 1) * w + k - 1
+        vals[i] = v
+        known_bits |= 1 << i
 
-    # Recurrence r's instance at anchor a is queued as the int a*nrec + r.
-    # counts[r][a] is the number of its unknown cells.  It is 0 where r anchors
-    # no instance, and at least 1 at an anchor whose instance holds a cell not
-    # yet solved, so a nonzero count also marks the instances a new cell wakes.
-    # An instance that solves its last cell is marked _SOLVED instead of 0.
-    table = _instance_table(n, recurrences)
-    nrec = len(table)
-    steps = [s for _, s, _, _ in table]
-    offs = [off for _, _, off, _ in table]
-    counts: List[bytearray] = []
-    stack: List[int] = []
-    for r, (_, s, _, anchors) in enumerate(table):
-        count = bytearray(w * w)
-        for a in anchors:
-            unknown = (vals[a] is None) + (vals[a + s] is None) + (vals[a + 2 * s] is None)
-            count[a] = unknown
-            if unknown == 1:
-                stack.append(a * nrec + r)
-        counts.append(count)
-    touching = list(enumerate(zip(steps, counts)))
-
-    while stack:
-        a, r = divmod(stack.pop(), nrec)
-        if counts[r][a] != 1:  # another instance solved its last cell first
-            continue
-        s = steps[r]
-        x, y, z = vals[a], vals[a + s], vals[a + 2 * s]
-        c = twice[a + offs[r]]
-        if x is None:
-            cell, v = a, 2 * y - z - c
-        elif y is None:
-            # 2*y = x + z + c; the division must be exact
-            num = x + z + c
-            if num % 2 != 0:
-                cells = _cells(n, a, a + s, a + 2 * s)
-                raise Inconsistent(n, f"odd middle value in {table[r][0]} at {cells}")
-            cell, v = a + s, num // 2
-        else:
-            cell, v = a + 2 * s, 2 * y - x - c
-        vals[cell] = v
-        # this instance falls to 0 and is then marked; an instance that falls
-        # to 1 is queued, which happens once per instance
-        for r2, (s2, count) in touching:
-            for a2 in (cell, cell - s2, cell - 2 * s2):
-                if a2 >= 0 and count[a2]:
-                    count[a2] -= 1
-                    if count[a2] == 1:
-                        stack.append(a2 * nrec + r2)
-        counts[r][a] = _SOLVED
+    # Instance (a, a+s, a+2s) of a recurrence is bit a of its anchor mask;
+    # k0, k1, k2 mark the instances whose x, y, z are known before the round,
+    # and derived[r] those that derived their lone cell.
+    table = [_anchor_mask(n, tag) for tag in sorted(frozenset(recurrences))]
+    derived = [0] * len(table)
+    while True:
+        new = 0
+        for r, (tag, s, off, anchors) in enumerate(table):
+            k0 = known_bits & anchors
+            k1 = (known_bits >> s) & anchors
+            k2 = (known_bits >> 2 * s) & anchors
+            lone_z = k0 & k1 & ~k2 & ~(new >> 2 * s)
+            for a in _bits(lone_z):
+                vals[a + 2 * s] = 2 * vals[a + s] - vals[a] - twice[a + off]
+            new |= lone_z << 2 * s
+            lone_y = k0 & k2 & ~k1 & ~(new >> s)
+            for a in _bits(lone_y):
+                # 2*y = x + z + c; the division must be exact
+                num = vals[a] + vals[a + 2 * s] + twice[a + off]
+                if num % 2 != 0:
+                    cells = _cells(n, a, a + s, a + 2 * s)
+                    raise Inconsistent(n, f"odd middle value in {tag} at {cells}")
+                vals[a + s] = num // 2
+            new |= lone_y << s
+            lone_x = k1 & k2 & ~k0 & ~new
+            for a in _bits(lone_x):
+                vals[a] = 2 * vals[a + s] - vals[a + 2 * s] - twice[a + off]
+            new |= lone_x
+            derived[r] |= lone_z | lone_y | lone_x
+        if not new:
+            break
+        known_bits |= new
 
     # only the instances known from the start or completed by others remain
-    table = [
-        (tag, s, off, [a for a in anchors if not count[a]])
-        for (tag, s, off, anchors), count in zip(table, counts)
-    ]
-    failure = _residual_failure(n, table, vals, twice)
+    swept = []
+    for (tag, s, off, anchors), d in zip(table, derived):
+        full = known_bits & (known_bits >> s) & (known_bits >> 2 * s) & anchors
+        swept.append((tag, s, off, _bits(full & ~d)))
+    failure = _residual_failure(n, swept, vals, twice)
     if failure is not None:
         raise Inconsistent(n, failure)
     if None in vals:

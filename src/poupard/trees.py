@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .delta import DeltaMatrix
 from .triangle import poupard_triangle
@@ -86,8 +86,7 @@ class Tree:
             for c in pair:
                 if c not in labels:
                     raise ValueError(f"child {c} out of range")
-                if c <= p:
-                    raise ValueError(f"label order violated on edge {p}->{c}")
+                _check_edge_order(p, c)
                 seen_children.append(c)
         _check_one_parent_each(seen_children, size)
         # Now each of 2..size has one parent, of smaller label, so every
@@ -195,6 +194,12 @@ def minimal_chain(t: Tree) -> List[int]:
     return chain
 
 
+def _check_edge_order(parent: int, child: int) -> None:
+    """Raise ValueError unless the child's label is above its parent's."""
+    if child <= parent:
+        raise ValueError(f"label order violated on edge {parent}->{child}")
+
+
 def _check_one_parent_each(children: Iterable[int], size: int) -> None:
     """Raise ValueError naming the first of labels 2..size that is not listed
     exactly once among the children."""
@@ -266,6 +271,9 @@ def ha12_map(t: Tree) -> Tree:
         raise ValueError(f"label {bad} out of range 1..{size}")
     _, parent = _chain_shift(triples, size)
     _check_one_parent_each((c for _, a, b in triples for c in (a, b)), size)
+    for p, a, b in triples:  # _chain_shift checks the chain's edges only
+        _check_edge_order(p, a)
+        _check_edge_order(p, b)
     children: Dict[int, Tuple[int, ...]] = {}
     for v in range(2, size + 1):  # ascending, so each pair is (smaller, larger)
         children[parent[v]] = children.get(parent[v], ()) + (v,)
@@ -300,11 +308,13 @@ class CensusTables:
     r2_inside: Tuple[Tuple[int, ...], ...]
 
 
-def census_tables(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> CensusTables:
+def census_tables(n: int, limit: Optional[int] = None) -> CensusTables:
     """Every per-(m,k) counter of T_{2n+1}; the tables of each n are
-    counted once per process, whatever limit the callers pass."""
+    counted once per process, whatever limit the callers pass.  Without a
+    limit, DEFAULT_ENUMERATION_LIMIT applies, read at call time."""
     if n < 1:
         raise ValueError("census requires n >= 1")
+    limit = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
     if n > limit:
         raise EnumerationLimitError(f"n={n} exceeds the census limit {limit}; pass a larger limit")
     return _census_walk(n)
@@ -394,7 +404,7 @@ def _census_walk(n: int) -> CensusTables:
 census_tables.cache_clear = _census_walk.cache_clear
 
 
-def joint_distribution(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> DeltaMatrix:
+def joint_distribution(n: int, limit: Optional[int] = None) -> DeltaMatrix:
     """Exact joint (eoc, pom) counts on T_{2n+1}, from the census tables;
     entry (m, k) counts the trees with eoc = m and pom = k."""
     return DeltaMatrix(n, census_tables(n, limit).joint)

@@ -280,6 +280,17 @@ def test_census_enumerates_each_n_once():
     assert walks() == 2
 
 
+def test_census_limit_is_read_at_call_time(monkeypatch):
+    # census_tables and joint_distribution read the default limit when they
+    # are called, as verify does, not when the module is imported
+    monkeypatch.setattr(trees, "DEFAULT_ENUMERATION_LIMIT", 9)
+    assert census_tables(8).joint == trees.joint_distribution(8).rows
+    monkeypatch.setattr(trees, "DEFAULT_ENUMERATION_LIMIT", 2)
+    for count in (census_tables, trees.joint_distribution):
+        with pytest.raises(EnumerationLimitError, match="^n=3 exceeds the census limit 2;"):
+            count(3)
+
+
 def _tables_from_tree_api(n):
     """The four CensusTables grids, recomputed tree by tree from the Tree API
     and the CensusTables definitions (subtree membership by walking parents

@@ -512,6 +512,16 @@ def test_solver_contradiction_outranks_underdetermination():
         solve_constraints(2, {(2, 1): 0, (3, 1): 0, (4, 1): 1}, frozenset({"R1"}), None)
 
 
+def test_solver_derives_z_then_y_then_x():
+    # the R1 instances down column 1 of M_3 at anchors (2,1), (3,1) and (4,1)
+    # each lack only (4,1), as their z, y and x.  The round takes z first,
+    # f(4,1) = 2, so (3,1) is the violated instance and its odd middle
+    # (1 + 0) / 2 is never met
+    detail = "R1 instance at cells ((3, 1), (4, 1), (5, 1)) has residual -3"
+    with pytest.raises(Inconsistent, match=re.escape(detail)):
+        solve_constraints(3, {(2, 1): 0, (3, 1): 1, (5, 1): 0, (6, 1): 0}, ["R1"], None)
+
+
 def _triangle_cells(side, n):
     w = 2 * n
     return {

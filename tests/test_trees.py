@@ -279,6 +279,35 @@ def test_ha12_map_rejects_a_label_with_two_parents_or_none():
     assert proc.stdout.splitlines() == [text for *_, text in _NOT_TREES]
 
 
+def test_ha12_map_rejects_a_falling_edge_off_the_chain():
+    # the chain 1->2, the interior count, the labels and their parents are
+    # fine, but 3 hangs under 4; ha12_map returned a non-increasing image.
+    # It shares the check of validate, also under -O
+    text = "label order violated on edge 4->3"
+    t = Tree(2, {1: (2, 4), 4: (3, 5)})
+    for check in (ha12_map, Tree.validate):
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            check(t)
+    script = (
+        "from poupard.trees import Tree, ha12_map\n"
+        "for check in (ha12_map, Tree.validate):\n"
+        "    try:\n"
+        "        check(Tree(2, {1: (2, 4), 4: (3, 5)}))\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(poupard.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [text] * 2
+
+
 @pytest.mark.parametrize(
     "t, text",
     [
