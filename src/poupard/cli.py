@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Optional
 
@@ -42,6 +43,21 @@ def _positive(kind: str, minimum: int):
         return value
 
     return parse
+
+
+@contextmanager
+def _ints_of_any_size():
+    """Lift Python's limit on the digits of an int turned into text (4300 by
+    default since 3.10.7; 0 means none), restoring it after: the limit guards
+    the parsing of outside input, and a command's output is its own result."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _text(lines) -> str:
@@ -119,11 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_ints_of_any_size()
 def cmd_matrix(args, parser) -> int:
     sys.stdout.write(_MATRIX_TEXT[args.format](build_matrix(args.n, args.strategy)))
     return 0
 
 
+@_ints_of_any_size()
 def cmd_triangle(args, parser) -> int:
     sys.stdout.write(_TRIANGLE_TEXT[args.format](poupard_triangle(args.n_max)))
     return 0
@@ -138,6 +156,7 @@ def cmd_trees(args, parser) -> int:
     return 0
 
 
+@_ints_of_any_size()
 def cmd_gf(args, parser) -> int:
     matrices = delta_matrices(gfmod.required_matrix_count(args.cap))
     sys.stdout.write(_GF_TEXT[args.which](args.cap, matrices))
@@ -177,6 +196,7 @@ def _write_artifacts(args, out: Path) -> None:
         (out / f"gf_{which}.txt").write_text(text(args.cap, matrices))
 
 
+@_ints_of_any_size()
 def cmd_export(args, parser) -> int:
     out = Path(args.out)
     try:

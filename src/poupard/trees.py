@@ -25,7 +25,9 @@ recursion over the split streams the top level; only the sub-blocks it
 reuses, up to size 11, are memoized, each on labels 1..size and relabeled into
 its block as it is read.  The census tables do not use the enumerator: they
 attach the labels in increasing order and count the partial trees by a small
-state, so no tree, per-tree tuple or Tree is built.
+state, so no tree, per-tree tuple or Tree is built.  One such pass up to the
+largest n asked for so far gives the tables of every smaller n on its way,
+and they are kept for the process.
 """
 
 from __future__ import annotations
@@ -45,12 +47,12 @@ from .triangle import poupard_triangle
 # 349 504 shapes.
 _MEMO_MAX_SIZE = 11
 
-# The census limit: census_tables / joint_distribution refuse larger n unless given
-# a larger limit, and verify's census-backed suites stop here unless forced.
-DEFAULT_ENUMERATION_LIMIT = 7
+# The census limit, about 1.6 s for one pass: census_tables / joint_distribution refuse
+# larger n unless given a larger limit, and verify's census suites stop here unless forced.
+CENSUS_LIMIT = 20
 
 
-class EnumerationLimitError(ValueError):
+class CensusLimitError(ValueError):
     """Raised when a census is asked for an n above its limit."""
 
 
@@ -309,33 +311,38 @@ class CensusTables:
 
 
 def census_tables(n: int, limit: Optional[int] = None) -> CensusTables:
-    """Every per-(m,k) counter of T_{2n+1}; the tables of each n are
-    counted once per process, whatever limit the callers pass.  Without a
-    limit, DEFAULT_ENUMERATION_LIMIT applies, read at call time."""
+    """Every per-(m,k) counter of T_{2n+1}.  A pass serves every n up to its own,
+    so ask for the largest n first; the limit defaults to CENSUS_LIMIT at call time."""
     if n < 1:
         raise ValueError("census requires n >= 1")
-    limit = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
+    limit = CENSUS_LIMIT if limit is None else limit
     if n > limit:
-        raise EnumerationLimitError(f"n={n} exceeds the census limit {limit}; pass a larger limit")
-    return _census_walk(n)
+        raise CensusLimitError(f"n={n} exceeds the census limit {limit}; pass a larger limit")
+    if n > len(_census):
+        _census[:] = _census_pass(n)
+    return _census[n - 1]
 
 
-def _census_states(n: int) -> Dict[tuple, int]:
-    """The partial trees of T_{2n+1} after position 2n - 1, merged by state
-    and counted; position = label - 1, and no tree is built.
+_census: List[CensusTables] = []  # n = 1..N, from the largest pass so far
+census_tables.cache_clear = _census.clear
 
-    Positions 1..2n are attached in increasing order, as in West's generating
+
+def _census_pass(top: int) -> Iterator[CensusTables]:
+    """The census tables of n = 1..top, from one walk over the partial trees
+    of T_{2 top + 1} merged by state and counted; position = label - 1.
+
+    Positions are attached in increasing order, as in West's generating
     tree of the family: position j becomes the second child of an open
-    position (one with exactly one child) or the first child of a leaf.  It
-    opens a leaf only while fewer than 2n - j positions are open; more could
-    not all close by 2n, so no returned state has o > 1.  Each tree has one
-    such sequence of moves.  A state (o, t, p, po, f, g) keeps what the grids
-    read of a partial tree:
+    position (one with exactly one child) or the first child of a leaf, one
+    sequence of moves per tree.  A leaf opens only while o < w - j, w = 2 top,
+    as more open positions could not all close by w.  No state that an n <= top
+    completes is dropped, so _census_read reads n's grids after position 2n - 1.
+    A state (o, t, p, po, f, g) keeps what the grids read of a partial tree:
       o   the number of open positions;
       t   the tail of the first-child chain from the root, a leaf; eoc at the end;
       p   the position guessed as pom when it was placed (the root from the
-          start), or None; po says whether p is open.  p is never closed
-          before position 2n, so a wrong guess never completes;
+          start), or None; po says whether p is open.  p is never closed,
+          so a wrong guess never completes;
       f   1 if t was just placed as the first child of t - 1, 2 once t + 1
           then closed t - 1, while t + 1 stays a leaf (the R1 witness);
       g   "pin" / "pout" if p was just placed as the first child of p - 1,
@@ -345,7 +352,7 @@ def _census_states(n: int) -> Dict[tuple, int]:
     Each position these fields name is a move of its own; all other open
     positions make one move, and all other leaves another, weighted by their
     number.  t and j - 1 are leaves; t - 1 if f = 1, p - 1 if g = "pin" open."""
-    w = 2 * n
+    w = 2 * top
     states = {(0, 0, None, False, 0, ""): 1, (0, 0, 0, False, 0, ""): 1}
     for j in range(1, w):
         step: Dict[tuple, int] = {}
@@ -380,15 +387,14 @@ def _census_states(n: int) -> Dict[tuple, int]:
                 for key in news:
                     step[key] = step.get(key, 0) + count * mult
         states = step
-    return states
+        if j % 2:
+            yield _census_read((j + 1) // 2, states)
 
 
-# Keyed on n alone: a table is a few (2n)x(2n) grids, so keeping every n is cheap.
-@lru_cache(maxsize=None)
-def _census_walk(n: int) -> CensusTables:
-    """The four grids of CensusTables, read off the final _census_states."""
+def _census_read(n: int, states: Dict[tuple, int]) -> CensusTables:
+    """n's four grids, read off the states after position 2n - 1 with p open alone."""
     joint, r1w, r2o, r2i = ([[0] * (2 * n) for _ in range(2 * n)] for _ in range(4))
-    for (o, t, p, po, f, g), count in _census_states(n).items():
+    for (o, t, p, po, f, g), count in states.items():
         if o == 1 and po:  # position 2n closes p, the one open position
             joint[t][p] += count
             if f:  # with f = 1, t - 1 is open, so it is p
@@ -397,11 +403,7 @@ def _census_walk(n: int) -> CensusTables:
                 r2i[t][p - 1] += count
             elif g == "out":
                 r2o[t][p - 1] += count
-    freeze = lambda g: tuple(tuple(row) for row in g)
-    return CensusTables(n, *(freeze(g) for g in (joint, r1w, r2o, r2i)))
-
-
-census_tables.cache_clear = _census_walk.cache_clear
+    return CensusTables(n, *(tuple(map(tuple, g)) for g in (joint, r1w, r2o, r2i)))
 
 
 def joint_distribution(n: int, limit: Optional[int] = None) -> DeltaMatrix:

@@ -108,9 +108,11 @@ def check_equivalence(report: VerifyReport, n_max: int) -> None:
 
 
 def check_enumeration(report: VerifyReport, n_max: int, force: bool) -> None:
-    limit = trees.DEFAULT_ENUMERATION_LIMIT  # census_tables' own limit, read at call time
+    limit = trees.CENSUS_LIMIT  # census_tables' own limit, read at call time
+    top = n_max if force else min(n_max, limit)
     for n in _capped(report, "enumeration/joint", 1, n_max, force, limit, "census limit"):
         with timed_check(report, "enumeration/joint", {"n": n}) as failures:
+            census_tables(top, limit=top)  # the largest n first: one pass serves every n
             dist = joint_distribution(n, limit=n_max)
             expected = tree_count(n)
             if dist.total() != expected:
@@ -204,9 +206,11 @@ def _source(n: int, shape: tuple) -> str:
 
 def check_census(report: VerifyReport, n_max: int, force: bool) -> None:
     # second differences of the tree census against its structural witnesses
-    limit = trees.DEFAULT_ENUMERATION_LIMIT
+    limit = trees.CENSUS_LIMIT
+    top = n_max if force else min(n_max, limit)
     for n in _capped(report, "census/second-difference", 2, n_max, force, limit, "census limit"):
         with timed_check(report, "census/second-difference", {"n": n}) as failures:
+            census_tables(top, limit=top)  # as in check_enumeration
             tables = census_tables(n, limit=n_max)
             # R1/R3 are row second differences, R2/R4 column ones
             for tag, cells, d2 in recurrence_residuals(DeltaMatrix(n, tables.joint)):

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from poupard import delta, trees, verify
 from poupard.delta import DeltaMatrix, build_matrix, region_cells
 from poupard.report import FAIL, PASS, SKIPPED
 from poupard.trees import (
-    EnumerationLimitError,
+    CensusLimitError,
     census_tables,
     enumerate_trees,
     eoc,
@@ -111,7 +112,7 @@ def test_matrix_recurrences(n):
 def test_force_lifts_census_cap(monkeypatch):
     # a census limit below n_max, so that only force can reach n = 6; verify
     # reads it at call time
-    monkeypatch.setattr(trees, "DEFAULT_ENUMERATION_LIMIT", 5)
+    monkeypatch.setattr(trees, "CENSUS_LIMIT", 5)
 
     def census_ns(force, status=PASS):
         report = run_checks(["census"], n_max=6, force=force)
@@ -141,7 +142,7 @@ def test_suite_records_n_above_its_cap_as_skipped(monkeypatch, suite, name, n_mi
     if suite == "bijection":
         monkeypatch.setattr(verify, "BIJECTION_CAP", 2)
     else:
-        monkeypatch.setattr(trees, "DEFAULT_ENUMERATION_LIMIT", 2)
+        monkeypatch.setattr(trees, "CENSUS_LIMIT", 2)
 
     def statuses(force):
         report = run_checks([suite], n_max=3, force=force)
@@ -261,33 +262,48 @@ def test_run_checks_rejects_ranges_that_check_nothing(checks, kwargs, message):
         run_checks(checks, **kwargs)
 
 
-def test_census_enumerates_each_n_once():
-    # the enumeration and census suites pass different limits; both must
-    # share one walk of T_{2n+1}
-    walks = lambda: trees._census_walk.cache_info().misses
+def test_census_makes_one_pass_for_every_n(monkeypatch):
+    # a pass for the largest n serves every smaller n, whatever limit the
+    # callers pass, and the verify suites ask for their largest n first
+    passes = []
+    census_pass = trees._census_pass
+
+    def counted(top):
+        passes.append(top)
+        return census_pass(top)
+
+    monkeypatch.setattr(trees, "_census_pass", counted)
     census_tables.cache_clear()
-    first = census_tables(3, limit=5)
-    assert census_tables(3, limit=6) is first
-    assert trees.joint_distribution(3, limit=4).rows == first.joint
-    assert census_tables(3, limit=3).r1_witness[3 - 1][1 - 1] == 1
-    assert walks() == 1
-    with pytest.raises(EnumerationLimitError):
-        census_tables(3, limit=2)
-    census_tables.cache_clear()  # also resets the miss count
     census_tables(3)
-    assert walks() == 1
     census_tables(4)
-    assert walks() == 2
+    assert passes == [3, 4]  # a larger n runs a new pass
+    census_tables.cache_clear()
+    first = census_tables(20)
+    ns = list(range(1, 21))
+    for order in (ns, ns[::-1], random.Random(7).sample(ns, len(ns))):
+        for n in order:
+            tables = census_tables(n, limit=n)
+            assert census_tables(n, limit=30) is tables
+            assert trees.joint_distribution(n).rows == tables.joint
+    assert census_tables(20) is first
+    assert passes == [3, 4, 20]
+    with pytest.raises(CensusLimitError):
+        census_tables(3, limit=2)
+    for checks in (["enumeration", "census"], ["census"]):
+        census_tables.cache_clear()
+        passes.clear()
+        assert run_checks(checks, n_max=20).passed()
+        assert passes == [20], checks
 
 
 def test_census_limit_is_read_at_call_time(monkeypatch):
     # census_tables and joint_distribution read the default limit when they
     # are called, as verify does, not when the module is imported
-    monkeypatch.setattr(trees, "DEFAULT_ENUMERATION_LIMIT", 9)
+    monkeypatch.setattr(trees, "CENSUS_LIMIT", 9)
     assert census_tables(8).joint == trees.joint_distribution(8).rows
-    monkeypatch.setattr(trees, "DEFAULT_ENUMERATION_LIMIT", 2)
+    monkeypatch.setattr(trees, "CENSUS_LIMIT", 2)
     for count in (census_tables, trees.joint_distribution):
-        with pytest.raises(EnumerationLimitError, match="^n=3 exceeds the census limit 2;"):
+        with pytest.raises(CensusLimitError, match="^n=3 exceeds the census limit 2;"):
             count(3)
 
 
@@ -395,14 +411,15 @@ def test_census_tables_need_no_solver(monkeypatch):
 
 
 def test_census_joint_matches_the_matrices_past_enumeration():
-    for n in range(7, 13):
+    census_tables(20)  # the largest n first, so that one pass serves them all
+    for n in range(7, 21):
         assert census_tables(n, limit=n).joint == build_matrix(n, "D1").rows, n
 
 
 def test_census_suites_stop_at_the_census_limit():
-    # n = 7 is the census limit itself, so it runs unforced; n = 8 is skipped
-    # in both suites, with the limit named
-    limit = trees.DEFAULT_ENUMERATION_LIMIT
+    # the census limit itself runs unforced; the n above it is skipped in
+    # both suites, with the limit named
+    limit = trees.CENSUS_LIMIT
     report = run_checks(["enumeration", "census"], n_max=limit + 1)
     assert report.passed()
     skipped = {(r.name, r.params["n"], r.counterexample) for r in report.checks if r.status == SKIPPED}
@@ -415,13 +432,23 @@ def test_census_suites_stop_at_the_census_limit():
     assert {("enumeration/joint", limit), ("census/second-difference", limit)} <= ran
 
 
-def test_census_states_keep_at_most_one_open_position():
-    # a leaf opens only while o < 2n - j, so after position 2n - 1 no state
-    # has more than one open position; without the bound the end step would still
-    # drop such states, and the grids alone could not tell
-    for n in range(1, 7):
-        states = trees._census_states(n)
-        assert max(o for o, *_ in states) == 1, n
+def test_census_pass_keeps_only_states_that_can_close(monkeypatch):
+    # a leaf opens only while o < w - j, so after position j no state has more
+    # than w - j open positions, and at j = w - 1 none has more than one;
+    # without the bound the end step would still pick out the same states, and
+    # the grids alone could not tell
+    top = 8
+    kept = {}
+    read = trees._census_read
+
+    def recording(n, states):
+        kept[2 * n - 1] = max(o for o, *_ in states)
+        return read(n, states)
+
+    monkeypatch.setattr(trees, "_census_read", recording)
+    census_tables.cache_clear()
+    census_tables(top)
+    assert kept == {j: min(j, 2 * top - j) for j in range(1, 2 * top, 2)}
 
 
 def test_forced_tree_suites_pass_up_to_n_9():

@@ -292,3 +292,49 @@ def test_closed_pipe_exits_quietly(argv, first):
     line, code, err = _first_line_then_close(*argv)
     assert line == first
     assert (code, err) == (EXIT_BROKEN_PIPE, "")
+
+
+_PRINT_UNDER_640_DIGITS = """
+import sys
+from poupard.cli import main
+from poupard.delta import build_matrix
+from poupard.triangle import poupard_triangle
+
+sys.set_int_max_str_digits(640)  # the least limit the interpreter allows
+code = main(sys.argv[1:])
+rows = (poupard_triangle(200) if sys.argv[1] == "triangle" else build_matrix(200)).rows
+# the limit in force after the command, then the library's last row in hex,
+# which the limit does not cover
+print(sys.get_int_max_str_digits(), *map(hex, rows[-1]), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, last_row",
+    [
+        (
+            ("triangle", "--n-max", "200", "--format", "bfile"),
+            lambda out: [int(line.split()[1]) for line in out.splitlines()[-401:]],
+        ),
+        (("matrix", "--n", "200", "--format", "json"), lambda out: json.loads(out)["rows"][-1]),
+    ],
+    ids=["triangle-bfile", "matrix-json"],
+)
+def test_output_prints_ints_past_the_digit_limit(argv, last_row):
+    # row 200 holds entries of more than 640 digits; the command prints them
+    # and leaves the limit in place for any parsing after it
+    src = str(Path(poupard.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PRINT_UNDER_640_DIGITS, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    limit, *library = proc.stderr.split()
+    assert limit == "640"
+    want = [int(h, 16) for h in library]
+    assert max(len(str(v)) for v in want) > 640
+    assert last_row(proc.stdout) == want

@@ -12,8 +12,8 @@ import pytest
 import poupard
 from poupard import trees
 from poupard.trees import (
-    DEFAULT_ENUMERATION_LIMIT,
-    EnumerationLimitError,
+    CENSUS_LIMIT,
+    CensusLimitError,
     StatisticUndefined,
     Tree,
     enumerate_trees,
@@ -432,6 +432,6 @@ def test_joint_distribution_structure():
 
 
 def test_enumeration_limit_guard():
-    limit = DEFAULT_ENUMERATION_LIMIT
-    with pytest.raises(EnumerationLimitError, match=f"^n={limit + 1} exceeds the census limit {limit};"):
+    limit = CENSUS_LIMIT
+    with pytest.raises(CensusLimitError, match=f"^n={limit + 1} exceeds the census limit {limit};"):
         joint_distribution(limit + 1)
