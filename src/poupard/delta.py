@@ -20,12 +20,15 @@ It runs in rounds over int bitmasks of the flat grid: a round derives at once
 the lone unknown cell of every instance whose other two cells are known, z
 before y before x per recurrence (level-synchronous, bit-parallel
 propagation).  It flags under-determination (Unresolved) and contradictions
-(Inconsistent) instead of trusting any particular fill order.
+(Inconsistent) instead of trusting any particular fill order.  Which cells a
+round derives depends on no value (`_rounds`), so `certifies` runs the rounds
+alone to tell, without solving, whether a system has a given matrix as its
+one solution; `verify` checks D2-D9 against D1 that way.
 
 The instances are written once, as flat anchors with a step and a prev offset
-(`_instance_table`, and `_anchor_mask` as bits); one residual pass serves both
-the solver's final check and the oracle `recurrence_failure`, which never
-propagates.
+(`_instance_table`, and `_anchor_mask` as bits); one residual pass serves
+the solver's final check, the certificate and the oracle `recurrence_failure`,
+which never propagates.
 """
 
 from __future__ import annotations
@@ -372,6 +375,56 @@ M1 = DeltaMatrix(1, ((0, 0), (1, 0)))
 # ---------------------------------------------------------------------------
 
 
+def _known_grid(n: int, known: Mapping[Cell, int]) -> Tuple[List[Optional[int]], int]:
+    """The 2n x 2n grid flattened, vals[(m-1)*2n + k-1] = f_n(m, k), with the
+    known cells set and None elsewhere, and the mask of the known cells;
+    ValueError for a cell off the grid or a value that is not an int."""
+    w = 2 * n
+    vals: List[Optional[int]] = [None] * (w * w)
+    known_bits = 0  # bit i set when vals[i] is known
+    for cell, v in known.items():
+        m, k = cell
+        if not (1 <= m <= w and 1 <= k <= w):
+            raise ValueError(f"known cell {cell} outside the {w}x{w} grid")
+        if type(v) is not int:  # exact arithmetic: no float, Fraction or bool
+            raise ValueError(f"known value at {cell} must be an int, got {v!r}")
+        i = (m - 1) * w + k - 1
+        vals[i] = v
+        known_bits |= 1 << i
+    return vals, known_bits
+
+
+def _rounds(known_bits: int, table) -> Iterator[Tuple[int, List[Tuple[int, int, int]]]]:
+    """The value-free part of the solver: which cells each round derives.
+
+    From the cells whose bits are set in known_bits, yields per round the
+    mask of the cells it derives and, for each recurrence table[r], the
+    anchor masks (z, y, x) of the instances that derive their lone unknown
+    z, y or x.  Each derives from cells known before the round, unless an
+    earlier instance derived the same cell this round.  It stops at a round
+    that would derive nothing.
+    """
+    # Instance (a, a+s, a+2s) is bit a of its anchor mask; k0, k1, k2 mark
+    # the instances whose x, y, z are known before the round
+    while True:
+        new, lones = 0, []
+        for _tag, s, _off, anchors in table:
+            k0 = known_bits & anchors
+            k1 = (known_bits >> s) & anchors
+            k2 = (known_bits >> 2 * s) & anchors
+            lone_z = k0 & k1 & ~k2 & ~(new >> 2 * s)
+            new |= lone_z << 2 * s
+            lone_y = k0 & k2 & ~k1 & ~(new >> s)
+            new |= lone_y << s
+            lone_x = k1 & k2 & ~k0 & ~new
+            new |= lone_x
+            lones.append((lone_z, lone_y, lone_x))
+        if not new:
+            return
+        yield new, lones
+        known_bits |= new
+
+
 def solve_constraints(
     n: int,
     known: Mapping[Cell, int],
@@ -394,34 +447,15 @@ def solve_constraints(
         raise ValueError(f"n must be >= 1, got {n}")
     twice = _twice_prev(n, prev)
     w = 2 * n
-    vals: List[Optional[int]] = [None] * (w * w)  # vals[(m-1)*w + k-1] = f_n(m, k)
-    known_bits = 0  # bit i set when vals[i] is known
-    for cell, v in known.items():
-        m, k = cell
-        if not (1 <= m <= w and 1 <= k <= w):
-            raise ValueError(f"known cell {cell} outside the {w}x{w} grid")
-        if type(v) is not int:  # exact arithmetic: no float, Fraction or bool
-            raise ValueError(f"known value at {cell} must be an int, got {v!r}")
-        i = (m - 1) * w + k - 1
-        vals[i] = v
-        known_bits |= 1 << i
+    vals, known_bits = _known_grid(n, known)
 
-    # Instance (a, a+s, a+2s) of a recurrence is bit a of its anchor mask;
-    # k0, k1, k2 mark the instances whose x, y, z are known before the round,
-    # and derived[r] those that derived their lone cell.
     table = [_anchor_mask(n, tag) for tag in sorted(frozenset(recurrences))]
-    derived = [0] * len(table)
-    while True:
-        new = 0
-        for r, (tag, s, off, anchors) in enumerate(table):
-            k0 = known_bits & anchors
-            k1 = (known_bits >> s) & anchors
-            k2 = (known_bits >> 2 * s) & anchors
-            lone_z = k0 & k1 & ~k2 & ~(new >> 2 * s)
+    derived = [0] * len(table)  # the instances that derived their lone cell
+    for new, lones in _rounds(known_bits, table):
+        for r, (lone_z, lone_y, lone_x) in enumerate(lones):
+            tag, s, off, _anchors = table[r]
             for a in _bits(lone_z):
                 vals[a + 2 * s] = 2 * vals[a + s] - vals[a] - twice[a + off]
-            new |= lone_z << 2 * s
-            lone_y = k0 & k2 & ~k1 & ~(new >> s)
             for a in _bits(lone_y):
                 # 2*y = x + z + c; the division must be exact
                 num = vals[a] + vals[a + 2 * s] + twice[a + off]
@@ -429,14 +463,9 @@ def solve_constraints(
                     cells = _cells(n, a, a + s, a + 2 * s)
                     raise Inconsistent(n, f"odd middle value in {tag} at {cells}")
                 vals[a + s] = num // 2
-            new |= lone_y << s
-            lone_x = k1 & k2 & ~k0 & ~new
             for a in _bits(lone_x):
                 vals[a] = 2 * vals[a + s] - vals[a + 2 * s] - twice[a + off]
-            new |= lone_x
             derived[r] |= lone_z | lone_y | lone_x
-        if not new:
-            break
         known_bits |= new
 
     # only the instances known from the start or completed by others remain
@@ -450,6 +479,48 @@ def solve_constraints(
     if None in vals:
         raise Unresolved(n, _cells(n, *(i for i, v in enumerate(vals) if v is None)))
     return DeltaMatrix(n, tuple(tuple(vals[i : i + w]) for i in range(0, w * w, w)))
+
+
+@lru_cache(maxsize=1)  # the strategies certified at one n share a pass
+def _nonzero_residuals(mat: DeltaMatrix, prev: Optional[DeltaMatrix]) -> FrozenSet[str]:
+    """The recurrences among R1-R4 with an instance of nonzero residual on
+    M_n = mat against prev."""
+    n = mat.n
+    vals = [v for row in mat.rows for v in row]
+    table = _instance_table(n, _RECURRENCES)
+    return frozenset(tag for tag, _a, _s, r in _residuals(table, vals, _twice_prev(n, prev)) if r)
+
+
+def certifies(
+    n: int,
+    known: Mapping[Cell, int],
+    recurrences: FrozenSet[str] | Sequence[str],
+    prev: Optional[DeltaMatrix],
+    candidate: DeltaMatrix,
+) -> bool:
+    """Whether `solve_constraints(n, known, recurrences, prev)` would return
+    `candidate` without raising, decided without solving.
+
+    It would exactly when the known cells agree with candidate, no instance
+    of the recurrences has a nonzero residual on candidate against prev, and
+    the solver's value-free rounds reach every cell from the known ones:
+    then the system has one solution, and candidate is it.  Otherwise the
+    solver raises or returns another matrix.
+    """
+    if n < 1 or candidate.n != n:
+        return False
+    try:
+        reached = _known_grid(n, known)[1]
+    except ValueError:
+        return False
+    if any(candidate.rows[m - 1][k - 1] != v for (m, k), v in known.items()):
+        return False
+    table = [_anchor_mask(n, tag) for tag in sorted(frozenset(recurrences))]
+    if not _nonzero_residuals(candidate, prev).isdisjoint(tag for tag, *_ in table):
+        return False
+    for new, _lones in _rounds(reached, table):
+        reached |= new
+    return reached == (1 << 4 * n * n) - 1
 
 
 def _known_for(strategy: BuildStrategy, n: int, prev: DeltaMatrix) -> Dict[Cell, int]:

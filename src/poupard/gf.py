@@ -301,14 +301,20 @@ def _times_exp(
     return re, im
 
 
-def closed_form_mismatch(lhs: EGF, numerator: EGF, cap: int) -> Optional[Monomial]:
-    """First monomial (lexicographic, total degree <= cap) where
-    E(lhs (1 + cos(sqrt2 (x+y+z)))) != E(numerator), or None if the
-    identity lhs = numerator / (2cos^2((x+y+z)/sqrt2)) holds to the cap.
-    cos(sqrt2 S) is the rational part of exp(cS), c = sqrt(-2)."""
+def closed_form_sides(lhs: EGF, numerator: EGF, cap: int) -> Tuple[Grid, Grid]:
+    """The grids [i][j][l], total degree <= cap, of E(lhs (1 + cos(sqrt2
+    (x+y+z)))) and E(numerator); cos(sqrt2 S) is the rational part of
+    exp(cS), c = sqrt(-2)."""
     grid = _dense(lhs, cap, 3)
     cos_part = _times_exp(grid, (1, 1, 1), -2, real_only=True)[0]
-    return first_difference(_add(grid, cos_part), _dense(numerator, cap, 3))
+    return _add(grid, cos_part), _dense(numerator, cap, 3)
+
+
+def closed_form_mismatch(lhs: EGF, numerator: EGF, cap: int) -> Optional[Monomial]:
+    """First monomial (lexicographic) where the `closed_form_sides` differ,
+    or None if the identity lhs = numerator / (2cos^2((x+y+z)/sqrt2)) holds
+    to the cap."""
+    return first_difference(*closed_form_sides(lhs, numerator, cap))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,10 @@
 Each suite appends timed CheckRecords to a VerifyReport.  Unless forced,
 enumeration and census stop at the census limit, and bijection at BIJECTION_CAP.
 Golden reference data lives in fixtures/ so the suite runs offline.
+equivalence solves D1 alone while the other strategies agree: each is
+certified against D1's M_n (`delta.certifies`), and built under its own chain
+only once its certificate fails, or after an n where it failed or was not
+reached.
 """
 
 from __future__ import annotations
@@ -14,9 +18,12 @@ from typing import Iterator, Sequence
 
 from . import gf, trees
 from .delta import (
+    M1,
     STRATEGIES,
     DeltaMatrix,
+    _known_for,
     build_matrix,
+    certifies,
     counter_diagonal_failure,
     crossing_failure,
     delta_matrices,
@@ -97,14 +104,34 @@ def check_golden(report: VerifyReport, n_max: int) -> None:
 
 
 def check_equivalence(report: VerifyReport, n_max: int) -> None:
+    # the strategies that gave D1's M_k at every k < n; D1's own build is at hand
+    agreed = set(STRATEGIES) - {"D1"}
     for n in range(1, n_max + 1):
+        matched = set()
         with timed_check(report, "equivalence/strategies", {"n": n}) as failures:
             reference = build_matrix(n, "D1")
+            prev = build_matrix(n - 1, "D1") if n > 1 else None
             for tag in sorted(STRATEGIES):  # Unresolved/Inconsistent -> fail
-                diff = build_matrix(n, tag).first_difference(reference)
-                if diff is not None:
-                    failures.append("f_{}({},{}): {tag} {}, D1 {}".format(n, *diff, tag=tag))
-                    break
+                if not (tag in agreed and _certified(n, tag, prev, reference)):
+                    diff = build_matrix(n, tag).first_difference(reference)
+                    if diff is not None:
+                        failures.append("f_{}({},{}): {tag} {}, D1 {}".format(n, *diff, tag=tag))
+                        break
+                matched.add(tag)
+        agreed &= matched
+
+
+def _certified(n: int, tag: str, prev: DeltaMatrix | None, mat: DeltaMatrix) -> bool:
+    """Whether build_matrix(n, tag) would return mat, given that it gave
+    prev = D1's M_{n-1} at n - 1: mat is the one solution of the strategy's
+    system at n (M_1 is fixed).  When this fails, the build raises or gives
+    another matrix."""
+    if n == 1:
+        return mat == M1
+    strategy = STRATEGIES[tag]
+    # boundary conditions that disagree raise here as they would in the build
+    known = _known_for(strategy, n, prev)
+    return certifies(n, known, strategy.recurrences, prev, mat)
 
 
 def check_enumeration(report: VerifyReport, n_max: int, force: bool) -> None:
@@ -240,12 +267,14 @@ def check_gf(report: VerifyReport, cap: int) -> None:
         ("upper", gf.omega_egf, gf.omega_numerator_egf, (2, 1, 0), "x<->z"),
     ):
         with timed_check(report, f"gf/{triangle}-triangle", {"cap": cap}) as failures:
-            lhs = lhs_egf(cap, matrices)
-            mono = gf.closed_form_mismatch(lhs, numerator_egf(cap), cap)
+            lhs, numerator = lhs_egf(cap, matrices), numerator_egf(cap)
+            mono = gf.closed_form_mismatch(lhs, numerator, cap)
             if mono is not None:
+                i, j, l = mono
+                values = (side[i][j][l] for side in gf.closed_form_sides(lhs, numerator, cap))
                 failures.append(
-                    f"{triangle}-triangle series differs from its closed form "
-                    "(first at x^{} y^{} z^{})".format(*mono)
+                    f"{triangle}-triangle series differs from its closed form (first at "
+                    "x^{} y^{} z^{}: series times denominator {}, numerator {})".format(*mono, *values)
                 )
             mirror = gf.permute_axes(lhs, perm)
             if mirror != lhs:

@@ -1,7 +1,9 @@
 """Matrix construction, solver behaviour, and matrix-level identities."""
 
+import collections
 import dataclasses
 import hashlib
+import itertools
 import os
 import random
 import re
@@ -22,6 +24,7 @@ from poupard.delta import (
     Unresolved,
     _known_for,
     build_matrix,
+    certifies,
     counter_diagonal_failure,
     crossing_failure,
     eoc_pom_polynomial,
@@ -681,27 +684,33 @@ def test_solver_rejects_inexact_known_values(value):
         solve_constraints(2, known, frozenset({"R1", "R2"}), M1)
 
 
-def _verdict_lines(n_values):
-    """One line per corrupted or under-specified system of every strategy:
-    "ok", or the exception's class name and message."""
-    lines = []
+def _systems(n_values):
+    """(n, known, recurrences, prev) for every corrupted or under-specified
+    system of every strategy: each known cell changed by -1, +1 and +2, then
+    each boundary condition dropped."""
     for tag in sorted(STRATEGIES):
         strategy = STRATEGIES[tag]
         for n in n_values:
             prev = build_matrix(n - 1, tag)
             known = _known_for(strategy, n, prev)
-            systems = [
-                {**known, cell: known[cell] + d} for cell in sorted(known) for d in (-1, 1, 2)
-            ]
+            for cell in sorted(known):
+                for d in (-1, 1, 2):
+                    yield n, {**known, cell: known[cell] + d}, strategy.recurrences, prev
             for dropped in sorted(strategy.boundary):
                 partial = dataclasses.replace(strategy, boundary=strategy.boundary - {dropped})
-                systems.append(_known_for(partial, n, prev))
-            for system in systems:
-                try:
-                    solve_constraints(n, system, strategy.recurrences, prev)
-                    lines.append("ok")
-                except ValueError as e:
-                    lines.append(f"{type(e).__name__}{e}")
+                yield n, _known_for(partial, n, prev), strategy.recurrences, prev
+
+
+def _verdict_lines(n_values):
+    """One line per system of `_systems`: "ok", or the exception's class
+    name and message."""
+    lines = []
+    for n, known, recurrences, prev in _systems(n_values):
+        try:
+            solve_constraints(n, known, recurrences, prev)
+            lines.append("ok")
+        except ValueError as e:
+            lines.append(f"{type(e).__name__}{e}")
     return lines
 
 
@@ -715,6 +724,29 @@ def test_verdict_texts_pinned():
     lines = _verdict_lines(range(2, 7))
     assert len(lines) == 3990
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == VERDICT_DIGEST
+
+
+def test_certificate_holds_exactly_when_the_solver_returns_the_matrix():
+    # the systems of the verdict digest, then every strategy's own up to n = 12
+    systems = list(_systems(range(2, 7)))
+    for tag, n in itertools.product(sorted(STRATEGIES), range(2, 13)):
+        prev = build_matrix(n - 1, "D1")
+        systems.append((n, _known_for(STRATEGIES[tag], n, prev), STRATEGIES[tag].recurrences, prev))
+    outcomes = collections.Counter()
+    for n, known, recurrences, prev in systems:
+        mat = build_matrix(n, "D1")
+        try:
+            solved = solve_constraints(n, known, recurrences, prev)
+        except ValueError:
+            solved = None
+        outcomes["raised" if solved is None else "same" if solved == mat else "other"] += 1
+        # D1's M_n, and a copy changed at the first cell that is not known (if
+        # any), which only a recurrence residual tells from a solution
+        free = [c for c in itertools.product(range(1, 2 * n + 1), repeat=2) if c not in known]
+        for candidate in (mat, *(_bumped(mat, *c) for c in free[:1])):
+            held = certifies(n, known, recurrences, prev, candidate)
+            assert held == (solved == candidate), (n, known, candidate)
+    assert outcomes == {"same": 99, "other": 3540, "raised": 450}
 
 
 def test_solver_verdicts_survive_optimize():

@@ -1,13 +1,20 @@
 """Failure texts of the verify suites: a corrupted cell is named with both
-values, through a copy of the golden fixtures or a monkeypatched builder."""
+values, through a copy of the golden fixtures, a monkeypatched builder or a
+bumped strategy system."""
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from poupard import gf, verify
-from poupard.delta import DeltaMatrix, build_matrix
+import poupard
+from poupard import delta, gf, verify
+from poupard.delta import STRATEGIES, DeltaMatrix, _known_for, build_matrix
+from poupard.report import FAIL, PASS, VerifyReport, timed_check
 from poupard.triangle import poupard_triangle
 from poupard.trees import census_tables, joint_distribution
 from poupard.verify import run_checks
@@ -70,14 +77,92 @@ def test_golden_bijection_pair_names_the_statistic(fixtures):
     ]
 
 
-def test_equivalence_names_the_strategy_and_the_cell(monkeypatch):
-    def corrupted(n, tag="D1"):
-        mat = build_matrix(n, tag)
-        return _bumped(mat, 4, 2) if (n, tag) == (3, "D3") else mat
+def _known_for_d3_bumped(strategy, n, prev):
+    """D3's system at n = 3 with its I2 value at (5,2) bumped, 3 -> 4; D3 then
+    solves to another M_3, which first differs at (3,2)."""
+    known = _known_for(strategy, n, prev)
+    if (strategy.tag, n) == ("D3", 3):
+        known[(5, 2)] += 1
+    return known
 
-    monkeypatch.setattr(verify, "build_matrix", corrupted)
+
+@pytest.fixture
+def d3_bumped_at_3(monkeypatch):
+    """The bumped system in the builder and the certificate alike, with the
+    strategy chains rebuilt around it and after it."""
+    for module in (delta, verify):
+        monkeypatch.setattr(module, "_known_for", _known_for_d3_bumped)
+    delta._build_chain.cache_clear()
+    yield
+    delta._build_chain.cache_clear()
+
+
+def test_equivalence_names_the_strategy_and_the_cell(d3_bumped_at_3):
     report = run_checks(["equivalence"], n_max=3)
-    assert _failures(report, "equivalence/strategies") == ["f_3(4,2): D3 4, D1 3"]
+    assert _failures(report, "equivalence/strategies") == ["f_3(3,2): D3 4, D1 1"]
+
+
+def _built_equivalence(n_max):
+    """The equivalence records when every strategy is built at every n."""
+    report = VerifyReport()
+    for n in range(1, n_max + 1):
+        with timed_check(report, "equivalence/strategies", {"n": n}) as failures:
+            reference = build_matrix(n, "D1")
+            for tag in sorted(STRATEGIES):
+                diff = build_matrix(n, tag).first_difference(reference)
+                if diff is not None:
+                    failures.append("f_{}({},{}): {tag} {}, D1 {}".format(n, *diff, tag=tag))
+                    break
+    return report
+
+
+def test_equivalence_builds_each_strategy_that_failed_or_was_not_reached(d3_bumped_at_3):
+    # D3 fails at n = 3, so D4..D9 are not reached there: from n = 4 on all
+    # seven are built on their own chains, as if nothing were certified
+    records = [
+        [(r.name, r.params, r.status, r.failures) for r in report.checks]
+        for report in (run_checks(["equivalence"], n_max=6), _built_equivalence(6))
+    ]
+    assert records[0] == records[1]
+    assert [status for _, _, status, _ in records[0]] == [PASS, PASS, FAIL, FAIL, FAIL, FAIL]
+
+
+def test_passing_equivalence_builds_d1_alone(monkeypatch):
+    # every other strategy is certified against D1's matrices
+    asked = []
+
+    def recorded(n, tag="D1"):
+        asked.append(tag)
+        return build_matrix(n, tag)
+
+    monkeypatch.setattr(verify, "build_matrix", recorded)
+    report = run_checks(["equivalence"], n_max=8)
+    assert report.passed() and len(report.checks) == 8
+    assert set(asked) == {"D1"}
+
+
+def test_equivalence_fails_on_a_bumped_system_under_optimize():
+    # so that no part of the certificate is an assert
+    script = (
+        "from poupard import delta, verify\n"
+        "from test_verify import _known_for_d3_bumped\n"
+        "delta._known_for = verify._known_for = _known_for_d3_bumped\n"
+        "for record in verify.run_checks(['equivalence'], n_max=3).checks:\n"
+        "    print(record.params['n'], record.status, record.counterexample)\n"
+    )
+    paths = (Path(poupard.__file__).resolve().parent.parent, Path(__file__).resolve().parent)
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"1 {PASS} None", f"2 {PASS} None", f"3 {FAIL} f_3(3,2): D3 4, D1 1"
+        ]
 
 
 def test_enumeration_names_the_cell(monkeypatch):
@@ -109,6 +194,17 @@ def test_census_names_the_second_difference_and_the_witness(monkeypatch):
     ]
 
 
+def _bump_egf(monkeypatch, egf, mono):
+    """Add 1 to one coefficient of gf's lambda_egf or omega_egf."""
+    build = getattr(gf, egf)
+
+    def corrupted(cap, matrices):
+        coeffs = build(cap, matrices)
+        return {**coeffs, mono: coeffs[mono] + 1}
+
+    monkeypatch.setattr(gf, egf, corrupted)
+
+
 @pytest.mark.parametrize(
     "egf, mono, name, expected",
     [
@@ -120,13 +216,26 @@ def test_census_names_the_second_difference_and_the_witness(monkeypatch):
     ids=["lower", "upper"],
 )
 def test_gf_symmetry_names_the_monomial_and_both_values(monkeypatch, egf, mono, name, expected):
-    build = getattr(gf, egf)
-
-    def corrupted(cap, matrices):
-        coeffs = build(cap, matrices)
-        return {**coeffs, mono: coeffs[mono] + 1}
-
-    monkeypatch.setattr(gf, egf, corrupted)
+    _bump_egf(monkeypatch, egf, mono)
     report = run_checks(["gf"], cap=6)
     # the bumped coefficient breaks the closed form first, then the symmetry
     assert _failures(report, name)[-1] == expected
+
+
+@pytest.mark.parametrize(
+    "egf, mono, name, expected",
+    [
+        ("lambda_egf", (1, 2, 1), "gf/lower-triangle",
+         "lower-triangle series differs from its closed form "
+         "(first at x^1 y^2 z^1: series times denominator 2, numerator 0)"),
+        ("omega_egf", (1, 0, 3), "gf/upper-triangle",
+         "upper-triangle series differs from its closed form "
+         "(first at x^1 y^0 z^3: series times denominator -2, numerator -4)"),
+    ],
+    ids=["lower", "upper"],
+)
+def test_gf_closed_form_names_the_monomial_and_both_values(monkeypatch, egf, mono, name, expected):
+    # the two sides of lhs * 2cos^2((x+y+z)/sqrt2) = numerator, as EGF coefficients
+    _bump_egf(monkeypatch, egf, mono)
+    report = run_checks(["gf"], cap=6)
+    assert _failures(report, name)[0] == expected
