@@ -23,7 +23,8 @@ propagation).  It flags under-determination (Unresolved) and contradictions
 (Inconsistent) instead of trusting any particular fill order.  Which cells a
 round derives depends on no value (`_rounds`), so `certifies` runs the rounds
 alone to tell, without solving, whether a system has a given matrix as its
-one solution; `verify` checks D2-D9 against D1 that way.
+one solution; `build_matrix` takes D1's M_n for D2-D9 that way, and solves
+their own systems only where the certificate fails.
 
 The instances are written once, as flat anchors with a step and a prev offset
 (`_instance_table`, and `_anchor_mask` as bits); one residual pass serves
@@ -523,9 +524,14 @@ def certifies(
     return reached == (1 << 4 * n * n) - 1
 
 
+@lru_cache(maxsize=1)  # the strategies built at one n share M_{n-1}
+def _marginals(prev: DeltaMatrix) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    return prev.row_sums(), prev.col_sums()
+
+
 def _known_for(strategy: BuildStrategy, n: int, prev: DeltaMatrix) -> Dict[Cell, int]:
     known: Dict[Cell, int] = {(i, i): 0 for i in range(1, 2 * n + 1)}
-    rs, cs = prev.row_sums(), prev.col_sums()
+    rs, cs = _marginals(prev)
     for tag in sorted(strategy.boundary):
         for cell, v in _boundary_cells(tag, 2 * n, rs, cs).items():
             if cell in known and known[cell] != v:
@@ -536,17 +542,28 @@ def _known_for(strategy: BuildStrategy, n: int, prev: DeltaMatrix) -> Dict[Cell,
     return known
 
 
-@lru_cache(maxsize=None)
+#: tag -> [M_1, M_2, ...], each strategy's chain as far as it is built
+_chains: Dict[str, List[DeltaMatrix]] = {}
+
+
 def _build_chain(n: int, tag: str) -> DeltaMatrix:
-    if n == 1:
-        return M1
+    """M_n under one strategy, each M_k from the strategy's own M_{k-1}.
+    Past D1, a step takes D1's M_k itself when it certifies the strategy's
+    system, which is when solving that system would return it; otherwise,
+    or when D1's build raises, the step solves."""
+    chain = _chains.setdefault(tag, [M1])
     strategy = STRATEGIES[tag]
-    # fill the cache upward, so each miss below n recurses one level only
-    prev = M1
-    for k in range(2, n):
-        prev = _build_chain(k, tag)
-    known = _known_for(strategy, n, prev)
-    return solve_constraints(n, known, strategy.recurrences, prev)
+    while len(chain) < n:
+        k, prev = len(chain) + 1, chain[-1]
+        known = _known_for(strategy, k, prev)
+        try:
+            mat = _build_chain(k, "D1") if tag != "D1" else None
+        except (Unresolved, Inconsistent):
+            mat = None
+        if mat is None or not certifies(k, known, strategy.recurrences, prev, mat):
+            mat = solve_constraints(k, known, strategy.recurrences, prev)
+        chain.append(mat)
+    return chain[n - 1]
 
 
 def build_matrix(n: int, tag: str = "D1") -> DeltaMatrix:

@@ -3,10 +3,8 @@
 Each suite appends timed CheckRecords to a VerifyReport.  Unless forced,
 enumeration and census stop at the census limit, and bijection at BIJECTION_CAP.
 Golden reference data lives in fixtures/ so the suite runs offline.
-equivalence solves D1 alone while the other strategies agree: each is
-certified against D1's M_n (`delta.certifies`), and built under its own chain
-only once its certificate fails, or after an n where it failed or was not
-reached.
+equivalence compares each strategy's M_n with D1's, up to the first that
+differs or raises.
 """
 
 from __future__ import annotations
@@ -18,12 +16,9 @@ from typing import Iterator, Sequence
 
 from . import gf, trees
 from .delta import (
-    M1,
     STRATEGIES,
     DeltaMatrix,
-    _known_for,
     build_matrix,
-    certifies,
     counter_diagonal_failure,
     crossing_failure,
     delta_matrices,
@@ -104,34 +99,14 @@ def check_golden(report: VerifyReport, n_max: int) -> None:
 
 
 def check_equivalence(report: VerifyReport, n_max: int) -> None:
-    # the strategies that gave D1's M_k at every k < n; D1's own build is at hand
-    agreed = set(STRATEGIES) - {"D1"}
     for n in range(1, n_max + 1):
-        matched = set()
         with timed_check(report, "equivalence/strategies", {"n": n}) as failures:
             reference = build_matrix(n, "D1")
-            prev = build_matrix(n - 1, "D1") if n > 1 else None
             for tag in sorted(STRATEGIES):  # Unresolved/Inconsistent -> fail
-                if not (tag in agreed and _certified(n, tag, prev, reference)):
-                    diff = build_matrix(n, tag).first_difference(reference)
-                    if diff is not None:
-                        failures.append("f_{}({},{}): {tag} {}, D1 {}".format(n, *diff, tag=tag))
-                        break
-                matched.add(tag)
-        agreed &= matched
-
-
-def _certified(n: int, tag: str, prev: DeltaMatrix | None, mat: DeltaMatrix) -> bool:
-    """Whether build_matrix(n, tag) would return mat, given that it gave
-    prev = D1's M_{n-1} at n - 1: mat is the one solution of the strategy's
-    system at n (M_1 is fixed).  When this fails, the build raises or gives
-    another matrix."""
-    if n == 1:
-        return mat == M1
-    strategy = STRATEGIES[tag]
-    # boundary conditions that disagree raise here as they would in the build
-    known = _known_for(strategy, n, prev)
-    return certifies(n, known, strategy.recurrences, prev, mat)
+                diff = build_matrix(n, tag).first_difference(reference)
+                if diff is not None:
+                    failures.append("f_{}({},{}): {tag} {}, D1 {}".format(n, *diff, tag=tag))
+                    break
 
 
 def check_enumeration(report: VerifyReport, n_max: int, force: bool) -> None:

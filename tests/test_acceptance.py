@@ -9,10 +9,9 @@ import time
 
 import pytest
 
-from poupard import gf
+from poupard import delta, gf
 from poupard.delta import (
     STRATEGIES,
-    _build_chain,
     DeltaMatrix,
     build_matrix,
     delta_matrices,
@@ -39,7 +38,7 @@ def _announce(num, name, seconds=None):
 
 @pytest.fixture(scope="module", autouse=True)
 def cold_caches():
-    _build_chain.cache_clear()
+    delta._chains.clear()
     census_tables.cache_clear()
     yield
 

@@ -749,6 +749,45 @@ def test_certificate_holds_exactly_when_the_solver_returns_the_matrix():
     assert outcomes == {"same": 99, "other": 3540, "raised": 450}
 
 
+def _own_chains(n_max):
+    """Each strategy's M_1..M_{n_max}, every M_k solved from the strategy's
+    own M_{k-1} with solve_constraints, never through build_matrix."""
+    chains = {}
+    for tag, strategy in STRATEGIES.items():
+        chain = [M1]
+        for k in range(2, n_max + 1):
+            prev = chain[-1]
+            chain.append(solve_constraints(k, _known_for(strategy, k, prev), strategy.recurrences, prev))
+        chains[tag] = chain
+    return chains
+
+
+def test_build_matrix_returns_each_strategys_own_solution(monkeypatch):
+    monkeypatch.setattr(delta, "_chains", {})
+    own = _own_chains(12)
+    for tag in sorted(STRATEGIES, reverse=True):  # D9 first: D1's chain grows inside it
+        for n in range(12, 0, -1):
+            mat = build_matrix(n, tag)
+            assert mat == own[tag][n - 1], (tag, n)
+            if mat == build_matrix(n, "D1"):  # a certified step shares D1's matrix
+                assert mat is build_matrix(n, "D1"), (tag, n)
+
+
+def test_a_strategy_solves_its_own_system_where_d1_raises(monkeypatch):
+    def d1_fails_at_3(strategy, n, prev):
+        if (strategy.tag, n) == ("D1", 3):
+            raise Inconsistent(n, "D1 made to fail")
+        return _known_for(strategy, n, prev)
+
+    monkeypatch.setattr(delta, "_chains", {})
+    monkeypatch.setattr(delta, "_known_for", d1_fails_at_3)
+    with pytest.raises(Inconsistent, match="D1 made to fail"):
+        build_matrix(3, "D1")
+    own = _own_chains(4)["D5"]
+    assert build_matrix(3, "D5") == own[2]
+    assert build_matrix(4, "D5") == own[3]
+
+
 def test_solver_verdicts_survive_optimize():
     # no invariant of the build may vanish under `python -O`
     script = (

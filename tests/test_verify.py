@@ -2,6 +2,7 @@
 values, through a copy of the golden fixtures, a monkeypatched builder or a
 bumped strategy system."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 
 import poupard
 from poupard import delta, gf, verify
-from poupard.delta import STRATEGIES, DeltaMatrix, _known_for, build_matrix
+from poupard.delta import STRATEGIES, DeltaMatrix, _known_for
 from poupard.report import FAIL, PASS, VerifyReport, timed_check
 from poupard.triangle import poupard_triangle
 from poupard.trees import census_tables, joint_distribution
@@ -88,13 +89,10 @@ def _known_for_d3_bumped(strategy, n, prev):
 
 @pytest.fixture
 def d3_bumped_at_3(monkeypatch):
-    """The bumped system in the builder and the certificate alike, with the
-    strategy chains rebuilt around it and after it."""
-    for module in (delta, verify):
-        monkeypatch.setattr(module, "_known_for", _known_for_d3_bumped)
-    delta._build_chain.cache_clear()
-    yield
-    delta._build_chain.cache_clear()
+    """The bumped system in the builder, with the strategy chains rebuilt
+    around it and restored after it."""
+    monkeypatch.setattr(delta, "_known_for", _known_for_d3_bumped)
+    monkeypatch.setattr(delta, "_chains", {})
 
 
 def test_equivalence_names_the_strategy_and_the_cell(d3_bumped_at_3):
@@ -102,14 +100,25 @@ def test_equivalence_names_the_strategy_and_the_cell(d3_bumped_at_3):
     assert _failures(report, "equivalence/strategies") == ["f_3(3,2): D3 4, D1 1"]
 
 
-def _built_equivalence(n_max):
-    """The equivalence records when every strategy is built at every n."""
+def _solved_equivalence(n_max):
+    """The equivalence records when every strategy solves each M_k of its own
+    chain with solve_constraints, never through build_matrix."""
+    chains = {tag: [delta.M1] for tag in STRATEGIES}
+
+    def solved(n, tag):
+        chain, strategy = chains[tag], STRATEGIES[tag]
+        while len(chain) < n:
+            k, prev = len(chain) + 1, chain[-1]
+            known = delta._known_for(strategy, k, prev)
+            chain.append(delta.solve_constraints(k, known, strategy.recurrences, prev))
+        return chain[n - 1]
+
     report = VerifyReport()
     for n in range(1, n_max + 1):
         with timed_check(report, "equivalence/strategies", {"n": n}) as failures:
-            reference = build_matrix(n, "D1")
+            reference = solved(n, "D1")
             for tag in sorted(STRATEGIES):
-                diff = build_matrix(n, tag).first_difference(reference)
+                diff = solved(n, tag).first_difference(reference)
                 if diff is not None:
                     failures.append("f_{}({},{}): {tag} {}, D1 {}".format(n, *diff, tag=tag))
                     break
@@ -117,28 +126,44 @@ def _built_equivalence(n_max):
 
 
 def test_equivalence_builds_each_strategy_that_failed_or_was_not_reached(d3_bumped_at_3):
-    # D3 fails at n = 3, so D4..D9 are not reached there: from n = 4 on all
-    # seven are built on their own chains, as if nothing were certified
+    # D3 leaves D1's chain at n = 3; from n = 4 on, its certificate fails
+    # against D1 and each build solves its own system
     records = [
         [(r.name, r.params, r.status, r.failures) for r in report.checks]
-        for report in (run_checks(["equivalence"], n_max=6), _built_equivalence(6))
+        for report in (run_checks(["equivalence"], n_max=6), _solved_equivalence(6))
     ]
     assert records[0] == records[1]
     assert [status for _, _, status, _ in records[0]] == [PASS, PASS, FAIL, FAIL, FAIL, FAIL]
 
 
 def test_passing_equivalence_builds_d1_alone(monkeypatch):
-    # every other strategy is certified against D1's matrices
-    asked = []
+    # every other strategy takes D1's matrices by certificate, so the solver
+    # runs once per n > 1, for D1 (M_1 is fixed)
+    solved, solve = [], delta.solve_constraints
 
-    def recorded(n, tag="D1"):
-        asked.append(tag)
-        return build_matrix(n, tag)
+    def recorded(n, *args):
+        solved.append(n)
+        return solve(n, *args)
 
-    monkeypatch.setattr(verify, "build_matrix", recorded)
+    monkeypatch.setattr(delta, "_chains", {})
+    monkeypatch.setattr(delta, "solve_constraints", recorded)
     report = run_checks(["equivalence"], n_max=8)
     assert report.passed() and len(report.checks) == 8
-    assert set(asked) == {"D1"}
+    assert solved == [2, 3, 4, 5, 6, 7, 8]
+
+
+def test_verify_imports_no_private_name_of_delta():
+    # the suites call delta's public API; how a system is posed stays in delta
+    tree = ast.parse(Path(verify.__file__).read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level, node.module) in ((1, "delta"), (0, "poupard.delta"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_equivalence_fails_on_a_bumped_system_under_optimize():
@@ -146,7 +171,7 @@ def test_equivalence_fails_on_a_bumped_system_under_optimize():
     script = (
         "from poupard import delta, verify\n"
         "from test_verify import _known_for_d3_bumped\n"
-        "delta._known_for = verify._known_for = _known_for_d3_bumped\n"
+        "delta._known_for = _known_for_d3_bumped\n"
         "for record in verify.run_checks(['equivalence'], n_max=3).checks:\n"
         "    print(record.params['n'], record.status, record.counterexample)\n"
     )
