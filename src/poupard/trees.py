@@ -18,9 +18,9 @@ ascending first-block size, then lexicographically, and the first subtree
 varies slowest, so output order is reproducible across runs.
 
 The enumerator works in label space: it yields each tree as a tuple of
-(parent, childA, childB) label triples, which enumerate_trees reads into the
-child dict of a Tree for the public API and the `trees` CLI; the bijection
-check relabels them directly, through the kernel that ha12_map wraps.  One
+(parent, childA, childB) label triples, which enumerate_trees reads into a
+Tree for the public API and the `trees` CLI; chain_shift_failure, the whole
+bijection check, relabels them with the kernel that ha12_map wraps.  One
 recursion over the split streams the top level; only the sub-blocks it
 reuses, up to size 11, are memoized, each on labels 1..size and relabeled into
 its block as it is read.  The census tables do not use the enumerator: they
@@ -37,6 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import ge
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .delta import DeltaMatrix
@@ -165,7 +166,11 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     for shape in _iter_shapes(2 * n + 1):
-        yield Tree(n, {p: (a, b) for p, a, b in shape})
+        yield _tree(n, shape)
+
+
+def _tree(n: int, shape: tuple) -> Tree:
+    return Tree(n, {p: (a, b) for p, a, b in shape})
 
 
 def tree_count(n: int) -> int:
@@ -280,6 +285,30 @@ def ha12_map(t: Tree) -> Tree:
     for v in range(2, size + 1):  # ascending, so each pair is (smaller, larger)
         children[parent[v]] = children.get(parent[v], ()) + (v,)
     return Tree(n=t.n, children=children)
+
+
+def chain_shift_failure(n: int) -> Optional[str]:
+    """The first tree of T_{2n+1}, in enumeration order, whose chain-shift image
+    collides with an earlier one, is not increasing, or has eoc != pom(image) + 1,
+    named with its fault; else a count other than tree_count(n); else None."""
+    if n < 1:  # no eoc on the single-node tree, and no tree below it
+        raise StatisticUndefined(f"the bijection needs n >= 1, got {n}")
+    size = 2 * n + 1
+    labels = range(1, size + 1)
+    seen = set()
+    for shape in _iter_shapes(size):
+        end, parent = _chain_shift(shape, size)
+        # labels fit in a byte up to n = 127, far past any enumerable n
+        key = bytes(parent)
+        if key in seen:
+            return f"image collision at {_tree(n, shape).serialize()}"
+        if any(map(ge, key[1:], labels)):  # an image parent >= its child
+            v = next(v for v in labels if key[v] >= v)
+            return f"image not increasing at {_tree(n, shape).serialize()}: edge {key[v]}->{v}"
+        if end != key[size] + 1:
+            return f"eoc != pom(image)+1 at {_tree(n, shape).serialize()}: {end} vs {key[size]}"
+        seen.add(key)
+    return "bijection domain size mismatch" if len(seen) != tree_count(n) else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,15 @@
 """Executable verification suites for every identity the package implements.
 
-Each suite appends timed CheckRecords to a VerifyReport.  Unless forced,
-enumeration and census stop at the census limit, and bijection at BIJECTION_CAP.
-Golden reference data lives in fixtures/ so the suite runs offline.
-equivalence compares each strategy's M_n with D1's, up to the first that
-differs or raises.
+Each suite appends timed CheckRecords to a VerifyReport through the public
+predicates of delta and trees, re-spelling none.  Unless forced, enumeration
+and census stop at the census limit, and bijection (chain_shift_failure per n)
+at BIJECTION_CAP.  Golden data lives in fixtures/, so the suite runs offline;
+equivalence stops at the first strategy whose M_n differs from D1's or raises.
 """
 
 from __future__ import annotations
 
 import json
-from operator import ge
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -32,8 +31,6 @@ from .report import SKIPPED, CheckRecord, VerifyReport, timed_check
 from .triangle import Triangle, is_poupard_matrix, poupard_triangle
 from .trees import (
     Tree,
-    _chain_shift,
-    _iter_shapes,
     census_tables,
     eoc,
     ha12_map,
@@ -175,35 +172,9 @@ def check_bijection(report: VerifyReport, n_max: int, force: bool) -> None:
     cap = BIJECTION_CAP
     for n in _capped(report, "bijection/chain-shift", 1, n_max, force, cap, "enumeration cap"):
         with timed_check(report, "bijection/chain-shift", {"n": n}) as failures:
-            size = 2 * n + 1
-            labels = range(1, size + 1)
-            seen = set()
-            for shape in _iter_shapes(size):
-                end, parent = _chain_shift(shape, size)
-                # labels fit in a byte up to n = 127, far past any enumerable n
-                key = bytes(parent)
-                if key in seen:
-                    failures.append(f"image collision at {_source(n, shape)}")
-                elif any(map(ge, key[1:], labels)):  # an image parent >= its child
-                    v = next(v for v in labels if key[v] >= v)
-                    failures.append(
-                        f"image not increasing at {_source(n, shape)}: edge {key[v]}->{v}"
-                    )
-                elif end != key[size] + 1:
-                    failures.append(
-                        f"eoc != pom(image)+1 at {_source(n, shape)}: {end} vs {key[size]}"
-                    )
-                else:
-                    seen.add(key)
-                    continue
-                break
-            if not failures and len(seen) != tree_count(n):
-                failures.append("bijection domain size mismatch")
-
-
-def _source(n: int, shape: tuple) -> str:
-    # the failure path alone builds a Tree, to name the source tree
-    return Tree(n, {p: (a, b) for p, a, b in shape}).serialize()
+            failure = trees.chain_shift_failure(n)
+            if failure is not None:
+                failures.append(failure)
 
 
 def check_census(report: VerifyReport, n_max: int, force: bool) -> None:

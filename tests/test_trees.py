@@ -382,6 +382,20 @@ def test_chain_shift_kernel_matches_the_tree_api(n):
         assert parent == expected
 
 
+def test_chain_shift_failure_holds_on_every_tree_and_needs_n_at_least_1():
+    assert [trees.chain_shift_failure(n) for n in (1, 2, 3, 4)] == [None] * 4
+    for n in (0, -1):
+        with pytest.raises(StatisticUndefined, match=f"needs n >= 1, got {n}"):
+            trees.chain_shift_failure(n)
+
+
+def test_chain_shift_failure_counts_the_domain(monkeypatch):
+    # every tree passes, but a short count is a failure of its own
+    monkeypatch.setattr(trees, "tree_count", lambda n: 4)
+    assert trees.chain_shift_failure(2) is None
+    assert trees.chain_shift_failure(3) == "bijection domain size mismatch"
+
+
 def test_serialization_roundtrip():
     for t in enumerate_trees(3):
         assert Tree.deserialize(t.serialize()) == t

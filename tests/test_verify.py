@@ -152,18 +152,40 @@ def test_passing_equivalence_builds_d1_alone(monkeypatch):
     assert solved == [2, 3, 4, 5, 6, 7, 8]
 
 
-def test_verify_imports_no_private_name_of_delta():
-    # the suites call delta's public API; how a system is posed stays in delta
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_verify_uses_no_private_name_of_any_module():
+    # the suites call the library's public predicates; how a module poses or
+    # walks its objects stays in that module
+    modules = {path.stem for path in Path(poupard.__file__).parent.glob("*.py")}
+    # `from .trees import ...` and `from poupard.trees import ...`
+    sources = {(1, m) for m in modules} | {(0, f"poupard.{m}") for m in modules}
     tree = ast.parse(Path(verify.__file__).read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     private = [
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        and (node.level, node.module) in ((1, "delta"), (0, "poupard.delta"))
+        f"{node.module}.{alias.name}"
+        for node in imports
+        if (node.level, node.module) in sources
         for alias in node.names
-        if alias.name.startswith("_")
+        if _private(alias.name)
     ]
-    assert private == []
+    # the names verify binds to whole poupard modules: `from . import trees`
+    bound = {
+        alias.asname or alias.name
+        for node in imports
+        if (node.level, node.module) in ((1, None), (0, "poupard"))
+        for alias in node.names
+        if alias.name in modules
+    }
+    private += [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in bound and _private(node.attr)
+    ]
+    assert bound and private == []
 
 
 def test_equivalence_fails_on_a_bumped_system_under_optimize():
