@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -34,10 +35,9 @@ EXIT_BROKEN_PIPE = 141
 
 def _positive(kind: str, minimum: int):
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
+        if not re.fullmatch(r"-?[0-9]+", text):  # int() would also read 1_0, +2 and ٣
             raise argparse.ArgumentTypeError(f"{kind} must be an integer")
+        value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"{kind} must be >= {minimum}")
         return value

@@ -31,7 +31,7 @@ Each generating-function identity is checked by two independent paths:
   denominator is cross-multiplied, and in EGF normalization multiplying by
   exp(c sum_k a_k x_k), c^2 = d, is the binomial transform
   sum_s C(t,s) (a_k c)^(t-s) E(s) along each axis in turn (`_times_exp`),
-  with ints only.  In the trivariate check (`closed_form_mismatch`) the
+  with ints only.  In the trivariate check (`triangle_series_failures`) the
   left-hand sides are the matrix entries themselves (`lambda_egf`,
   `omega_egf`) and 2cos^2(S/sqrt2) = 1 + cos(sqrt2 S), S = x+y+z; the
   bivariate one (`bivariate_closed_form_failures`) first substitutes
@@ -310,11 +310,36 @@ def closed_form_sides(lhs: EGF, numerator: EGF, cap: int) -> Tuple[Grid, Grid]:
     return _add(grid, cos_part), _dense(numerator, cap, 3)
 
 
-def closed_form_mismatch(lhs: EGF, numerator: EGF, cap: int) -> Optional[Monomial]:
-    """First monomial (lexicographic) where the `closed_form_sides` differ,
-    or None if the identity lhs = numerator / (2cos^2((x+y+z)/sqrt2)) holds
-    to the cap."""
-    return first_difference(*closed_form_sides(lhs, numerator, cap))
+def triangle_series_failures(
+    triangle: str, cap: int, matrices: Sequence[DeltaMatrix]
+) -> List[str]:
+    """The "lower" (Lambda) or "upper" (Omega) series over the integers to the
+    cap: at the first monomial where the `closed_form_sides` differ, and where
+    it changes under the axis swap that should fix it.  Empty if both hold."""
+    if triangle not in ("lower", "upper"):
+        raise ValueError(f'triangle must be "lower" or "upper", not {triangle!r}')
+    lower = triangle == "lower"
+    lhs = (lambda_egf if lower else omega_egf)(cap, matrices)  # as bound at call time
+    numerator = (lambda_numerator_egf if lower else omega_numerator_egf)(cap)
+    perm, swap = ((0, 2, 1), "y<->z") if lower else ((2, 1, 0), "x<->z")
+    sides = closed_form_sides(lhs, numerator, cap)
+    mono = first_difference(*sides)
+    failures = []
+    if mono is not None:
+        values = [reduce(getitem, mono, side) for side in sides]
+        failures.append(
+            f"{triangle}-triangle series differs from its closed form (first at "
+            "x^{} y^{} z^{}: series times denominator {}, numerator {})".format(*mono, *values)
+        )
+    mirror = permute_axes(lhs, perm)
+    if mirror != lhs:
+        at = min(m for m in {*lhs, *mirror} if lhs.get(m) != mirror.get(m))
+        values = [lhs.get(at, 0), mirror.get(at, 0)]
+        failures.append(
+            f"{triangle}-triangle series not symmetric under {swap} "
+            "(first at x^{} y^{} z^{}: {}, swapped {})".format(*at, *values)
+        )
+    return failures
 
 
 # ---------------------------------------------------------------------------

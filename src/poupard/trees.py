@@ -40,7 +40,7 @@ from itertools import combinations
 from operator import ge
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .delta import DeltaMatrix
+from .delta import DeltaMatrix, recurrence_residuals
 from .triangle import poupard_triangle
 
 # Largest sub-block size kept in the memo table; bigger sub-blocks and every
@@ -433,6 +433,22 @@ def _census_read(n: int, states: Dict[tuple, int]) -> CensusTables:
             elif g == "out":
                 r2o[t][p - 1] += count
     return CensusTables(n, *(tuple(map(tuple, g)) for g in (joint, r1w, r2o, r2i)))
+
+
+def census_identity_failure(tables: CensusTables) -> Optional[str]:
+    """The first R1-R4 instance, in (tag, anchor) order, where the second
+    difference d2 of the joint grid is not -2 times its witness count: the
+    row ones R1/R3 by r1_witness, the column ones R2/R4 by r2_outside +
+    r2_inside.  None if all hold."""
+    for tag, cells, d2 in recurrence_residuals(DeltaMatrix(tables.n, tables.joint)):
+        m, k = cells[0]
+        if tag in ("R1", "R3"):
+            witness = tables.r1_witness[m - 1][k - 1]
+        else:
+            witness = tables.r2_outside[m - 1][k - 1] + tables.r2_inside[m - 1][k - 1]
+        if d2 + 2 * witness != 0:
+            return f"{tag} second difference at (m,k)=({m},{k}): {d2}, witness {witness}"
+    return None
 
 
 def joint_distribution(n: int, limit: Optional[int] = None) -> DeltaMatrix:

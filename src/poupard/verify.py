@@ -1,9 +1,9 @@
 """Executable verification suites for every identity the package implements.
 
 Each suite appends timed CheckRecords to a VerifyReport through the public
-predicates of delta and trees, re-spelling none.  Unless forced, enumeration
-and census stop at the census limit, and bijection (chain_shift_failure per n)
-at BIJECTION_CAP.  Golden data lives in fixtures/, so the suite runs offline;
+predicates of delta, trees and gf, re-spelling none.  Unless forced,
+enumeration and census stop at the census limit, and bijection at
+BIJECTION_CAP.  Golden data lives in fixtures/, so the suite runs offline;
 equivalence stops at the first strategy whose M_n differs from D1's or raises.
 """
 
@@ -24,20 +24,11 @@ from .delta import (
     first_difference,
     marginals_failure,
     recurrence_failure,
-    recurrence_residuals,
     sub_super_diagonal_failure,
 )
 from .report import SKIPPED, CheckRecord, VerifyReport, timed_check
 from .triangle import Triangle, is_poupard_matrix, poupard_triangle
-from .trees import (
-    Tree,
-    census_tables,
-    eoc,
-    ha12_map,
-    joint_distribution,
-    pom,
-    tree_count,
-)
+from .trees import Tree, census_tables, eoc, ha12_map, joint_distribution, pom, tree_count
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -184,18 +175,9 @@ def check_census(report: VerifyReport, n_max: int, force: bool) -> None:
     for n in _capped(report, "census/second-difference", 2, n_max, force, limit, "census limit"):
         with timed_check(report, "census/second-difference", {"n": n}) as failures:
             census_tables(top, limit=top)  # as in check_enumeration
-            tables = census_tables(n, limit=n_max)
-            # R1/R3 are row second differences, R2/R4 column ones
-            for tag, cells, d2 in recurrence_residuals(DeltaMatrix(n, tables.joint)):
-                m, k = cells[0]
-                if tag in ("R1", "R3"):
-                    witness = tables.r1_witness[m - 1][k - 1]
-                else:
-                    witness = tables.r2_outside[m - 1][k - 1] + tables.r2_inside[m - 1][k - 1]
-                if d2 + 2 * witness != 0:
-                    text = f"{tag} second difference at (m,k)=({m},{k}): {d2}, witness {witness}"
-                    failures.append(text)
-                    break
+            failure = trees.census_identity_failure(census_tables(n, limit=n_max))
+            if failure is not None:
+                failures.append(failure)
 
     # the reduced recurrences as pure matrix identities
     _check_each(
@@ -208,28 +190,9 @@ def check_gf(report: VerifyReport, cap: int) -> None:
     """Both trivariate identities over the integers, at the full cap; the
     Q(sqrt 2) series path (gf.lambda_rhs, gf.omega_rhs) is the tests' oracle."""
     matrices = delta_matrices(gf.required_matrix_count(cap))
-    for triangle, lhs_egf, numerator_egf, perm, swap in (
-        ("lower", gf.lambda_egf, gf.lambda_numerator_egf, (0, 2, 1), "y<->z"),
-        ("upper", gf.omega_egf, gf.omega_numerator_egf, (2, 1, 0), "x<->z"),
-    ):
+    for triangle in ("lower", "upper"):
         with timed_check(report, f"gf/{triangle}-triangle", {"cap": cap}) as failures:
-            lhs, numerator = lhs_egf(cap, matrices), numerator_egf(cap)
-            mono = gf.closed_form_mismatch(lhs, numerator, cap)
-            if mono is not None:
-                i, j, l = mono
-                values = (side[i][j][l] for side in gf.closed_form_sides(lhs, numerator, cap))
-                failures.append(
-                    f"{triangle}-triangle series differs from its closed form (first at "
-                    "x^{} y^{} z^{}: series times denominator {}, numerator {})".format(*mono, *values)
-                )
-            mirror = gf.permute_axes(lhs, perm)
-            if mirror != lhs:
-                at = min(m for m in {*lhs, *mirror} if lhs.get(m) != mirror.get(m))
-                values = lhs.get(at, 0), mirror.get(at, 0)
-                failures.append(
-                    f"{triangle}-triangle series not symmetric under {swap} "
-                    "(first at x^{} y^{} z^{}: {}, swapped {})".format(*at, *values)
-                )
+            failures.extend(gf.triangle_series_failures(triangle, cap, matrices))
 
 
 def check_poupard_matrices(report: VerifyReport) -> None:

@@ -414,6 +414,7 @@ def test_census_tables_need_no_solver(monkeypatch):
         tables = census_tables(n)
         grids = (tables.joint, tables.r1_witness, tables.r2_outside, tables.r2_inside)
         assert tuple(_grid_digest(g) for g in grids) == _CENSUS_DIGESTS[n]
+        assert trees.census_identity_failure(tables) is None, n
 
 
 def test_census_joint_matches_the_matrices_past_enumeration():

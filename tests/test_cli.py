@@ -13,7 +13,7 @@ import pytest
 
 import poupard
 import poupard.verify as verify_mod
-from poupard.cli import EXIT_BROKEN_PIPE, main
+from poupard.cli import EXIT_BROKEN_PIPE, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -49,6 +49,33 @@ def test_matrix_rejects_n0(capsys):
     code, _, err = run_cli(capsys, "matrix", "--n", "0")
     assert code == 2
     assert "n must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv, kind, minimum",
+    [
+        (["matrix", "--n"], "n", 1),
+        (["triangle", "--n-max"], "n-max", 0),
+        (["trees", "--n"], "n", 0),
+        (["gf", "--which", "lambda", "--cap"], "cap", 0),
+        (["verify", "--n-max"], "n-max", 1),
+        (["verify", "--cap"], "cap", 0),
+        (["export", "--out", "unused", "--n-max"], "n-max", 1),
+        (["export", "--out", "unused", "--cap"], "cap", 0),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_size_flags_read_plain_decimals_only(capsys, argv, kind, minimum):
+    # int() also reads digit separators, signs, spaces and non-ASCII digits
+    for text in ("1_0", "\u0663", " +2", "+2", "2 ", "0x1", ""):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, text])
+        assert exc.value.code == 2, text
+        assert f"{kind} must be an integer" in capsys.readouterr().err, text
+    with pytest.raises(SystemExit) as exc:  # a minus still reads, and is then too small
+        build_parser().parse_args([*argv, str(minimum - 2)])
+    assert exc.value.code == 2
+    assert f"{kind} must be >= {minimum}" in capsys.readouterr().err
 
 
 def test_triangle_output(capsys):

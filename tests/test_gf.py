@@ -22,7 +22,7 @@ import poupard
 import poupard.series as series_mod
 from poupard import gf, verify
 from poupard.cli import main
-from poupard.delta import DeltaMatrix, delta_matrices
+from poupard.delta import DeltaMatrix, delta_matrices, first_difference
 from poupard.report import FAIL, PASS, VerifyReport
 from poupard.scalars import SQRT2, RootTwoScalar
 from poupard.series import LinearForm, TriSeries, of_linear_form, reciprocal, trig_in_x, trig_series
@@ -363,10 +363,15 @@ def bumped(matrices, n, m, k):
     return out
 
 
-def integer_check_passes(which, cap, matrices):
+def integer_mismatch(which, cap, matrices):
+    """The first monomial where the trivariate `closed_form_sides` differ, or None."""
     lhs = getattr(gf, f"{which}_egf")(cap, matrices)
     numerator = getattr(gf, f"{which}_numerator_egf")(cap)
-    return gf.closed_form_mismatch(lhs, numerator, cap) is None
+    return first_difference(*gf.closed_form_sides(lhs, numerator, cap))
+
+
+def integer_check_passes(which, cap, matrices):
+    return integer_mismatch(which, cap, matrices) is None
 
 
 def test_numerator_egfs_match_trig_series():
@@ -636,8 +641,9 @@ INTEGER_VERDICTS_SHA256 = "3d35f4b8e10109910ef9d5c28146aecc60b6ae9ed5764c1976c9b
 
 
 def integer_verdict_lines():
-    """One line per (cap, variant): both `closed_form_mismatch` monomials and
-    the `bivariate_closed_form_failures` list, for caps 0..24 on the true
+    """One line per (cap, variant): the first monomial where the
+    `closed_form_sides` differ, for both triangles, and the
+    `bivariate_closed_form_failures` list, for caps 0..24 on the true
     matrices, the degree-cap axis cell and four seeded +1 corruptions."""
     top = delta_matrices((24 + 7) // 2)
     lines = []
@@ -650,14 +656,7 @@ def integer_verdict_lines():
             n = rng.randint(1, need)
             variants.append(bumped(matrices, n, rng.randint(1, 2 * n), rng.randint(1, 2 * n)))
         for mats in variants:
-            monomials = [
-                gf.closed_form_mismatch(
-                    getattr(gf, f"{which}_egf")(cap, mats),
-                    getattr(gf, f"{which}_numerator_egf")(cap),
-                    cap,
-                )
-                for which in ("lambda", "omega")
-            ]
+            monomials = [integer_mismatch(which, cap, mats) for which in ("lambda", "omega")]
             lines.append(repr((cap, monomials, gf.bivariate_closed_form_failures(cap, mats))))
     return lines
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import poupard
-from poupard import delta, gf, verify
+from poupard import delta, gf, trees, verify
 from poupard.delta import STRATEGIES, DeltaMatrix, _known_for
 from poupard.report import FAIL, PASS, VerifyReport, timed_check
 from poupard.triangle import poupard_triangle
@@ -239,6 +239,46 @@ def test_census_names_the_second_difference_and_the_witness(monkeypatch):
     assert _failures(report, "census/second-difference") == [
         "R1 second difference at (m,k)=(3,1): -2, witness 2"
     ]
+
+
+def _bump_r2_outside(tables, m, k):
+    grid = [list(row) for row in tables.r2_outside]
+    grid[m - 1][k - 1] += 1
+    return dataclasses.replace(tables, r2_outside=tuple(map(tuple, grid)))
+
+
+@pytest.mark.parametrize(
+    "m, k, expected",
+    [
+        # an R2 (U1) anchor whose witness count is 1, and an R4 (L2) one whose is 1
+        (2, 3, "R2 second difference at (m,k)=(2,3): -2, witness 2"),
+        (5, 1, "R4 second difference at (m,k)=(5,1): -2, witness 2"),
+    ],
+    ids=["R2", "R4"],
+)
+def test_census_names_the_column_second_difference(monkeypatch, m, k, expected):
+    bumped = _bump_r2_outside(census_tables(3), m, k)
+    assert trees.census_identity_failure(bumped) == expected
+
+    def corrupted(n, limit):
+        tables = census_tables(n, limit)
+        return _bump_r2_outside(tables, m, k) if n == 3 else tables
+
+    monkeypatch.setattr(verify, "census_tables", corrupted)
+    report = run_checks(["census"], n_max=3)
+    assert _failures(report, "census/second-difference") == [expected]
+
+
+def test_census_and_gf_checks_report_what_the_library_predicates_return(monkeypatch):
+    # verify spells neither identity: each check reports its predicate's verdict
+    monkeypatch.setattr(trees, "census_identity_failure", lambda tables: f"sentinel {tables.n}")
+    monkeypatch.setattr(
+        gf, "triangle_series_failures", lambda triangle, cap, matrices: [f"sentinel {triangle}"]
+    )
+    report = run_checks(["census", "gf"], n_max=3, cap=4)
+    assert _failures(report, "census/second-difference") == ["sentinel 2", "sentinel 3"]
+    assert _failures(report, "gf/lower-triangle") == ["sentinel lower"]
+    assert _failures(report, "gf/upper-triangle") == ["sentinel upper"]
 
 
 def _bump_egf(monkeypatch, egf, mono):
