@@ -23,13 +23,14 @@ propagation).  It flags under-determination (Unresolved) and contradictions
 (Inconsistent) instead of trusting any particular fill order.  Which cells a
 round derives depends on no value (`_rounds`), so `certifies` runs the rounds
 alone to tell, without solving, whether a system has a given matrix as its
-one solution; `build_matrix` takes D1's M_n for D2-D9 that way, and solves
-their own systems only where the certificate fails.
+one solution; `build_matrix` takes D1's M_n for D2-D9 that way when D1's
+chain already holds it, and solves their own systems otherwise.
 
-The instances are written once, as flat anchors with a step and a prev offset
-(`_instance_table`, and `_anchor_mask` as bits); one residual pass serves
-the solver's final check, the certificate and the oracle `recurrence_failure`,
-which never propagates.
+The instances are written once, in `_REGIONS` and `_RECURRENCES`: each
+recurrence is a step, a prev offset and its region's cells as a bitmask of
+the flat grid (`_anchor_mask`), and `region_cells` reads the same mask.  One
+residual pass serves the solver's final check, the certificate and the
+oracle `recurrence_failure`, which never propagates.
 """
 
 from __future__ import annotations
@@ -189,18 +190,23 @@ def in_region(tag: str, n: int, m: int, k: int) -> bool:
     return 1 <= k and k + d <= m <= 2 * n + t
 
 
-def region_cells(tag: str, n: int) -> Iterator[Cell]:
-    """The cells of one region in (m, k) order."""
+def _region_mask(tag: str, n: int) -> int:
+    """One region of the 2n x 2n grid as a bitmask of the flat grid, bit
+    (m-1)*2n + k-1 set for each of its cells (m, k).  Each row of a triangle
+    is one run of ones, k from kl to kr."""
     lower, d, t = _region(tag)
-    top = 2 * n + t
-    if lower:
-        for m in range(1 + d, top + 1):
-            for k in range(1, m - d + 1):
-                yield (m, k)
-    else:
-        for m in range(1, top - d + 1):
-            for k in range(m + d, top + 1):
-                yield (m, k)
+    w, top = 2 * n, 2 * n + t
+    mask = 0
+    for m in range(1, top + 1):
+        kl, kr = (1, m - d) if lower else (m + d, top)
+        if kl <= kr:
+            mask |= ((1 << (kr - kl + 1)) - 1) << ((m - 1) * w + kl - 1)
+    return mask
+
+
+def region_cells(tag: str, n: int) -> Tuple[Cell, ...]:
+    """The cells of one region in (m, k) order."""
+    return _cells(n, *_bits(_region_mask(tag, n)))
 
 
 #: recurrence tag -> (anchor region, vertical?, prev-matrix index shift)
@@ -212,33 +218,25 @@ _RECURRENCES: Dict[str, Tuple[str, bool, Tuple[int, int]]] = {
 }
 
 
-def _instance_table(n: int, tags) -> List[Tuple[str, int, int, List[int]]]:
-    """(tag, step, prev offset, anchors) per recurrence, in tag order.
+@lru_cache(maxsize=None)
+def _anchor_mask(n: int, tag: str) -> Tuple[str, int, int, int]:
+    """(tag, step, prev offset, anchors) of one recurrence.
 
     On the 2n x 2n grid flattened as (m-1)*2n + k-1, the instance of a
     recurrence at anchor a reads the cells a, a+step, a+2*step and the
     constant 2 f_{n-1} at a+offset; the regions keep all four on the grid.
+    The anchors are the bitmask of the recurrence's region.
     """
+    if tag not in _RECURRENCES:
+        raise ValueError(f"unknown recurrence {tag!r}")
+    region, vertical, (dm, dk) = _RECURRENCES[tag]
     w = 2 * n
-    table = []
-    for tag in sorted(frozenset(tags)):
-        if tag not in _RECURRENCES:
-            raise ValueError(f"unknown recurrence {tag!r}")
-        region, vertical, (dm, dk) = _RECURRENCES[tag]
-        anchors = [(m - 1) * w + k - 1 for m, k in region_cells(region, n)]
-        table.append((tag, w if vertical else 1, dm * w + dk, anchors))
-    return table
+    return tag, w if vertical else 1, dm * w + dk, _region_mask(region, n)
 
 
-@lru_cache(maxsize=None)
-def _anchor_mask(n: int, tag: str) -> Tuple[str, int, int, int]:
-    """One recurrence's row of `_instance_table`, with its anchors as a
-    bitmask of the flat grid: bit a is set when an instance anchors at a."""
-    ((tag, s, off, anchors),) = _instance_table(n, (tag,))
-    digits = bytearray(b"0" * (4 * n * n))  # bit i at index i
-    for a in anchors:
-        digits[a] = ord("1")
-    return tag, s, off, int(digits[::-1], 2)
+def _table(n: int, tags) -> List[Tuple[str, int, int, int]]:
+    """The `_anchor_mask` of each recurrence in tags, in tag order."""
+    return [_anchor_mask(n, tag) for tag in sorted(frozenset(tags))]
 
 
 def _bits(mask: int) -> List[int]:
@@ -266,10 +264,10 @@ def _twice_prev(n: int, prev: Optional[DeltaMatrix]) -> List[int]:
 def _residuals(
     table, vals: Sequence[Optional[int]], twice: Sequence[int]
 ) -> Iterator[Tuple[str, int, int, int]]:
-    """(tag, anchor, step, x - 2y + z + 2 f_{n-1}) for every instance whose
-    three cells are known, in (tag, anchor) order."""
+    """(tag, anchor, step, x - 2y + z + 2 f_{n-1}) for every instance of
+    table whose three cells are known, in (tag, anchor) order."""
     for tag, s, off, anchors in table:
-        for a in anchors:
+        for a in _bits(anchors):
             x, y, z = vals[a], vals[a + s], vals[a + 2 * s]
             if x is not None and y is not None and z is not None:
                 yield tag, a, s, x - 2 * y + z + twice[a + off]
@@ -281,8 +279,14 @@ def _cells(n: int, *flat: int) -> Tuple[Cell, ...]:
     return tuple((i // w + 1, i % w + 1) for i in flat)
 
 
-def _residual_failure(n: int, table, vals, twice) -> Optional[str]:
-    for tag, a, s, r in _residuals(table, vals, twice):
+def _matrix_residuals(mat: DeltaMatrix, prev: Optional[DeltaMatrix]):
+    """`_residuals` of every R1-R4 instance of M_n = mat against prev."""
+    vals = [v for row in mat.rows for v in row]
+    return _residuals(_table(mat.n, _RECURRENCES), vals, _twice_prev(mat.n, prev))
+
+
+def _residual_failure(n: int, residuals) -> Optional[str]:
+    for tag, a, s, r in residuals:
         if r != 0:
             return f"{tag} instance at cells {_cells(n, a, a + s, a + 2 * s)} has residual {r}"
     return None
@@ -450,7 +454,7 @@ def solve_constraints(
     w = 2 * n
     vals, known_bits = _known_grid(n, known)
 
-    table = [_anchor_mask(n, tag) for tag in sorted(frozenset(recurrences))]
+    table = _table(n, recurrences)
     derived = [0] * len(table)  # the instances that derived their lone cell
     for new, lones in _rounds(known_bits, table):
         for r, (lone_z, lone_y, lone_x) in enumerate(lones):
@@ -473,8 +477,8 @@ def solve_constraints(
     swept = []
     for (tag, s, off, anchors), d in zip(table, derived):
         full = known_bits & (known_bits >> s) & (known_bits >> 2 * s) & anchors
-        swept.append((tag, s, off, _bits(full & ~d)))
-    failure = _residual_failure(n, swept, vals, twice)
+        swept.append((tag, s, off, full & ~d))
+    failure = _residual_failure(n, _residuals(swept, vals, twice))
     if failure is not None:
         raise Inconsistent(n, failure)
     if None in vals:
@@ -486,10 +490,7 @@ def solve_constraints(
 def _nonzero_residuals(mat: DeltaMatrix, prev: Optional[DeltaMatrix]) -> FrozenSet[str]:
     """The recurrences among R1-R4 with an instance of nonzero residual on
     M_n = mat against prev."""
-    n = mat.n
-    vals = [v for row in mat.rows for v in row]
-    table = _instance_table(n, _RECURRENCES)
-    return frozenset(tag for tag, _a, _s, r in _residuals(table, vals, _twice_prev(n, prev)) if r)
+    return frozenset(tag for tag, _a, _s, r in _matrix_residuals(mat, prev) if r)
 
 
 def certifies(
@@ -516,7 +517,7 @@ def certifies(
         return False
     if any(candidate.rows[m - 1][k - 1] != v for (m, k), v in known.items()):
         return False
-    table = [_anchor_mask(n, tag) for tag in sorted(frozenset(recurrences))]
+    table = _table(n, recurrences)
     if not _nonzero_residuals(candidate, prev).isdisjoint(tag for tag, *_ in table):
         return False
     for new, _lones in _rounds(reached, table):
@@ -548,18 +549,16 @@ _chains: Dict[str, List[DeltaMatrix]] = {}
 
 def _build_chain(n: int, tag: str) -> DeltaMatrix:
     """M_n under one strategy, each M_k from the strategy's own M_{k-1}.
-    Past D1, a step takes D1's M_k itself when it certifies the strategy's
-    system, which is when solving that system would return it; otherwise,
-    or when D1's build raises, the step solves."""
+    Past D1, a step takes D1's M_k itself when D1's chain already holds it
+    and it certifies the strategy's system, which is when solving that
+    system would return it; otherwise the step solves.  No step builds D1."""
     chain = _chains.setdefault(tag, [M1])
+    d1 = _chains.get("D1", ())  # for D1 itself, chain: never ahead of the step
     strategy = STRATEGIES[tag]
     while len(chain) < n:
         k, prev = len(chain) + 1, chain[-1]
         known = _known_for(strategy, k, prev)
-        try:
-            mat = _build_chain(k, "D1") if tag != "D1" else None
-        except (Unresolved, Inconsistent):
-            mat = None
+        mat = d1[k - 1] if k <= len(d1) else None
         if mat is None or not certifies(k, known, strategy.recurrences, prev, mat):
             mat = solve_constraints(k, known, strategy.recurrences, prev)
         chain.append(mat)
@@ -683,19 +682,14 @@ def recurrence_residuals(mat: DeltaMatrix) -> Iterator[Tuple[str, Tuple[Cell, ..
     """(tag, cells, x - 2y + z) for every R1-R4 instance of M_n: the bare
     second differences of `mat`, without the 2 f_{n-1} term, which
     `recurrence_failure` adds."""
-    n = mat.n
-    vals = [v for row in mat.rows for v in row]
-    table = _instance_table(n, _RECURRENCES)
-    for tag, a, s, r in _residuals(table, vals, _twice_prev(n, None)):
-        yield tag, _cells(n, a, a + s, a + 2 * s), r
+    for tag, a, s, r in _matrix_residuals(mat, None):
+        yield tag, _cells(mat.n, a, a + s, a + 2 * s), r
 
 
 def recurrence_failure(mat: DeltaMatrix, prev: DeltaMatrix) -> Optional[str]:
     """Every R1-R4 instance of M_n has zero residual against M_{n-1}.  The
     pass reads `mat` alone, never the solver's propagation."""
-    n = mat.n
-    vals = [v for row in mat.rows for v in row]
-    return _residual_failure(n, _instance_table(n, _RECURRENCES), vals, _twice_prev(n, prev))
+    return _residual_failure(mat.n, _matrix_residuals(mat, prev))
 
 
 def matrix_properties_check(

@@ -254,13 +254,13 @@ def run_checks(
     force: bool = False,
 ) -> VerifyReport:
     selected = list(dict.fromkeys(checks))
-    if "all" in selected:
-        selected = list(ALL_CHECKS)
     if not selected:
         raise ValueError(f"no checks selected; available: {ALL_CHECKS}")
-    unknown = [c for c in selected if c not in ALL_CHECKS]
+    unknown = [c for c in selected if c not in ("all", *ALL_CHECKS)]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {ALL_CHECKS}")
+    if "all" in selected:
+        selected = list(ALL_CHECKS)
     # below these bounds every suite would pass having checked nothing
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")

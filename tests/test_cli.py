@@ -135,8 +135,13 @@ def test_verify_json_report(capsys):
 
 @pytest.mark.parametrize(
     "checks, message",
-    [("nonsense", "unknown checks"), ("", "no checks selected"), (",,", "no checks selected")],
-    ids=["nonsense", "empty", "commas"],
+    [
+        ("nonsense", "unknown checks"),
+        ("all,nonsense", "unknown checks"),
+        ("", "no checks selected"),
+        (",,", "no checks selected"),
+    ],
+    ids=["nonsense", "all-and-nonsense", "empty", "commas"],
 )
 def test_verify_unknown_check(capsys, checks, message):
     code, _, err = run_cli(capsys, "verify", "--checks", checks)

@@ -489,7 +489,7 @@ def test_unknown_strategy_rejected():
 
 
 def test_region_cells_match_in_region_filter():
-    for n in range(1, 13):
+    for n in range(1, 41):
         for tag in ("L1", "L2", "U1", "U2"):
             grid = [(m, k) for m in range(1, 2 * n + 1) for k in range(1, 2 * n + 1)]
             assert list(region_cells(tag, n)) == [c for c in grid if in_region(tag, n, *c)]
@@ -763,14 +763,28 @@ def _own_chains(n_max):
 
 
 def test_build_matrix_returns_each_strategys_own_solution(monkeypatch):
-    monkeypatch.setattr(delta, "_chains", {})
+    # whichever order the strategies are built in, each returns its own
+    # chain; only a strategy built after D1 takes D1's matrices
     own = _own_chains(12)
-    for tag in sorted(STRATEGIES, reverse=True):  # D9 first: D1's chain grows inside it
-        for n in range(12, 0, -1):
-            mat = build_matrix(n, tag)
-            assert mat == own[tag][n - 1], (tag, n)
-            if mat == build_matrix(n, "D1"):  # a certified step shares D1's matrix
-                assert mat is build_matrix(n, "D1"), (tag, n)
+    solved, solve = [], delta.solve_constraints
+
+    def recorded(n, *args):
+        solved.append(n)
+        return solve(n, *args)
+
+    monkeypatch.setattr(delta, "solve_constraints", recorded)
+    for order in (sorted(STRATEGIES, reverse=True), sorted(STRATEGIES)):
+        monkeypatch.setattr(delta, "_chains", {})
+        for tag in order:
+            solved.clear()
+            built = [build_matrix(n, tag) for n in range(12, 0, -1)][::-1]
+            assert built == own[tag], tag
+            d1 = delta._chains.get("D1", [])
+            if tag != "D1" and d1:  # D1's own objects, certified without a solve
+                assert all(m is d for m, d in zip(built, d1)) and solved == [], tag
+            else:  # D1, or a strategy before it: its own chain solved, D1 unbuilt
+                assert solved == list(range(2, 13)), tag
+                assert ("D1" in delta._chains) == (tag == "D1"), tag
 
 
 def test_a_strategy_solves_its_own_system_where_d1_raises(monkeypatch):
