@@ -19,15 +19,18 @@ varies slowest, so output order is reproducible across runs.
 
 The enumerator works in label space: it yields each tree as a tuple of
 (parent, childA, childB) label triples, which enumerate_trees reads into a
-Tree for the public API and the `trees` CLI; chain_shift_failure, the whole
-bijection check, relabels them with the kernel that ha12_map wraps.  One
-recursion over the split streams the top level; only the sub-blocks it
-reuses, up to size 11, are memoized, each on labels 1..size and relabeled into
-its block as it is read.  The census tables do not use the enumerator: they
-attach the labels in increasing order and count the partial trees by a small
-state, so no tree, per-tree tuple or Tree is built.  One such pass up to the
-largest n asked for so far gives the tables of every smaller n on its way,
-and they are kept for the process.
+Tree for the public API and the `trees` CLI.  One recursion over the split
+streams the top level; only the sub-blocks it reuses, up to size 11, are
+memoized, each on labels 1..size and relabeled into its block as it is read.
+chain_shift_failure, the whole bijection check, relabels no tree: the
+minimal chain lies in the first block of every split, so each tree's image
+comes out, in the same order, as one int summed from per-block parts that
+are kept only while the check runs.  ha12_map relabels one Tree with the
+kernel _chain_shift, which walks its minimal chain.  The census tables do not
+use the enumerator: they attach the labels in increasing order and count the
+partial trees by a small state, so no tree, per-tree tuple or Tree is built.
+One such pass up to the largest n asked for so far gives the tables of every
+smaller n on its way, and they are kept for the process.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from operator import ge
+from itertools import combinations, islice
+from operator import eq, itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .delta import DeltaMatrix, recurrence_residuals
@@ -47,6 +50,13 @@ from .triangle import poupard_triangle
 # top level stream.  At n >= 7 a memo of the size-13 sub-blocks would hold
 # 349 504 shapes.
 _MEMO_MAX_SIZE = 11
+
+# Largest blocks, off the minimal chain and holding it, whose chain-shift
+# image parts one chain_shift_failure call keeps; larger blocks are rebuilt
+# where they recur.  Chain blocks recur less: keeping those of 7 labels too
+# takes the check's peak at n = 5 from 0.93 to 1.15 MiB (tracemalloc) and
+# saves only at n = 6, 0.09 of 0.37 s.
+_PART_MEMO_MAX = {False: 7, True: 5}
 
 # The census limit, about 1.6 s for one pass: census_tables / joint_distribution refuse
 # larger n unless given a larger limit, and verify's census suites stop here unless forced.
@@ -290,25 +300,144 @@ def ha12_map(t: Tree) -> Tree:
 def chain_shift_failure(n: int) -> Optional[str]:
     """The first tree of T_{2n+1}, in enumeration order, whose chain-shift image
     collides with an earlier one, is not increasing, or has eoc != pom(image) + 1,
-    named with its fault; else a count other than tree_count(n); else None."""
+    named with its fault; else a count other than tree_count(n); else None.
+
+    Column checks over the bytes of every _images key and one sort show that
+    no tree fails; only when one does, a scan tree by tree names it."""
     if n < 1:  # no eoc on the single-node tree, and no tree below it
         raise StatisticUndefined(f"the bijection needs n >= 1, got {n}")
+    keys = list(_images(n))
+    failure = None if _every_image_holds(keys, 2 * n + 1) else _first_failure(n)
+    return failure or ("bijection domain size mismatch" if len(keys) != tree_count(n) else None)
+
+
+# pom + 1 byte by byte: labels fit in a byte up to n = 127, far past any enumerable n
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
+# keys that _every_image_holds turns into bytes at a time
+_BATCH = 1024
+
+
+def _every_image_holds(keys: List[int], size: int) -> bool:
+    """No two keys are equal, and each is increasing with eoc = pom + 1.
+    Sorts keys in place."""
+    w = size + 1
+    below = [bytes(range(v)) for v in range(w)]
+    for i in range(0, len(keys), _BATCH):
+        # one row of w bytes per key, so that column v is blob[v::w]
+        blob = b"".join([key.to_bytes(w, "little") for key in keys[i : i + _BATCH]])
+        if blob[size::w].translate(_PLUS_ONE) != blob[::w]:
+            return False
+        if any(blob[v::w].translate(None, below[v]) for v in range(1, w)):
+            return False  # some image parent of v is v or above
+    keys.sort()
+    return not any(map(eq, keys, islice(keys, 1, None)))
+
+
+def _first_failure(n: int) -> Optional[str]:
+    """chain_shift_failure's fault, found tree by tree; None if every tree passes."""
     size = 2 * n + 1
-    labels = range(1, size + 1)
     seen = set()
-    for shape in _iter_shapes(size):
-        end, parent = _chain_shift(shape, size)
-        # labels fit in a byte up to n = 127, far past any enumerable n
-        key = bytes(parent)
-        if key in seen:
-            return f"image collision at {_tree(n, shape).serialize()}"
-        if any(map(ge, key[1:], labels)):  # an image parent >= its child
-            v = next(v for v in labels if key[v] >= v)
-            return f"image not increasing at {_tree(n, shape).serialize()}: edge {key[v]}->{v}"
-        if end != key[size] + 1:
-            return f"eoc != pom(image)+1 at {_tree(n, shape).serialize()}: {end} vs {key[size]}"
-        seen.add(key)
-    return "bijection domain size mismatch" if len(seen) != tree_count(n) else None
+    for i, key in enumerate(_images(n)):
+        row = key.to_bytes(size + 1, "little")
+        image, end, top_parent = row[1:], row[0], row[size]
+        v = next((v for v in range(1, size + 1) if row[v] >= v), None)
+        if image in seen:
+            fault = "image collision at {}"
+        elif v is not None:
+            fault = f"image not increasing at {{}}: edge {row[v]}->{v}"
+        elif end != top_parent + 1:
+            fault = f"eoc != pom(image)+1 at {{}}: {end} vs {top_parent}"
+        else:
+            seen.add(image)
+            continue
+        return fault.format(_tree(n, next(islice(_iter_shapes(size), i, None))).serialize())
+    return None
+
+
+def _images(n: int) -> List[int]:
+    """The chain-shift image of each tree of T_{2n+1}, in _iter_shapes order,
+    as an int key: byte v (1 <= v <= 2n+1) holds the image parent of v, as in
+    _chain_shift's parent list, and byte 0 the end of the tree's minimal chain.
+
+    The minimal chain runs from the root into the first block of every split,
+    so a key is a sum of parts: one for the first block's subtree and the
+    edge into it, one for the second block's subtree, and the root's edge to
+    the second block.  _ImageParts builds them block by block, and each tree
+    then costs one int addition."""
+    size = 2 * n + 1
+    return _ImageParts(size).of(tuple(range(1, size + 1)), True)
+
+
+class _ImageParts:
+    """The parts of the image keys of the trees on labels 1..size, per block:
+    a sorted tuple of labels, its smallest the root, with the shapes of
+    _iter_shapes on it.
+
+    The chain shift sends chain node a_i to a_{i+1} - 1, the chain's end to
+    size, and every other label a to a - 1.  A chain block holds the chain
+    from its root on, and its parts add the edge into its root and, in byte
+    0, the chain's end.  An off-chain block's parts leave out the edge into
+    its root, whose image parent depends on the parent."""
+
+    def __init__(self, size: int):
+        self.top = 8 * size  # bit offset of byte `size`
+        self.memo: Dict[bool, Dict[tuple, List[int]]] = {False: {}, True: {}}
+        self.splits = {k: _split_getters(k) for k in range(3, size + 1, 2)}
+
+    def of(self, block: tuple, chain: bool) -> List[int]:
+        """The parts of every shape on the block, in _iter_shapes order."""
+        memo = self.memo[chain]
+        parts = memo.get(block)
+        if parts is not None:
+            return parts
+        if len(block) == 1:
+            end = block[0]
+            return [((end - 1) << self.top) + end] if chain else [0]
+        # with r the root and c its first child, byte c - 1 holds r - 1: on the
+        # chain for the edge into r, whose image is c - 1; off it for r -> c
+        r, c = block[0], block[1]
+        head = (r - 1) << 8 * (c - 1)
+        r_image = c - 1 if chain else r - 1
+        parts = []
+        for first, second in self.splits[len(block)]:
+            b2 = second(block)
+            const = head + (r_image << 8 * (b2[0] - 1))  # the edge r -> b2[0]
+            parts += _sums(self.of(first(block), chain), self.of(b2, False), const)
+        if len(block) <= _PART_MEMO_MAX[chain]:
+            memo[block] = parts
+        return parts
+
+
+def _split_getters(k: int) -> List[Tuple[itemgetter, itemgetter]]:
+    """Each split of a block of k labels, in _iter_shapes order, as a pair of
+    getters that read the first and the second block off the block."""
+
+    def getter(positions: tuple) -> itemgetter:  # a tuple even for one position
+        if len(positions) == 1:
+            return itemgetter(slice(positions[0], positions[0] + 1))
+        return itemgetter(*positions)
+
+    splits = []
+    for s in range(1, k - 1, 2):
+        for extra in combinations(range(2, k), s - 1):
+            rest = tuple(i for i in range(2, k) if i not in extra)
+            splits.append((getter((1, *extra)), getter(rest)))
+    return splits
+
+
+def _sums(first: List[int], second: List[int], const: int) -> List[int]:
+    """[a + b + const for a in first for b in second], with a Python loop
+    over the shorter list only."""
+    if len(first) <= len(second):
+        out: List[int] = []
+        for a in first:
+            out += map((a + const).__add__, second)
+        return out
+    k = len(second)
+    out = [0] * (len(first) * k)
+    for j, b in enumerate(second):
+        out[j::k] = map((b + const).__add__, first)
+    return out
 
 
 # ---------------------------------------------------------------------------

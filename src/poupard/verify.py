@@ -32,7 +32,8 @@ from .trees import Tree, census_tables, eoc, ha12_map, joint_distribution, pom, 
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-# bijection visits every tree; at n = 6, 349 504 of them take about 1.3 s
+# bijection visits every tree: n = 5 takes about 0.01 s, and n = 6, with
+# 349 504 images, about 0.35 s and 23 MiB
 BIJECTION_CAP = 5
 
 

@@ -161,12 +161,13 @@ def _bijection_records(n_max):
 
 def test_bijection_check_fails_on_an_image_collision(monkeypatch):
     # every tree of one n is sent to the image of the first tree of that n
-    firsts, kernel = {}, trees._chain_shift
+    images = trees._images
 
-    def colliding(shape, size):
-        return kernel(firsts.setdefault(size, shape), size)
+    def colliding(n):
+        keys = list(images(n))
+        return [keys[0]] * len(keys)
 
-    monkeypatch.setattr(trees, "_chain_shift", colliding)
+    monkeypatch.setattr(trees, "_images", colliding)
     records = _bijection_records(3)
     assert records[1].status == PASS  # T_3 has one tree, so nothing collides
     second = list(enumerate_trees(2))[1]
@@ -178,15 +179,17 @@ def test_bijection_check_fails_on_an_image_collision(monkeypatch):
 
 def test_bijection_check_fails_where_eoc_is_not_pom_of_the_image_plus_one(monkeypatch):
     # the identity is a bijection, but eoc(t) = pom(t) + 1 fails on most trees
-    kernel = trees._chain_shift
+    images = trees._images
 
-    def identity(shape, size):
-        parent = [0] * (size + 1)
-        for p, a, b in shape:
-            parent[a] = parent[b] = p
-        return kernel(shape, size)[0], parent
+    def identity(n):
+        # each tree's own parent list as its image, byte 0 still its eoc
+        for key, shape in zip(images(n), trees._iter_shapes(2 * n + 1)):
+            parent = [key & 255] + [0] * (2 * n + 1)
+            for p, a, b in shape:
+                parent[a] = parent[b] = p
+            yield int.from_bytes(bytes(parent), "little")
 
-    monkeypatch.setattr(trees, "_chain_shift", identity)
+    monkeypatch.setattr(trees, "_images", identity)
     records = _bijection_records(2)
     assert records[1].status == PASS  # the one tree of T_3 is a fixed point of the map
     bad = next(t for t in enumerate_trees(2) if eoc(t) != pom(t) + 1)
@@ -199,16 +202,17 @@ def test_bijection_check_fails_where_eoc_is_not_pom_of_the_image_plus_one(monkey
 _HUNG_UNDER_3 = """
 from poupard import trees, verify
 
-kernel = trees._chain_shift  # kept, as hung replaces the module's name
+images = trees._images  # kept, as hung replaces the module's name
 
-def hung(shape, size):
+def hung(n):
     # label 2 hung under label 3 in every image: the map stays injective and
     # eoc = pom(image) + 1 still holds, but the image edge 3->2 decreases
-    end, parent = kernel(shape, size)
-    parent[2] = 3
-    return end, parent
+    for key in images(n):
+        row = bytearray(key.to_bytes(2 * n + 2, "little"))
+        row[2] = 3
+        yield int.from_bytes(row, "little")
 
-trees._chain_shift = hung
+trees._images = hung
 for record in verify.run_checks(["bijection"], n_max=2).checks:
     print(record.params["n"], record.status, record.counterexample)
 """

@@ -1,9 +1,11 @@
 """Enumeration, statistics, and the chain-shift bijection."""
 
+import gc
 import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import islice
 from pathlib import Path
 
@@ -387,6 +389,72 @@ def test_chain_shift_failure_holds_on_every_tree_and_needs_n_at_least_1():
     for n in (0, -1):
         with pytest.raises(StatisticUndefined, match=f"needs n >= 1, got {n}"):
             trees.chain_shift_failure(n)
+
+
+def _kernel_keys(n):
+    """The _images keys spelled from _chain_shift: eoc, then the parent list."""
+    size = 2 * n + 1
+    for shape in trees._iter_shapes(size):
+        end, parent = trees._chain_shift(shape, size)
+        yield bytes([end, *parent[1:]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_built_images_match_the_kernel_in_order(n):
+    built = [key.to_bytes(2 * n + 2, "little") for key in trees._images(n)]
+    assert built == list(_kernel_keys(n))
+
+
+# sha256 of the 349 504 keys of n = 6 in order, each as _kernel_keys gives it,
+# recorded from _chain_shift over _iter_shapes(13)
+_IMAGES_6_DIGEST = "2075407d27395bbb31ec4f65106a364d95c93c9d870173336c59f8429f90680f"
+
+
+def test_built_images_of_n6_match_the_recorded_kernel_digest():
+    # the kernel loop takes about 1.3 s at n = 6, so its digest is pinned
+    digest = hashlib.sha256()
+    count = 0
+    for key in trees._images(6):
+        digest.update(key.to_bytes(14, "little"))
+        count += 1
+    assert count == tree_count(6) == 349504
+    assert digest.hexdigest() == _IMAGES_6_DIGEST
+    assert trees.chain_shift_failure(6) is None
+
+
+def _module_state():
+    """Every module-level name of trees, with the size of each container and
+    the statistics of each lru_cache."""
+    state = {}
+    for name, value in vars(trees).items():
+        if hasattr(value, "cache_info"):
+            state[name] = value.cache_info()
+        elif isinstance(value, (dict, list, set)):
+            state[name] = len(value)
+        else:
+            state[name] = None
+    return state
+
+
+def test_chain_shift_failure_keeps_nothing_after_it_returns():
+    tree_count(5)  # the triangle's cache is not the check's
+    before = _module_state()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    gc.disable()  # so that a reference cycle would keep its memory too
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert trees.chain_shift_failure(5) is None
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        gc.enable()
+        if not tracing:
+            tracemalloc.stop()
+    # the shape memo and every other module-level cache are as they were
+    assert _module_state() == before
+    # the 11 056 images and their parts alone take about 1 MiB while it runs
+    assert kept < 64 * 1024
 
 
 def test_chain_shift_failure_counts_the_domain(monkeypatch):
