@@ -17,18 +17,19 @@ contains the smallest remaining label to come first.  Blocks are visited by
 ascending first-block size, then lexicographically, and the first subtree
 varies slowest, so output order is reproducible across runs.
 
-The enumerator works in label space: it yields each tree as a tuple of
-(parent, childA, childB) label triples, which enumerate_trees reads into a
-Tree for the public API and the `trees` CLI.  One recursion over the split
-streams the top level; only the sub-blocks it reuses, up to size 11, are
-memoized, each on labels 1..size and relabeled into its block as it is read.
-chain_shift_failure, the whole bijection check, relabels no tree: the
-minimal chain lies in the first block of every split, so each tree's image
-comes out, in the same order, as one int summed from per-block parts that
-are kept only while the check runs.  ha12_map relabels one Tree with the
-kernel _chain_shift, which walks its minimal chain.  The census tables do not
-use the enumerator: they attach the labels in increasing order and count the
-partial trees by a small state, so no tree, per-tree tuple or Tree is built.
+One walk over the splits, _Blocks, serves enumeration and the bijection
+check and relabels no tree: a tree on a block is a part of its first
+subtree + a part for the root's edges + a part of its second subtree.
+enumerate_trees sums tuples of (parent, childA, childB) label triples and
+reads each into a Tree for the public API and the `trees` CLI.
+chain_shift_failure, the whole bijection check, sums ints that hold the
+chain-shift image, as the minimal chain lies in the first block of every
+split.  Small blocks' parts live as long as one walk; enumeration streams
+the larger blocks, so it starts at once at any n.  ha12_map relabels one
+Tree with the kernel _chain_shift, which walks its minimal chain as
+minimal_chain does.  The census tables do not use the walk: they attach the
+labels in increasing order and count the partial trees by a small state,
+so no tree, per-tree tuple or Tree is built.
 One such pass up to the largest n asked for so far gives the tables of every
 smaller n on its way, and they are kept for the process.
 """
@@ -38,22 +39,16 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, islice
-from operator import eq, itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import combinations, islice, repeat
+from operator import add, eq, itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .delta import DeltaMatrix, recurrence_residuals
 from .triangle import poupard_triangle
 
-# Largest sub-block size kept in the memo table; bigger sub-blocks and every
-# top level stream.  At n >= 7 a memo of the size-13 sub-blocks would hold
-# 349 504 shapes.
-_MEMO_MAX_SIZE = 11
-
-# Largest blocks, off the minimal chain and holding it, whose chain-shift
-# image parts one chain_shift_failure call keeps; larger blocks are rebuilt
-# where they recur.  Chain blocks recur less: keeping those of 7 labels too
+# Largest blocks, off the minimal chain and holding it, whose parts one walk
+# of _Blocks keeps; larger blocks are rebuilt where they recur, or streamed.
+# Chain blocks recur less: keeping those of 7 labels too
 # takes the check's peak at n = 5 from 0.93 to 1.15 MiB (tracemalloc) and
 # saves only at n = 6, 0.09 of 0.37 s.
 _PART_MEMO_MAX = {False: 7, True: 5}
@@ -89,7 +84,7 @@ class Tree:
         if self.n < 0:
             raise ValueError(f"tree size n must be nonnegative, got {self.n}")
         size = self.size()
-        labels = set(range(1, size + 1))
+        labels = range(1, size + 1)
         seen_children = []
         for p, pair in self.children.items():
             if p not in labels:
@@ -139,48 +134,13 @@ class Tree:
 # ---------------------------------------------------------------------------
 
 
-def _iter_shapes(size: int) -> Iterator[tuple]:
-    """Stream the trees on labels 1..size, each a tuple of (parent, childA,
-    childB) triples.  The root 1 splits 2..size into two odd blocks, with 2
-    in the first, b1: by ascending |b1|, then lexicographic b1, the first
-    subtree varying slowest.  A subtree on a block b is a tree on 1..|b|
-    relabeled by l -> b[l]; sub-blocks up to _MEMO_MAX_SIZE come from the
-    memo, larger ones stream as well."""
-    if size == 1:
-        yield ()
-        return
-    others = range(3, size + 1)
-    for s in range(1, size - 1, 2):
-        for extra in combinations(others, s - 1):
-            chosen = set(extra)
-            b1 = (0, 2, *extra)  # b[l] for l >= 1; b[0] is never read
-            b2 = (0, *(v for v in others if v not in chosen))
-            root = (1, 2, b2[1])
-            for sh1 in _sub_shapes(s):
-                t1 = [(b1[p], b1[a], b1[b]) for p, a, b in sh1]
-                for sh2 in _sub_shapes(size - 1 - s):
-                    yield (root, *t1, *[(b2[p], b2[a], b2[b]) for p, a, b in sh2])
-
-
-def _sub_shapes(size: int) -> Iterable[tuple]:
-    return _shapes(size) if size <= _MEMO_MAX_SIZE else _iter_shapes(size)
-
-
-@lru_cache(maxsize=None)
-def _shapes(size: int) -> Tuple[tuple, ...]:
-    return tuple(_iter_shapes(size))
-
-
 def enumerate_trees(n: int) -> Iterator[Tree]:
     """Yield every strictly ordered binary tree on 2n+1 nodes exactly once."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    for shape in _iter_shapes(2 * n + 1):
-        yield _tree(n, shape)
-
-
-def _tree(n: int, shape: tuple) -> Tree:
-    return Tree(n, {p: (a, b) for p, a, b in shape})
+    shapes = _Blocks(lambda end, chain: (), lambda r, c, d, chain: ((r, c, d),), stream=True)
+    for shape in shapes.of(tuple(range(1, 2 * n + 2)), True):
+        yield Tree(n, {p: (a, b) for p, a, b in shape})
 
 
 def tree_count(n: int) -> int:
@@ -198,14 +158,17 @@ def tree_count(n: int) -> int:
 
 def minimal_chain(t: Tree) -> List[int]:
     """Root-to-leaf path taking the minimum-labeled child at each step."""
+    return _minimal_chain(t.children)
+
+
+def _minimal_chain(children: Dict[int, Tuple[int, int]]) -> List[int]:
+    """minimal_chain read off a map from each interior label to its children."""
     chain = [1]
     node = 1
-    children = t.children
     while node in children:
         a, b = children[node]
         child = a if a < b else b
-        if child <= node:
-            raise ValueError(f"label order violated on edge {node}->{child}")
+        _check_edge_order(node, child)
         node = child
         chain.append(node)
     return chain
@@ -259,20 +222,15 @@ def _chain_shift(triples: Iterable[Tuple[int, int, int]], size: int) -> Tuple[in
     With minimal chain a_1 < ... < a_j: chain node a_i is relabeled
     a_{i+1} - 1, the final a_j becomes size, and every non-chain label a
     becomes a - 1.  The chain is walked once."""
-    first = {p: (a if a < b else b) for p, a, b in triples}
+    chain = _minimal_chain({p: (a, b) for p, a, b in triples})
     relabel = list(range(-1, size))  # v -> v - 1 off the chain; index 0 unused
-    node = 1
-    while node in first:
-        child = first[node]
-        if child <= node:
-            raise ValueError(f"label order violated on edge {node}->{child}")
+    for node, child in zip(chain, chain[1:]):
         relabel[node] = child - 1
-        node = child
-    relabel[node] = size
+    relabel[chain[-1]] = size
     parent = [0] * (size + 1)
     for p, a, b in triples:
         parent[relabel[a]] = parent[relabel[b]] = relabel[p]
-    return node, parent
+    return chain[-1], parent
 
 
 def ha12_map(t: Tree) -> Tree:
@@ -350,66 +308,102 @@ def _first_failure(n: int) -> Optional[str]:
         else:
             seen.add(image)
             continue
-        return fault.format(_tree(n, next(islice(_iter_shapes(size), i, None))).serialize())
+        return fault.format(next(islice(enumerate_trees(n), i, None)).serialize())
     return None
 
 
 def _images(n: int) -> List[int]:
-    """The chain-shift image of each tree of T_{2n+1}, in _iter_shapes order,
+    """The chain-shift image of each tree of T_{2n+1}, in enumeration order,
     as an int key: byte v (1 <= v <= 2n+1) holds the image parent of v, as in
     _chain_shift's parent list, and byte 0 the end of the tree's minimal chain.
 
-    The minimal chain runs from the root into the first block of every split,
-    so a key is a sum of parts: one for the first block's subtree and the
-    edge into it, one for the second block's subtree, and the root's edge to
-    the second block.  _ImageParts builds them block by block, and each tree
-    then costs one int addition."""
-    size = 2 * n + 1
-    return _ImageParts(size).of(tuple(range(1, size + 1)), True)
-
-
-class _ImageParts:
-    """The parts of the image keys of the trees on labels 1..size, per block:
-    a sorted tuple of labels, its smallest the root, with the shapes of
-    _iter_shapes on it.
-
     The chain shift sends chain node a_i to a_{i+1} - 1, the chain's end to
-    size, and every other label a to a - 1.  A chain block holds the chain
-    from its root on, and its parts add the edge into its root and, in byte
-    0, the chain's end.  An off-chain block's parts leave out the edge into
-    its root, whose image parent depends on the parent."""
+    size, and every other label a to a - 1.  The minimal chain runs from the
+    root into the first block of every split, so a key is a sum of parts: a
+    chain block's holds the chain from its root on, the edge into its root
+    and, in byte 0, the chain's end; an off-chain block's leaves out the edge
+    into its root, whose image parent depends on the parent.  With r a
+    block's root, c its first child and d its second, byte c - 1 holds r - 1:
+    on the chain for the edge into r, whose image is c - 1; off it for r -> c.
+    Byte d - 1 holds the image of r."""
+    top = 8 * (2 * n + 1)  # bit offset of byte 2n+1
 
-    def __init__(self, size: int):
-        self.top = 8 * size  # bit offset of byte `size`
-        self.memo: Dict[bool, Dict[tuple, List[int]]] = {False: {}, True: {}}
-        self.splits = {k: _split_getters(k) for k in range(3, size + 1, 2)}
+    def leaf(end: int, chain: bool) -> int:
+        return ((end - 1) << top) + end if chain else 0
 
-    def of(self, block: tuple, chain: bool) -> List[int]:
-        """The parts of every shape on the block, in _iter_shapes order."""
-        memo = self.memo[chain]
-        parts = memo.get(block)
+    def edges(r: int, c: int, d: int, chain: bool) -> int:
+        return ((r - 1) << 8 * (c - 1)) + ((c - 1 if chain else r - 1) << 8 * (d - 1))
+
+    return _Blocks(leaf, edges, stream=False).of(tuple(range(1, 2 * n + 2)), True)
+
+
+class _Blocks:
+    """One walk over the trees on a block, a sorted tuple of labels whose
+    smallest is the root, and on the blocks below it.  The root splits the
+    other labels into two odd blocks, as _splits gives them.  A tree's part
+    is its first subtree's part + the part of the root's edges + its second
+    subtree's part, the first subtree varying slowest, so a block's parts
+    come out in enumeration order.
+
+    leaf(label, chain) is the part of a one-label block, and edges(r, c, d,
+    chain) the part of the edges from the root r to the roots c and d of its
+    first and second block.  chain says whether the block holds the minimal
+    chain: the whole tree does, and a split's first block does when the
+    split block does.  The parts of blocks of up to _PART_MEMO_MAX[chain]
+    labels are built whole and kept while the walk runs; larger blocks are
+    streamed if `stream`, else built whole wherever they recur."""
+
+    def __init__(self, leaf: Callable, edges: Callable, stream: bool):
+        self.leaf, self.edges, self.stream = leaf, edges, stream
+        self.memo: Dict[bool, Dict[tuple, list]] = {False: {}, True: {}}
+        self.splits: Dict[int, list] = {}
+
+    def of(self, block: tuple, chain: bool) -> Iterable:
+        """The parts of every tree on the block, in enumeration order."""
+        parts = self.memo[chain].get(block)
         if parts is not None:
             return parts
-        if len(block) == 1:
-            end = block[0]
-            return [((end - 1) << self.top) + end] if chain else [0]
-        # with r the root and c its first child, byte c - 1 holds r - 1: on the
-        # chain for the edge into r, whose image is c - 1; off it for r -> c
-        r, c = block[0], block[1]
-        head = (r - 1) << 8 * (c - 1)
-        r_image = c - 1 if chain else r - 1
-        parts = []
-        for first, second in self.splits[len(block)]:
-            b2 = second(block)
-            const = head + (r_image << 8 * (b2[0] - 1))  # the edge r -> b2[0]
-            parts += _sums(self.of(first(block), chain), self.of(b2, False), const)
-        if len(block) <= _PART_MEMO_MAX[chain]:
-            memo[block] = parts
+        k = len(block)
+        kept = k <= _PART_MEMO_MAX[chain]
+        if k == 1:
+            parts = [self.leaf(block[0], chain)]
+        elif self.stream and not kept:
+            return self._stream(block, chain)
+        else:
+            r, c, edges = block[0], block[1], self.edges
+            parts = []
+            for first, second in self.splits.get(k) or self._read_splits(k):
+                b2 = second(block)
+                const = edges(r, c, b2[0], chain)
+                parts += _sums(self.of(first(block), chain), self.of(b2, False), const)
+        if kept:
+            self.memo[chain][block] = parts
         return parts
 
+    def _stream(self, block: tuple, chain: bool) -> Iterator:
+        r, c, k = block[0], block[1], len(block)
+        for first, second in self.splits.get(k) or self._read_splits(k):
+            b2 = second(block)
+            edges = self.edges(r, c, b2[0], chain)
+            parts = self.of(b2, False)
+            again = not isinstance(parts, list)  # streamed: read anew for each first part
+            for a in self.of(first(block), chain):
+                yield from map((a + edges).__add__, parts)
+                if again:
+                    parts = self.of(b2, False)
 
-def _split_getters(k: int) -> List[Tuple[itemgetter, itemgetter]]:
-    """Each split of a block of k labels, in _iter_shapes order, as a pair of
+    def _read_splits(self, k: int) -> Iterator[Tuple[itemgetter, itemgetter]]:
+        """_splits(k), kept in self.splits once read through.  A streamed
+        block reads its 2^(k-3) splits only as far as it gets."""
+        splits = []
+        for split in _splits(k):
+            splits.append(split)
+            yield split
+        self.splits[k] = splits
+
+
+def _splits(k: int) -> Iterator[Tuple[itemgetter, itemgetter]]:
+    """Each split of a block of k labels, in enumeration order, as a pair of
     getters that read the first and the second block off the block."""
 
     def getter(positions: tuple) -> itemgetter:  # a tuple even for one position
@@ -417,26 +411,26 @@ def _split_getters(k: int) -> List[Tuple[itemgetter, itemgetter]]:
             return itemgetter(slice(positions[0], positions[0] + 1))
         return itemgetter(*positions)
 
-    splits = []
     for s in range(1, k - 1, 2):
         for extra in combinations(range(2, k), s - 1):
             rest = tuple(i for i in range(2, k) if i not in extra)
-            splits.append((getter((1, *extra)), getter(rest)))
-    return splits
+            yield getter((1, *extra)), getter(rest)
 
 
-def _sums(first: List[int], second: List[int], const: int) -> List[int]:
-    """[a + b + const for a in first for b in second], with a Python loop
-    over the shorter list only."""
-    if len(first) <= len(second):
-        out: List[int] = []
+def _sums(first: list, second: list, const):
+    """[a + const + b for a in first for b in second], ints or tuples, with a
+    Python loop over the shorter list only."""
+    k = len(second)
+    if k == 1:
+        return list(map(add, first, repeat(const + second[0])))
+    if len(first) <= k:
+        out: list = []
         for a in first:
             out += map((a + const).__add__, second)
         return out
-    k = len(second)
-    out = [0] * (len(first) * k)
+    out = [None] * (len(first) * k)
     for j, b in enumerate(second):
-        out[j::k] = map((b + const).__add__, first)
+        out[j::k] = map(add, first, repeat(const + b))
     return out
 
 

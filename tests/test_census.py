@@ -183,9 +183,9 @@ def test_bijection_check_fails_where_eoc_is_not_pom_of_the_image_plus_one(monkey
 
     def identity(n):
         # each tree's own parent list as its image, byte 0 still its eoc
-        for key, shape in zip(images(n), trees._iter_shapes(2 * n + 1)):
+        for key, t in zip(images(n), enumerate_trees(n)):
             parent = [key & 255] + [0] * (2 * n + 1)
-            for p, a, b in shape:
+            for p, (a, b) in t.children.items():
                 parent[a] = parent[b] = p
             yield int.from_bytes(bytes(parent), "little")
 

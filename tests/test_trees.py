@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -82,12 +83,12 @@ _ORDER_DIGESTS = {
     3: "15c77bb208347a949a3752d14af867ae257ecaeb96ccc784c0f05f8c4b3efd9d",
     4: "d0f5d95da9597483eeda25951c236a09119919cf8d54ecaa6cecdbe079df13bb",
     5: "0483ba8beca374d6ad5a7c42ae51d179e0f11b02991e4aecdaa1db0cd5c4618c",
-    # n = 6 reads its size-11 sub-blocks from the memo
+    # n = 6 streams its blocks of 9 and 11 labels, and the chain's of 7
     6: "c0e96be69e3f23aa3263c55e9ae58c177d9c5fc87ab86062df39ee09858bfdf0",
 }
 
 # the same digest over the first 100 000 trees of n = 7, which pass through a
-# streamed size-13 sub-block, above _MEMO_MAX_SIZE
+# streamed block of 13 labels, above every bound of _PART_MEMO_MAX
 _ORDER_DIGEST_7_PREFIX = "1d411c7249537b39f5bdf56fac3682e59155a261a24bd5d056945fb200a70265"
 
 
@@ -105,25 +106,54 @@ def test_enumeration_order_past_the_memo_matches_recorded_digest():
     assert _order_digest(islice(enumerate_trees(7), 100_000)) == _ORDER_DIGEST_7_PREFIX
 
 
-def _assert_memo_holds(sizes):
-    """The shape memo holds exactly `sizes`: that many entries, each a hit."""
-    assert trees._shapes.cache_info().currsize == len(sizes)
-    misses = trees._shapes.cache_info().misses
-    for size in sizes:
-        trees._shapes(size)
-    assert trees._shapes.cache_info().misses == misses
+def _module_state():
+    """Every module-level name of trees, with the size of each container and
+    the statistics of each lru_cache."""
+    state = {}
+    for name, value in vars(trees).items():
+        if hasattr(value, "cache_info"):
+            state[name] = value.cache_info()
+        elif isinstance(value, (dict, list, set)):
+            state[name] = len(value)
+        else:
+            state[name] = None
+    return state
 
 
-def test_memo_holds_only_reused_sub_blocks():
-    # the top level streams; only the sub-blocks it reuses are memoized
-    trees._shapes.cache_clear()
+def test_enumeration_leaves_no_module_state_behind():
+    # each walk keeps its block parts only while it runs
+    before = _module_state()
     assert len(list(enumerate_trees(5))) == COUNTS[5]
-    _assert_memo_holds((1, 3, 5, 7, 9))
-    # n = 6 reuses blocks up to size 11; at n = 7 the size-13 blocks stream
     next(enumerate_trees(6))
-    _assert_memo_holds((1, 3, 5, 7, 9, 11))
     next(enumerate_trees(7))
-    _assert_memo_holds((1, 3, 5, 7, 9, 11))
+    assert _module_state() == before
+
+
+def _small_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+
+def test_first_tree_of_n20_streams():
+    # a child process with 256 MiB of address space, so that an enumerator
+    # that builds its blocks or their splits whole fails by the timeout or a
+    # MemoryError instead of hanging the suite or filling the host's memory
+    script = (
+        "from poupard.trees import enumerate_trees\n"
+        "print(next(enumerate_trees(20)).serialize())\n"
+    )
+    src = str(Path(poupard.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=30,
+        preexec_fn=_small_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the first split of every block puts its smallest label alone
+    pairs = [f"{p}:({p + 1},{p + 2})" for p in range(3, 41, 2)]
+    assert proc.stdout == "; ".join(["n=20", "1:(2,3)", *pairs]) + "\n"
 
 
 def test_eoc_pom_examples():
@@ -323,6 +353,24 @@ def test_validate_names_the_label_without_one_parent(t, text):
         t.validate()
 
 
+def test_validate_does_not_build_the_label_set():
+    # the label range is never spelled out, so a short text claiming a huge n
+    # fails in little memory; a set of the 2 000 001 labels takes about 100 MiB
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(ValueError, match="^label 4 has 0 parents, not 1$"):
+            Tree.deserialize("n=1000000; 1:(2,3)")
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1024 * 1024
+
+
 def test_stats_reject_single_node_tree():
     t0 = Tree(0, {})
     with pytest.raises(StatisticUndefined):
@@ -394,8 +442,8 @@ def test_chain_shift_failure_holds_on_every_tree_and_needs_n_at_least_1():
 def _kernel_keys(n):
     """The _images keys spelled from _chain_shift: eoc, then the parent list."""
     size = 2 * n + 1
-    for shape in trees._iter_shapes(size):
-        end, parent = trees._chain_shift(shape, size)
+    for t in enumerate_trees(n):
+        end, parent = trees._chain_shift([(p, a, b) for p, (a, b) in t.children.items()], size)
         yield bytes([end, *parent[1:]])
 
 
@@ -406,7 +454,7 @@ def test_built_images_match_the_kernel_in_order(n):
 
 
 # sha256 of the 349 504 keys of n = 6 in order, each as _kernel_keys gives it,
-# recorded from _chain_shift over _iter_shapes(13)
+# recorded from _chain_shift over the trees of n = 6 in enumeration order
 _IMAGES_6_DIGEST = "2075407d27395bbb31ec4f65106a364d95c93c9d870173336c59f8429f90680f"
 
 
@@ -420,20 +468,6 @@ def test_built_images_of_n6_match_the_recorded_kernel_digest():
     assert count == tree_count(6) == 349504
     assert digest.hexdigest() == _IMAGES_6_DIGEST
     assert trees.chain_shift_failure(6) is None
-
-
-def _module_state():
-    """Every module-level name of trees, with the size of each container and
-    the statistics of each lru_cache."""
-    state = {}
-    for name, value in vars(trees).items():
-        if hasattr(value, "cache_info"):
-            state[name] = value.cache_info()
-        elif isinstance(value, (dict, list, set)):
-            state[name] = len(value)
-        else:
-            state[name] = None
-    return state
 
 
 def test_chain_shift_failure_keeps_nothing_after_it_returns():
@@ -451,7 +485,7 @@ def test_chain_shift_failure_keeps_nothing_after_it_returns():
         gc.enable()
         if not tracing:
             tracemalloc.stop()
-    # the shape memo and every other module-level cache are as they were
+    # every module-level cache is as it was
     assert _module_state() == before
     # the 11 056 images and their parts alone take about 1 MiB while it runs
     assert kept < 64 * 1024
