@@ -20,8 +20,9 @@ import os
 import re
 import sys
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from . import gf as gfmod
 from .delta import STRATEGIES, build_matrix, delta_matrices
@@ -60,26 +61,28 @@ def _ints_of_any_size():
             sys.set_int_max_str_digits(limit)
 
 
-def _text(lines) -> str:
+def _lines(lines) -> Iterator[str]:
     """Each line ended by "\n", so no lines give no text."""
-    return "".join(f"{line}\n" for line in lines)
+    return (f"{line}\n" for line in lines)
 
 
-# name -> the exact text its command prints; `export` writes all but pretty
+# name -> the exact text its command prints, as pieces that it writes one at
+# a time (a matrix's JSON a row at a time: M_200's text is 115 MB); `export`
+# writes all but pretty
 _PRETTY = "pretty"
 _MATRIX_TEXT = {
-    _PRETTY: lambda mat: mat.pretty() + "\n",
-    "json": lambda mat: mat.to_json() + "\n",
-    "csv": lambda mat: mat.to_csv() + "\n",
+    _PRETTY: lambda mat: (mat.pretty(), "\n"),
+    "json": lambda mat: chain(mat.json_parts(), "\n"),
+    "csv": lambda mat: (mat.to_csv(), "\n"),
 }
 _TRIANGLE_TEXT = {
-    _PRETTY: lambda tri: _text(" ".join(str(v) for v in row) for row in tri.rows),
-    "json": lambda tri: tri.to_json() + "\n",
-    "bfile": lambda tri: _text(tri.bfile_lines()),
+    _PRETTY: lambda tri: _lines(" ".join(str(v) for v in row) for row in tri.rows),
+    "json": lambda tri: (tri.to_json(), "\n"),
+    "bfile": lambda tri: _lines(tri.bfile_lines()),
 }
 _GF_TEXT = {
-    "lambda": lambda cap, matrices: _text(dump_lines(gfmod.lambda_lhs(cap, matrices))),
-    "omega": lambda cap, matrices: _text(dump_lines(gfmod.omega_lhs(cap, matrices))),
+    "lambda": lambda cap, matrices: _lines(dump_lines(gfmod.lambda_lhs(cap, matrices))),
+    "omega": lambda cap, matrices: _lines(dump_lines(gfmod.omega_lhs(cap, matrices))),
 }
 _STRATEGY_CHOICES = sorted(s.lower() for s in STRATEGIES)
 
@@ -137,13 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 @_ints_of_any_size()
 def cmd_matrix(args, parser) -> int:
-    sys.stdout.write(_MATRIX_TEXT[args.format](build_matrix(args.n, args.strategy)))
+    sys.stdout.writelines(_MATRIX_TEXT[args.format](build_matrix(args.n, args.strategy)))
     return 0
 
 
 @_ints_of_any_size()
 def cmd_triangle(args, parser) -> int:
-    sys.stdout.write(_TRIANGLE_TEXT[args.format](poupard_triangle(args.n_max)))
+    sys.stdout.writelines(_TRIANGLE_TEXT[args.format](poupard_triangle(args.n_max)))
     return 0
 
 
@@ -159,7 +162,7 @@ def cmd_trees(args, parser) -> int:
 @_ints_of_any_size()
 def cmd_gf(args, parser) -> int:
     matrices = delta_matrices(gfmod.required_matrix_count(args.cap))
-    sys.stdout.write(_GF_TEXT[args.which](args.cap, matrices))
+    sys.stdout.writelines(_GF_TEXT[args.which](args.cap, matrices))
     return 0
 
 
@@ -185,7 +188,7 @@ def _write_artifacts(args, out: Path) -> None:
     def write(stem: str, table, value) -> None:  # as <stem>.<format>
         for fmt, text in table.items():
             if fmt != _PRETTY:
-                (out / f"{stem}.{fmt}").write_text(text(value))
+                (out / f"{stem}.{fmt}").write_text("".join(text(value)))
 
     out.mkdir(parents=True, exist_ok=True)
     for n in range(1, args.n_max + 1):
@@ -193,7 +196,7 @@ def _write_artifacts(args, out: Path) -> None:
     write("triangle", _TRIANGLE_TEXT, poupard_triangle(args.n_max))
     matrices = delta_matrices(gfmod.required_matrix_count(args.cap))
     for which, text in _GF_TEXT.items():
-        (out / f"gf_{which}.txt").write_text(text(args.cap, matrices))
+        (out / f"gf_{which}.txt").write_text("".join(text(args.cap, matrices)))
 
 
 @_ints_of_any_size()

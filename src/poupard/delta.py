@@ -20,17 +20,22 @@ It runs in rounds over int bitmasks of the flat grid: a round derives at once
 the lone unknown cell of every instance whose other two cells are known, z
 before y before x per recurrence (level-synchronous, bit-parallel
 propagation).  It flags under-determination (Unresolved) and contradictions
-(Inconsistent) instead of trusting any particular fill order.  Which cells a
-round derives depends on no value (`_rounds`), so `certifies` runs the rounds
-alone to tell, without solving, whether a system has a given matrix as its
-one solution; `build_matrix` takes D1's M_n for D2-D9 that way when D1's
-chain already holds it, and solves their own systems otherwise.
+(Inconsistent) instead of trusting any particular fill order.  Which cells
+propagation reaches depends on no value, so `certifies` tells without
+solving whether a system has a given matrix as its one solution: the matrix
+satisfies every instance, and the closure of the known cells under the
+recurrences (`_closure`, one bitmask loop) is the whole grid.
+`build_matrix` takes D1's M_n for D2-D9 that way when D1's chain holds it,
+and solves their own systems otherwise.  A chain keeps M_1..M_CHAIN_KEEP
+and, past that, its newest two matrices.
 
 The instances are written once, in `_REGIONS` and `_RECURRENCES`: each
-recurrence is a step, a prev offset and its region's cells as a bitmask of
-the flat grid (`_anchor_mask`), and `region_cells` reads the same mask.  One
-residual pass serves the solver's final check, the certificate and the
-oracle `recurrence_failure`, which never propagates.
+recurrence is a step, a prev offset and its region, one run of anchors per
+row (`_region_runs`), which `_anchor_mask` and `region_cells` read as a
+bitmask of the flat grid.  The solver visits instances bit by bit; the
+checks of a whole matrix (the certificate, the oracle `recurrence_failure`
+and the census identity's `recurrence_residuals`) read them a row run at a
+time, as list slices (`_matrix_residuals`), and never propagate.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, is_not, sub
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 Cell = Tuple[int, int]
@@ -118,9 +124,15 @@ class DeltaMatrix:
     # -- interchange formats -------------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.n, "rows": [list(r) for r in self.rows]}, separators=(",", ":")
-        )
+        return "".join(self.json_parts())
+
+    def json_parts(self) -> Iterator[str]:
+        """The text of `to_json` in pieces, one row at a time: a writer of a
+        large matrix need not hold its whole text."""
+        yield f'{{"n":{self.n},"rows":['
+        for i, row in enumerate(self.rows):
+            yield ("," if i else "") + json.dumps(row, separators=(",", ":"))
+        yield "]}"
 
     @staticmethod
     def from_json(text: str) -> "DeltaMatrix":
@@ -190,17 +202,23 @@ def in_region(tag: str, n: int, m: int, k: int) -> bool:
     return 1 <= k and k + d <= m <= 2 * n + t
 
 
-def _region_mask(tag: str, n: int) -> int:
-    """One region of the 2n x 2n grid as a bitmask of the flat grid, bit
-    (m-1)*2n + k-1 set for each of its cells (m, k).  Each row of a triangle
-    is one run of ones, k from kl to kr."""
+def _region_runs(tag: str, n: int) -> Iterator[Tuple[int, int]]:
+    """Each row of one region of the 2n x 2n grid, flattened as
+    (m-1)*2n + k-1, as one run a0..a1-1 of flat indices, k from kl to kr."""
     lower, d, t = _region(tag)
     w, top = 2 * n, 2 * n + t
-    mask = 0
     for m in range(1, top + 1):
         kl, kr = (1, m - d) if lower else (m + d, top)
         if kl <= kr:
-            mask |= ((1 << (kr - kl + 1)) - 1) << ((m - 1) * w + kl - 1)
+            yield (m - 1) * w + kl - 1, (m - 1) * w + kr
+
+
+def _region_mask(tag: str, n: int) -> int:
+    """One region as a bitmask of the flat grid, bit (m-1)*2n + k-1 set for
+    each of its cells (m, k): one run of ones per row."""
+    mask = 0
+    for a0, a1 in _region_runs(tag, n):
+        mask |= ((1 << (a1 - a0)) - 1) << a0
     return mask
 
 
@@ -223,8 +241,9 @@ def _anchor_mask(n: int, tag: str) -> Tuple[str, int, int, int]:
     """(tag, step, prev offset, anchors) of one recurrence.
 
     On the 2n x 2n grid flattened as (m-1)*2n + k-1, the instance of a
-    recurrence at anchor a reads the cells a, a+step, a+2*step and the
-    constant 2 f_{n-1} at a+offset; the regions keep all four on the grid.
+    recurrence at anchor a reads the cells a, a+step, a+2*step and, for the
+    constant 2 f_{n-1}, the cell a+offset of `_prev_grid`; the regions keep
+    all four on the grid.
     The anchors are the bitmask of the recurrence's region.
     """
     if tag not in _RECURRENCES:
@@ -249,20 +268,22 @@ def _bits(mask: int) -> List[int]:
     return out
 
 
-def _twice_prev(n: int, prev: Optional[DeltaMatrix]) -> List[int]:
-    """2 f_{n-1} flattened onto the 2n x 2n grid, zero-padded (0 without prev)."""
+def _prev_grid(n: int, prev: Optional[DeltaMatrix]) -> List[int]:
+    """f_{n-1} flattened onto the 2n x 2n grid, zero-padded (0 without prev).
+    It holds prev's own ints, no doubled copies: an instance with p there
+    reads its residual x - 2y + z + 2p as x + z - 2 (y - p)."""
     if prev is not None and prev.n != n - 1:
         raise ValueError(f"prev must be M_{n-1}, got M_{prev.n}")
     w = 2 * n
-    twice = [0] * (w * w)
+    grid = [0] * (w * w)
     if prev is not None:
         for i, row in enumerate(prev.rows):
-            twice[i * w : i * w + w - 2] = [2 * v for v in row]
-    return twice
+            grid[i * w : i * w + w - 2] = row
+    return grid
 
 
 def _residuals(
-    table, vals: Sequence[Optional[int]], twice: Sequence[int]
+    table, vals: Sequence[Optional[int]], pv: Sequence[int]
 ) -> Iterator[Tuple[str, int, int, int]]:
     """(tag, anchor, step, x - 2y + z + 2 f_{n-1}) for every instance of
     table whose three cells are known, in (tag, anchor) order."""
@@ -270,7 +291,7 @@ def _residuals(
         for a in _bits(anchors):
             x, y, z = vals[a], vals[a + s], vals[a + 2 * s]
             if x is not None and y is not None and z is not None:
-                yield tag, a, s, x - 2 * y + z + twice[a + off]
+                yield tag, a, s, x + z - 2 * (y - pv[a + off])
 
 
 def _cells(n: int, *flat: int) -> Tuple[Cell, ...]:
@@ -279,10 +300,29 @@ def _cells(n: int, *flat: int) -> Tuple[Cell, ...]:
     return tuple((i // w + 1, i % w + 1) for i in flat)
 
 
-def _matrix_residuals(mat: DeltaMatrix, prev: Optional[DeltaMatrix]):
-    """`_residuals` of every R1-R4 instance of M_n = mat against prev."""
+def _matrix_residuals(
+    mat: DeltaMatrix, prev: Optional[DeltaMatrix]
+) -> Iterator[Tuple[str, int, int, List[int], List[int]]]:
+    """Every R1-R4 instance of M_n = mat against prev, one row of its region
+    at a time, in (tag, anchor) order: (tag, step, a0, lhs, rhs), where the
+    instance at anchor a0 + i has x + z = lhs[i] and 2 (y - f_{n-1}) = rhs[i].
+    A row's anchors are one run, so are its x, y, z and f_{n-1}."""
+    n = mat.n
     vals = [v for row in mat.rows for v in row]
-    return _residuals(_table(mat.n, _RECURRENCES), vals, _twice_prev(mat.n, prev))
+    pv = _prev_grid(n, prev)
+    for tag, s, off, _anchors in _table(n, _RECURRENCES):
+        for a0, a1 in _region_runs(_RECURRENCES[tag][0], n):
+            xz = list(map(add, vals[a0:a1], vals[a0 + 2 * s : a1 + 2 * s]))
+            yp = list(map(sub, vals[a0 + s : a1 + s], pv[a0 + off : a1 + off]))
+            yield tag, s, a0, xz, list(map(add, yp, yp))
+
+
+def _instances(runs) -> Iterator[Tuple[str, int, int, int]]:
+    """(tag, anchor, step, x - 2y + z + 2 f_{n-1}) for each instance of the
+    `_matrix_residuals` runs."""
+    for tag, s, a0, lhs, rhs in runs:
+        for a, r in enumerate(map(sub, lhs, rhs), a0):
+            yield tag, a, s, r
 
 
 def _residual_failure(n: int, residuals) -> Optional[str]:
@@ -450,7 +490,7 @@ def solve_constraints(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    twice = _twice_prev(n, prev)
+    pv = _prev_grid(n, prev)
     w = 2 * n
     vals, known_bits = _known_grid(n, known)
 
@@ -460,16 +500,16 @@ def solve_constraints(
         for r, (lone_z, lone_y, lone_x) in enumerate(lones):
             tag, s, off, _anchors = table[r]
             for a in _bits(lone_z):
-                vals[a + 2 * s] = 2 * vals[a + s] - vals[a] - twice[a + off]
+                vals[a + 2 * s] = 2 * (vals[a + s] - pv[a + off]) - vals[a]
             for a in _bits(lone_y):
-                # 2*y = x + z + c; the division must be exact
-                num = vals[a] + vals[a + 2 * s] + twice[a + off]
+                # 2 (y - p) = x + z; the division must be exact
+                num = vals[a] + vals[a + 2 * s]
                 if num % 2 != 0:
                     cells = _cells(n, a, a + s, a + 2 * s)
                     raise Inconsistent(n, f"odd middle value in {tag} at {cells}")
-                vals[a + s] = num // 2
+                vals[a + s] = num // 2 + pv[a + off]
             for a in _bits(lone_x):
-                vals[a] = 2 * vals[a + s] - vals[a + 2 * s] - twice[a + off]
+                vals[a] = 2 * (vals[a + s] - pv[a + off]) - vals[a + 2 * s]
             derived[r] |= lone_z | lone_y | lone_x
         known_bits |= new
 
@@ -478,7 +518,7 @@ def solve_constraints(
     for (tag, s, off, anchors), d in zip(table, derived):
         full = known_bits & (known_bits >> s) & (known_bits >> 2 * s) & anchors
         swept.append((tag, s, off, full & ~d))
-    failure = _residual_failure(n, _residuals(swept, vals, twice))
+    failure = _residual_failure(n, _residuals(swept, vals, pv))
     if failure is not None:
         raise Inconsistent(n, failure)
     if None in vals:
@@ -486,11 +526,38 @@ def solve_constraints(
     return DeltaMatrix(n, tuple(tuple(vals[i : i + w]) for i in range(0, w * w, w)))
 
 
-@lru_cache(maxsize=1)  # the strategies certified at one n share a pass
+def _last_call(fn):
+    """fn with a one-slot memo keyed on the identity of its arguments: a
+    call with the very objects of the last call returns its result.  No
+    argument is hashed, which for a matrix would read every entry."""
+    last: list = []  # [args, result] of the last call
+
+    def memo(*args):
+        if not last or any(map(is_not, args, last[0])):
+            last[:] = args, fn(*args)
+        return last[1]
+
+    return memo
+
+
+@_last_call  # the strategies certified at one n share a pass
 def _nonzero_residuals(mat: DeltaMatrix, prev: Optional[DeltaMatrix]) -> FrozenSet[str]:
     """The recurrences among R1-R4 with an instance of nonzero residual on
     M_n = mat against prev."""
-    return frozenset(tag for tag, _a, _s, r in _matrix_residuals(mat, prev) if r)
+    return frozenset(tag for tag, _s, _a0, lhs, rhs in _matrix_residuals(mat, prev) if lhs != rhs)
+
+
+def _closure(reached: int, table) -> int:
+    """The cells that the recurrences of table reach from those set in
+    reached: an instance with two cells reached reaches its third.  This is
+    the fixpoint of the solver's rounds (`_rounds`), without their masks."""
+    while True:
+        before = reached
+        for _tag, s, _off, anchors in table:
+            k0, k1, k2 = reached & anchors, (reached >> s) & anchors, (reached >> 2 * s) & anchors
+            reached |= (k0 & k1) << 2 * s | (k0 & k2) << s | (k1 & k2)
+        if reached == before:
+            return reached
 
 
 def certifies(
@@ -505,9 +572,9 @@ def certifies(
 
     It would exactly when the known cells agree with candidate, no instance
     of the recurrences has a nonzero residual on candidate against prev, and
-    the solver's value-free rounds reach every cell from the known ones:
-    then the system has one solution, and candidate is it.  Otherwise the
-    solver raises or returns another matrix.
+    the recurrences reach every cell from the known ones (`_closure`, where
+    the solver's rounds end): then the system has one solution, and
+    candidate is it.  Otherwise the solver raises or returns another matrix.
     """
     if n < 1 or candidate.n != n:
         return False
@@ -520,12 +587,10 @@ def certifies(
     table = _table(n, recurrences)
     if not _nonzero_residuals(candidate, prev).isdisjoint(tag for tag, *_ in table):
         return False
-    for new, _lones in _rounds(reached, table):
-        reached |= new
-    return reached == (1 << 4 * n * n) - 1
+    return _closure(reached, table) == (1 << 4 * n * n) - 1
 
 
-@lru_cache(maxsize=1)  # the strategies built at one n share M_{n-1}
+@_last_call  # the strategies built at one n share M_{n-1}
 def _marginals(prev: DeltaMatrix) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return prev.row_sums(), prev.col_sums()
 
@@ -543,26 +608,40 @@ def _known_for(strategy: BuildStrategy, n: int, prev: DeltaMatrix) -> Dict[Cell,
     return known
 
 
-#: tag -> [M_1, M_2, ...], each strategy's chain as far as it is built
-_chains: Dict[str, List[DeltaMatrix]] = {}
+#: Each chain keeps M_1..M_CHAIN_KEEP and, past that, its newest two (the
+#: marginals and census suites read M_{n-1} right after M_n)
+CHAIN_KEEP = 64
+
+#: tag -> {k: M_k}, the matrices each strategy's chain keeps
+_chains: Dict[str, Dict[int, DeltaMatrix]] = {}
 
 
 def _build_chain(n: int, tag: str) -> DeltaMatrix:
     """M_n under one strategy, each M_k from the strategy's own M_{k-1}.
-    Past D1, a step takes D1's M_k itself when D1's chain already holds it
-    and it certifies the strategy's system, which is when solving that
-    system would return it; otherwise the step solves.  No step builds D1."""
-    chain = _chains.setdefault(tag, [M1])
-    d1 = _chains.get("D1", ())  # for D1 itself, chain: never ahead of the step
+    Past D1, a step takes D1's M_k itself when D1's chain holds it and it
+    certifies the strategy's system, which is when solving that system
+    would return it; otherwise the step solves.  No step builds D1.  A
+    chain grows from its newest matrix; an M_n it dropped is rebuilt from
+    M_CHAIN_KEEP and not kept."""
+    chain = _chains.setdefault(tag, {1: M1})
+    if n in chain:
+        return chain[n]
+    top = max(chain)
+    grow = n > top
+    d1 = _chains.get("D1", {})  # for D1 itself, chain: it holds no M_k built here
     strategy = STRATEGIES[tag]
-    while len(chain) < n:
-        k, prev = len(chain) + 1, chain[-1]
+    mat = chain[top if grow else CHAIN_KEEP]
+    for k in range(mat.n + 1, n + 1):
+        prev = mat
         known = _known_for(strategy, k, prev)
-        mat = d1[k - 1] if k <= len(d1) else None
+        mat = d1.get(k)
         if mat is None or not certifies(k, known, strategy.recurrences, prev, mat):
             mat = solve_constraints(k, known, strategy.recurrences, prev)
-        chain.append(mat)
-    return chain[n - 1]
+        if grow:
+            chain[k] = mat
+            if k - 2 > CHAIN_KEEP:
+                del chain[k - 2]
+    return mat
 
 
 def build_matrix(n: int, tag: str = "D1") -> DeltaMatrix:
@@ -682,14 +761,16 @@ def recurrence_residuals(mat: DeltaMatrix) -> Iterator[Tuple[str, Tuple[Cell, ..
     """(tag, cells, x - 2y + z) for every R1-R4 instance of M_n: the bare
     second differences of `mat`, without the 2 f_{n-1} term, which
     `recurrence_failure` adds."""
-    for tag, a, s, r in _matrix_residuals(mat, None):
+    for tag, a, s, r in _instances(_matrix_residuals(mat, None)):
         yield tag, _cells(mat.n, a, a + s, a + 2 * s), r
 
 
 def recurrence_failure(mat: DeltaMatrix, prev: DeltaMatrix) -> Optional[str]:
     """Every R1-R4 instance of M_n has zero residual against M_{n-1}.  The
     pass reads `mat` alone, never the solver's propagation."""
-    return _residual_failure(mat.n, _matrix_residuals(mat, prev))
+    runs = _matrix_residuals(mat, prev)
+    unequal = (run for run in runs if run[3] != run[4])  # lhs != rhs
+    return _residual_failure(mat.n, _instances(unequal))
 
 
 def matrix_properties_check(

@@ -749,6 +749,93 @@ def test_certificate_holds_exactly_when_the_solver_returns_the_matrix():
     assert outcomes == {"same": 99, "other": 3540, "raised": 450}
 
 
+def _subsets(items):
+    return [frozenset(c) for r in range(len(items) + 1) for c in itertools.combinations(items, r)]
+
+
+def test_closure_agrees_with_the_solver_on_every_system():
+    # every nonempty set of R1-R4 with every set of boundary conditions: 960
+    # systems at each n, certified exactly when the solver returns M_n
+    posed, determined = collections.Counter(), collections.Counter()
+    for n in range(2, 6):
+        prev, mat = build_matrix(n - 1), build_matrix(n)
+        for recs in _subsets(["R1", "R2", "R3", "R4"])[1:]:
+            for bounds in _subsets(["I1", "I2", "I3", "I4", "NE", "SW"]):
+                known = _known_for(delta.BuildStrategy("X", recs, bounds), n, prev)
+                try:
+                    solved = solve_constraints(n, known, recs, prev)
+                except ValueError:
+                    solved = None
+                held = certifies(n, known, recs, prev, mat)
+                assert held == (solved == mat), (n, sorted(recs), sorted(bounds))
+                posed[n] += 1
+                determined[n] += held
+    assert posed == {2: 960, 3: 960, 4: 960, 5: 960}
+    assert determined == {2: 545, 3: 225, 4: 225, 5: 225}
+
+
+# Each recurrence as the module docstring states it: its anchor region, the
+# step (dm, dk) from x to y to z, and the shift of the f_{n-1} cell it reads
+_ORACLE_RECURRENCES = {
+    "R1": ("L1", (1, 0), (0, 0)),
+    "R2": ("U1", (0, 1), (0, 0)),
+    "R3": ("U2", (1, 0), (0, -2)),
+    "R4": ("L2", (0, 1), (-2, 0)),
+}
+
+
+def _oracle_residuals(mat, prev):
+    """(tag, cells, x - 2y + z + 2 f_{n-1}) of every R1-R4 instance, in
+    (tag, anchor) order, from in_region and DeltaMatrix.value alone."""
+    w = 2 * mat.n
+    for tag, (region, (dm, dk), (pm, pk)) in sorted(_ORACLE_RECURRENCES.items()):
+        for m, k in itertools.product(range(1, w + 1), repeat=2):
+            if in_region(region, mat.n, m, k):
+                cells = ((m, k), (m + dm, k + dk), (m + 2 * dm, k + 2 * dk))
+                x, y, z = (mat.value(*c) for c in cells)
+                p = 0 if prev is None else prev.value(m + pm, k + pk)
+                yield tag, cells, x - 2 * y + z + 2 * p
+
+
+def _perturbed(mat, rng):
+    """mat with up to three entries moved by small, negative or huge amounts."""
+    rows = [list(r) for r in mat.rows]
+    for _ in range(rng.randint(0, 3)):
+        m, k = rng.randrange(len(rows)), rng.randrange(len(rows))
+        rows[m][k] += rng.choice((1, -1, 2, -3)) * 10 ** rng.choice((0, 0, 5, 90))
+    return DeltaMatrix(mat.n, tuple(map(tuple, rows)))
+
+
+def test_row_run_residuals_match_an_instance_oracle():
+    rng = random.Random(34)
+    nonzero = collections.Counter()
+    for n in range(2, 10):
+        mat, prev = build_matrix(n), build_matrix(n - 1)
+        for _ in range(40):
+            damaged = _perturbed(mat, rng)
+            against = _perturbed(prev, rng) if rng.random() < 0.3 else prev
+            bare = list(_oracle_residuals(damaged, None))
+            assert list(delta.recurrence_residuals(damaged)) == bare
+            full = [(tag, cells, r) for tag, cells, r in _oracle_residuals(damaged, against) if r]
+            want = "{} instance at cells {} has residual {}".format(*full[0]) if full else None
+            assert recurrence_failure(damaged, against) == want
+            tags = delta._nonzero_residuals(damaged, against)
+            assert tags == {tag for tag, _cells, _r in full}
+            nonzero[bool(tags)] += 1
+    assert nonzero[True] > 100 and nonzero[False] > 20  # both verdicts seen
+
+
+def test_the_build_path_hashes_no_matrix(monkeypatch):
+    # a hash reads all (2n)^2 entries; the certificate's memos key on identity
+    def unhashable(self):
+        raise AssertionError("a DeltaMatrix was hashed")
+
+    monkeypatch.setattr(DeltaMatrix, "__hash__", unhashable)
+    monkeypatch.setattr(delta, "_chains", {})
+    report = run_checks(["equivalence"], n_max=8)
+    assert report.passed() and len(report.checks) == 8
+
+
 def _own_chains(n_max):
     """Each strategy's M_1..M_{n_max}, every M_k solved from the strategy's
     own M_{k-1} with solve_constraints, never through build_matrix."""
@@ -779,12 +866,34 @@ def test_build_matrix_returns_each_strategys_own_solution(monkeypatch):
             solved.clear()
             built = [build_matrix(n, tag) for n in range(12, 0, -1)][::-1]
             assert built == own[tag], tag
-            d1 = delta._chains.get("D1", [])
+            d1 = delta._chains.get("D1", {})
             if tag != "D1" and d1:  # D1's own objects, certified without a solve
-                assert all(m is d for m, d in zip(built, d1)) and solved == [], tag
+                assert all(m is d1[m.n] for m in built) and solved == [], tag
             else:  # D1, or a strategy before it: its own chain solved, D1 unbuilt
                 assert solved == list(range(2, 13)), tag
                 assert ("D1" in delta._chains) == (tag == "D1"), tag
+
+
+def test_a_chain_keeps_its_first_matrices_and_its_newest_two(monkeypatch):
+    # past CHAIN_KEEP only the newest two of a chain stay; a dropped M_k is
+    # rebuilt from M_CHAIN_KEEP, solving only the steps past it, and not kept
+    own = _own_chains(10)
+    solved, solve = [], delta.solve_constraints
+
+    def recorded(n, *args):
+        solved.append(n)
+        return solve(n, *args)
+
+    monkeypatch.setattr(delta, "solve_constraints", recorded)
+    monkeypatch.setattr(delta, "CHAIN_KEEP", 4)
+    monkeypatch.setattr(delta, "_chains", {})
+    assert build_matrix(10, "D1") == own["D1"][9]
+    assert sorted(delta._chains["D1"]) == [1, 2, 3, 4, 9, 10]
+    solved.clear()
+    assert build_matrix(6, "D1") == own["D1"][5] and solved == [5, 6]
+    assert [build_matrix(n, "D9") for n in range(1, 11)] == own["D9"]
+    for tag in ("D1", "D9"):
+        assert sorted(delta._chains[tag]) == [1, 2, 3, 4, 9, 10], tag
 
 
 def test_a_strategy_solves_its_own_system_where_d1_raises(monkeypatch):
