@@ -67,13 +67,13 @@ def _lines(lines) -> Iterator[str]:
 
 
 # name -> the exact text its command prints, as pieces that it writes one at
-# a time (a matrix's JSON a row at a time: M_200's text is 115 MB); `export`
-# writes all but pretty
+# a time (a matrix a row at a time: M_200's text is 115 MB); `export` writes
+# all but pretty
 _PRETTY = "pretty"
 _MATRIX_TEXT = {
-    _PRETTY: lambda mat: (mat.pretty(), "\n"),
+    _PRETTY: lambda mat: _lines(mat.pretty_lines()),
     "json": lambda mat: chain(mat.json_parts(), "\n"),
-    "csv": lambda mat: (mat.to_csv(), "\n"),
+    "csv": lambda mat: _lines(mat.csv_lines()),
 }
 _TRIANGLE_TEXT = {
     _PRETTY: lambda tri: _lines(" ".join(str(v) for v in row) for row in tri.rows),

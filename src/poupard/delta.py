@@ -26,8 +26,9 @@ solving whether a system has a given matrix as its one solution: the matrix
 satisfies every instance, and the closure of the known cells under the
 recurrences (`_closure`, one bitmask loop) is the whole grid.
 `build_matrix` takes D1's M_n for D2-D9 that way when D1's chain holds it,
-and solves their own systems otherwise.  A chain keeps M_1..M_CHAIN_KEEP
-and, past that, its newest two matrices.
+and solves their own systems otherwise.  A chain walks up from the largest
+matrix it keeps below the one asked for; it keeps M_1..M_CHAIN_KEEP and,
+past that, the last two matrices it built.
 
 The instances are written once, in `_REGIONS` and `_RECURRENCES`: each
 recurrence is a step, a prev offset and its region, one run of anchors per
@@ -148,7 +149,11 @@ class DeltaMatrix:
         return DeltaMatrix._checked(n, tuple(tuple(r) for r in rows))
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(str(v) for v in row) for row in self.rows)
+        return "\n".join(self.csv_lines())
+
+    def csv_lines(self) -> Iterator[str]:
+        """The lines of `to_csv`, one row each, without their newlines."""
+        return (",".join(map(str, row)) for row in self.rows)
 
     @staticmethod
     def from_csv(text: str) -> "DeltaMatrix":
@@ -171,8 +176,15 @@ class DeltaMatrix:
         return DeltaMatrix(n, rows)
 
     def pretty(self) -> str:
-        width = max(len(str(v)) for row in self.rows for v in row)
-        return "\n".join(" ".join(str(v).rjust(width) for v in row) for row in self.rows)
+        return "\n".join(self.pretty_lines())
+
+    def pretty_lines(self) -> Iterator[str]:
+        """The lines of `pretty`, one row each, without their newlines: every
+        entry right-aligned to the longest, which is the smallest or the
+        largest entry, so no entry is turned into text twice."""
+        lo, hi = min(map(min, self.rows)), max(map(max, self.rows))
+        width = max(len(str(lo)), len(str(hi)))
+        return (" ".join(str(v).rjust(width) for v in row) for row in self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -439,37 +451,6 @@ def _known_grid(n: int, known: Mapping[Cell, int]) -> Tuple[List[Optional[int]],
     return vals, known_bits
 
 
-def _rounds(known_bits: int, table) -> Iterator[Tuple[int, List[Tuple[int, int, int]]]]:
-    """The value-free part of the solver: which cells each round derives.
-
-    From the cells whose bits are set in known_bits, yields per round the
-    mask of the cells it derives and, for each recurrence table[r], the
-    anchor masks (z, y, x) of the instances that derive their lone unknown
-    z, y or x.  Each derives from cells known before the round, unless an
-    earlier instance derived the same cell this round.  It stops at a round
-    that would derive nothing.
-    """
-    # Instance (a, a+s, a+2s) is bit a of its anchor mask; k0, k1, k2 mark
-    # the instances whose x, y, z are known before the round
-    while True:
-        new, lones = 0, []
-        for _tag, s, _off, anchors in table:
-            k0 = known_bits & anchors
-            k1 = (known_bits >> s) & anchors
-            k2 = (known_bits >> 2 * s) & anchors
-            lone_z = k0 & k1 & ~k2 & ~(new >> 2 * s)
-            new |= lone_z << 2 * s
-            lone_y = k0 & k2 & ~k1 & ~(new >> s)
-            new |= lone_y << s
-            lone_x = k1 & k2 & ~k0 & ~new
-            new |= lone_x
-            lones.append((lone_z, lone_y, lone_x))
-        if not new:
-            return
-        yield new, lones
-        known_bits |= new
-
-
 def solve_constraints(
     n: int,
     known: Mapping[Cell, int],
@@ -496,11 +477,19 @@ def solve_constraints(
 
     table = _table(n, recurrences)
     derived = [0] * len(table)  # the instances that derived their lone cell
-    for new, lones in _rounds(known_bits, table):
-        for r, (lone_z, lone_y, lone_x) in enumerate(lones):
-            tag, s, off, _anchors = table[r]
+    # instance (a, a+s, a+2s) is bit a of its anchor mask; k0, k1, k2 mark
+    # the instances whose x, y, z were known before the round
+    while True:
+        new = 0  # the cells derived this round
+        for r, (tag, s, off, anchors) in enumerate(table):
+            k0 = known_bits & anchors
+            k1 = (known_bits >> s) & anchors
+            k2 = (known_bits >> 2 * s) & anchors
+            lone_z = k0 & k1 & ~k2 & ~(new >> 2 * s)
             for a in _bits(lone_z):
                 vals[a + 2 * s] = 2 * (vals[a + s] - pv[a + off]) - vals[a]
+            new |= lone_z << 2 * s
+            lone_y = k0 & k2 & ~k1 & ~(new >> s)
             for a in _bits(lone_y):
                 # 2 (y - p) = x + z; the division must be exact
                 num = vals[a] + vals[a + 2 * s]
@@ -508,9 +497,14 @@ def solve_constraints(
                     cells = _cells(n, a, a + s, a + 2 * s)
                     raise Inconsistent(n, f"odd middle value in {tag} at {cells}")
                 vals[a + s] = num // 2 + pv[a + off]
+            new |= lone_y << s
+            lone_x = k1 & k2 & ~k0 & ~new
             for a in _bits(lone_x):
                 vals[a] = 2 * (vals[a + s] - pv[a + off]) - vals[a + 2 * s]
+            new |= lone_x
             derived[r] |= lone_z | lone_y | lone_x
+        if not new:
+            break
         known_bits |= new
 
     # only the instances known from the start or completed by others remain
@@ -550,7 +544,7 @@ def _nonzero_residuals(mat: DeltaMatrix, prev: Optional[DeltaMatrix]) -> FrozenS
 def _closure(reached: int, table) -> int:
     """The cells that the recurrences of table reach from those set in
     reached: an instance with two cells reached reaches its third.  This is
-    the fixpoint of the solver's rounds (`_rounds`), without their masks."""
+    the fixpoint of the rounds of `solve_constraints`, without their values."""
     while True:
         before = reached
         for _tag, s, _off, anchors in table:
@@ -608,7 +602,7 @@ def _known_for(strategy: BuildStrategy, n: int, prev: DeltaMatrix) -> Dict[Cell,
     return known
 
 
-#: Each chain keeps M_1..M_CHAIN_KEEP and, past that, its newest two (the
+#: Past M_CHAIN_KEEP, a chain keeps only the last two matrices it built (the
 #: marginals and census suites read M_{n-1} right after M_n)
 CHAIN_KEEP = 64
 
@@ -620,27 +614,24 @@ def _build_chain(n: int, tag: str) -> DeltaMatrix:
     """M_n under one strategy, each M_k from the strategy's own M_{k-1}.
     Past D1, a step takes D1's M_k itself when D1's chain holds it and it
     certifies the strategy's system, which is when solving that system
-    would return it; otherwise the step solves.  No step builds D1.  A
-    chain grows from its newest matrix; an M_n it dropped is rebuilt from
-    M_CHAIN_KEEP and not kept."""
+    would return it; otherwise the step solves.  No step builds D1.  A chain
+    walks to M_n from the largest M_j it keeps with j < n, keeps each M_k it
+    builds, and then drops every M_j past CHAIN_KEEP but M_{k-1} and M_k."""
     chain = _chains.setdefault(tag, {1: M1})
     if n in chain:
         return chain[n]
-    top = max(chain)
-    grow = n > top
-    d1 = _chains.get("D1", {})  # for D1 itself, chain: it holds no M_k built here
+    d1 = _chains.get("D1", {})  # for D1 itself, chain: it holds no M_k walked to
     strategy = STRATEGIES[tag]
-    mat = chain[top if grow else CHAIN_KEEP]
+    mat = chain[max(j for j in chain if j < n)]
     for k in range(mat.n + 1, n + 1):
         prev = mat
         known = _known_for(strategy, k, prev)
         mat = d1.get(k)
         if mat is None or not certifies(k, known, strategy.recurrences, prev, mat):
             mat = solve_constraints(k, known, strategy.recurrences, prev)
-        if grow:
-            chain[k] = mat
-            if k - 2 > CHAIN_KEEP:
-                del chain[k - 2]
+        chain[k] = mat
+        for j in [j for j in chain if j > CHAIN_KEEP and not k - 1 <= j <= k]:
+            del chain[j]
     return mat
 
 

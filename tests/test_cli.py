@@ -45,6 +45,29 @@ def test_matrix_pretty_alignment(capsys):
     assert len(set(len(line) for line in lines)) == 1  # right-aligned columns
 
 
+@pytest.mark.parametrize("fmt", ["csv", "pretty"])
+def test_matrix_text_is_written_a_row_at_a_time(monkeypatch, fmt):
+    # M_200's text is 115 MB: no piece written may hold more than one row
+    class Recorder:
+        def __init__(self):
+            self.pieces = []
+
+        def writelines(self, pieces):
+            self.pieces.extend(pieces)
+
+        def flush(self):
+            pass
+
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["matrix", "--n", "6", "--format", fmt]) == 0
+    mat = poupard.build_matrix(6)
+    text = mat.to_csv() if fmt == "csv" else mat.pretty()
+    longest = max(map(len, text.split("\n"))) + 1
+    assert len(out.pieces) > 1 and max(map(len, out.pieces)) <= longest
+    assert "".join(out.pieces) == text + "\n"
+
+
 def test_matrix_rejects_n0(capsys):
     code, _, err = run_cli(capsys, "matrix", "--n", "0")
     assert code == 2

@@ -874,10 +874,8 @@ def test_build_matrix_returns_each_strategys_own_solution(monkeypatch):
                 assert ("D1" in delta._chains) == (tag == "D1"), tag
 
 
-def test_a_chain_keeps_its_first_matrices_and_its_newest_two(monkeypatch):
-    # past CHAIN_KEEP only the newest two of a chain stay; a dropped M_k is
-    # rebuilt from M_CHAIN_KEEP, solving only the steps past it, and not kept
-    own = _own_chains(10)
+def _record_solves(monkeypatch):
+    """The n of each solve_constraints call, in order, from here on."""
     solved, solve = [], delta.solve_constraints
 
     def recorded(n, *args):
@@ -885,15 +883,39 @@ def test_a_chain_keeps_its_first_matrices_and_its_newest_two(monkeypatch):
         return solve(n, *args)
 
     monkeypatch.setattr(delta, "solve_constraints", recorded)
+    return solved
+
+
+def test_a_chain_keeps_its_first_matrices_and_its_newest_two(monkeypatch):
+    # past CHAIN_KEEP a chain keeps only the last two matrices it built; a
+    # request below its top walks up from the largest M_j kept below it,
+    # keeps what it builds and drops the top
+    own = _own_chains(10)
+    solved = _record_solves(monkeypatch)
     monkeypatch.setattr(delta, "CHAIN_KEEP", 4)
     monkeypatch.setattr(delta, "_chains", {})
     assert build_matrix(10, "D1") == own["D1"][9]
     assert sorted(delta._chains["D1"]) == [1, 2, 3, 4, 9, 10]
     solved.clear()
     assert build_matrix(6, "D1") == own["D1"][5] and solved == [5, 6]
+    assert sorted(delta._chains["D1"]) == [1, 2, 3, 4, 5, 6]
     assert [build_matrix(n, "D9") for n in range(1, 11)] == own["D9"]
-    for tag in ("D1", "D9"):
-        assert sorted(delta._chains[tag]) == [1, 2, 3, 4, 9, 10], tag
+    assert sorted(delta._chains["D9"]) == [1, 2, 3, 4, 9, 10]
+    assert sorted(delta._chains["D1"]) == [1, 2, 3, 4, 5, 6]
+
+
+def test_an_upward_sweep_builds_each_matrix_once(monkeypatch):
+    # the suites ask for M_1, M_2, ... in turn: after M_10 the sweep walks
+    # up from M_CHAIN_KEEP once, not from it again at every n
+    own = _own_chains(10)
+    solved = _record_solves(monkeypatch)
+    monkeypatch.setattr(delta, "CHAIN_KEEP", 4)
+    monkeypatch.setattr(delta, "_chains", {})
+    build_matrix(10, "D1")
+    solved.clear()
+    assert [build_matrix(n, "D1") for n in range(1, 11)] == own["D1"]
+    assert solved == [5, 6, 7, 8, 9, 10]
+    assert sorted(delta._chains["D1"]) == [1, 2, 3, 4, 9, 10]
 
 
 def test_a_strategy_solves_its_own_system_where_d1_raises(monkeypatch):
