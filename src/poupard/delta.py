@@ -24,7 +24,8 @@ propagation).  It flags under-determination (Unresolved) and contradictions
 propagation reaches depends on no value, so `certifies` tells without
 solving whether a system has a given matrix as its one solution: the matrix
 satisfies every instance, and the closure of the known cells under the
-recurrences (`_closure`, one bitmask loop) is the whole grid.
+recurrences (`_closure`) is the whole grid.  Each pass of the closure fills
+whole runs of instances, by doubling, so a catalog system closes in two.
 `build_matrix` takes D1's M_n for D2-D9 that way when D1's chain holds it,
 and solves their own systems otherwise.  A chain walks up from the largest
 matrix it keeps below the one asked for; it keeps M_1..M_CHAIN_KEEP and,
@@ -36,7 +37,13 @@ row (`_region_runs`), which `_anchor_mask` and `region_cells` read as a
 bitmask of the flat grid.  The solver visits instances bit by bit; the
 checks of a whole matrix (the certificate, the oracle `recurrence_failure`
 and the census identity's `recurrence_residuals`) read them a row run at a
-time, as list slices (`_matrix_residuals`), and never propagate.
+time, as list slices (`_matrix_residuals`), and never propagate.  The
+boundary conditions are written once, in `_CONDITIONS`: each fixes a
+segment on each of two adjacent rows or columns, with values from the
+marginals of M_{n-1}.  The solver reads them as known cells (`_known_for`);
+a chain's certificate compares them with whole slices of the candidate and
+reads their cells as row runs and column strides (`_certifies_own`), and
+builds the known cells only when it fails and the solver runs.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, is_not, sub
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 Cell = Tuple[int, int]
 
@@ -72,6 +79,8 @@ def first_difference(f: Sequence, g: Sequence) -> Optional[Tuple[int, ...]]:
     """First index path (i, j, ...), lexicographic, where two grids of nested
     lists or tuples differ, or None if they are equal.  A length mismatch at
     any depth is a difference, at the index where the shorter one ends."""
+    if f is g:  # a strategy's matrix is most often D1's own
+        return None
     for i, (u, v) in enumerate(zip(f, g)):
         if u != v:
             nested = isinstance(u, (list, tuple)) and isinstance(v, (list, tuple))
@@ -348,51 +357,44 @@ def _residual_failure(n: int, residuals) -> Optional[str]:
 # Boundary conditions
 # ---------------------------------------------------------------------------
 
-def _boundary_cells(
-    tag: str, w: int, rs: Tuple[int, ...], cs: Tuple[int, ...]
-) -> Dict[Cell, int]:
-    """Known-cell assignments contributed by one boundary condition."""
-    # rs[m-1] = f_{n-1}(m, .) and cs[k-1] = f_{n-1}(., k), for 1..2n-2
-    out: Dict[Cell, int] = {}
-    if tag == "I1":
-        col = rs + (0,) * (w - len(rs))  # zero-padded to 2n entries
-        for m in range(1, w + 1):
-            out[(m, w)] = 0
-            out[(m, w - 1)] = col[m - 1]
-    elif tag == "I2":
-        row = rs + (0,) * (w - len(rs))
-        for k in range(1, w + 1):
-            out[(w, k)] = row[k - 1]
-            out[(w - 1, k)] = (
-                rs[k - 1] + cs[k - 1] if k <= len(rs) else 0
-            )
-    elif tag == "I3":
-        for k in range(1, w + 1):
-            out[(1, k)] = 0
-            # row 2 reads 0, f_{n-1}(1,.), f_{n-1}(2,.), ..., zero-padded
-            out[(2, k)] = rs[k - 2] if 2 <= k <= len(rs) + 1 else 0
-    elif tag == "I4":
-        for m in range(1, w + 1):
-            out[(m, 1)] = rs[m - 2] if 2 <= m <= len(rs) + 1 else 0
-            if m <= 2:
-                out[(m, 2)] = 0
-            elif m <= w - 1:
-                out[(m, 2)] = rs[m - 2] + rs[m - 3]
-            else:
-                out[(m, 2)] = rs[w - 3]  # f_{n-1}(2n-2, .)
-    elif tag == "SW":
-        out[(w - 1, 1)] = cs[0]
-        out[(w - 1, 2)] = rs[1] + cs[1]
-        out[(w, 1)] = 0
-        out[(w, 2)] = cs[0]
-    elif tag == "NE":
-        out[(1, w - 1)] = 0
-        out[(1, w)] = 0
-        out[(2, w - 1)] = rs[1]
-        out[(2, w)] = 0
-    else:
+#: condition -> (rows?, lines, first, values): the condition fixes, on each of
+#: two adjacent rows (or columns) of M_n, a segment from cell `first` on, and
+#: values(rs, cs) gives the two segments' values from the row sums rs[m-1] =
+#: f_{n-1}(m, .) and column sums cs[k-1] = f_{n-1}(., k) of M_{n-1}, m, k in
+#: 1..2n-2.  A line or first cell i <= 0 stands for 2n + i.
+_CONDITIONS: Dict[str, Tuple[bool, Tuple[int, int], int, Callable[..., Tuple[tuple, tuple]]]] = {
+    "I1": (False, (0, -1), 1, lambda rs, cs: ((0,) * (len(rs) + 2), (*rs, 0, 0))),
+    "I2": (True, (0, -1), 1, lambda rs, cs: ((*rs, 0, 0), (*map(add, rs, cs), 0, 0))),
+    "I3": (True, (1, 2), 1, lambda rs, cs: ((0,) * (len(rs) + 2), (0, *rs, 0))),
+    "I4": (False, (1, 2), 1, lambda rs, cs: ((0, *rs, 0), (0, 0, *map(add, rs[1:], rs), rs[-1]))),
+    "SW": (False, (1, 2), -1, lambda rs, cs: ((cs[0], 0), (rs[1] + cs[1], cs[0]))),
+    "NE": (False, (-1, 0), 1, lambda rs, cs: ((0, rs[1]), (0, 0))),
+}
+
+#: a segment (rows?, line, first, values): f_n(line, first + i) = values[i],
+#: or f_n(first + i, line) for a column
+Segment = Tuple[bool, int, int, Tuple[int, ...]]
+
+
+def _segments(tag: str, n: int, rs: Tuple[int, ...], cs: Tuple[int, ...]) -> Tuple[Segment, ...]:
+    """The two segments of M_n that one boundary condition fixes, given the
+    marginals rs, cs of M_{n-1}."""
+    if tag not in _CONDITIONS:
         raise ValueError(f"unknown boundary condition {tag!r}")
-    return out
+    rows, lines, first, values = _CONDITIONS[tag]
+
+    def at(i: int) -> int:
+        return i if i > 0 else 2 * n + i
+
+    return tuple((rows, at(line), at(first), v) for line, v in zip(lines, values(rs, cs)))
+
+
+def _segment_cells(
+    rows: bool, line: int, first: int, values: Tuple[int, ...]
+) -> Iterator[Tuple[Cell, int]]:
+    """(cell, value) along one segment, from its first cell on."""
+    for i, v in enumerate(values, first):
+        yield ((line, i) if rows else (i, line)), v
 
 
 @dataclass(frozen=True)
@@ -541,17 +543,53 @@ def _nonzero_residuals(mat: DeltaMatrix, prev: Optional[DeltaMatrix]) -> FrozenS
     return frozenset(tag for tag, _s, _a0, lhs, rhs in _matrix_residuals(mat, prev) if lhs != rhs)
 
 
+def _fill(reached: int, s: int, anchors: int) -> int:
+    """reached with the cells that one recurrence (step s, anchors) reaches
+    from it along whole runs of anchors.  An instance with x and y reached
+    reaches z, and so gives the next instance, s on, its x and y: reaching z
+    runs forward to the end of a run of anchors, and reaching x (from y and
+    z) likewise backward.  Both are taken by doubling, as carry-lookahead
+    takes a carry: after the shift d, `fwd` holds every anchor less than 2d
+    along a run past an instance that reached z at first, and `run_up` every
+    anchor whose 2d/s - 1 predecessors, s apart, are anchors too; `back` and
+    `run_down` mirror them."""
+    k0, k1, k2 = reached & anchors, (reached >> s) & anchors, (reached >> 2 * s) & anchors
+    fwd, back, middle = k0 & k1, k1 & k2, k0 & k2
+    run_up = run_down = anchors
+    d = s
+    while run_up and (fwd or back):
+        fwd |= (fwd << d) & run_up
+        back |= (back >> d) & run_down
+        run_up &= run_up << d
+        run_down &= run_down >> d
+        d += d
+    return reached | fwd << 2 * s | back | middle << s
+
+
 def _closure(reached: int, table) -> int:
     """The cells that the recurrences of table reach from those set in
     reached: an instance with two cells reached reaches its third.  This is
-    the fixpoint of the rounds of `solve_constraints`, without their values."""
+    the fixpoint of the rounds of `solve_constraints`, without their values.
+    Each pass fills whole runs (`_fill`); a catalog system closes in two
+    passes, one that fills and one that finds nothing more."""
     while True:
         before = reached
         for _tag, s, _off, anchors in table:
-            k0, k1, k2 = reached & anchors, (reached >> s) & anchors, (reached >> 2 * s) & anchors
-            reached |= (k0 & k1) << 2 * s | (k0 & k2) << s | (k1 & k2)
+            reached = _fill(reached, s, anchors)
         if reached == before:
             return reached
+
+
+def _certified(
+    n: int, reached: int, recurrences, prev: Optional[DeltaMatrix], candidate: DeltaMatrix
+) -> bool:
+    """The certificate once the known cells agree with candidate: no
+    instance of the recurrences has a nonzero residual on candidate against
+    prev, and they reach every cell from the known ones, set in reached."""
+    table = _table(n, recurrences)
+    if not _nonzero_residuals(candidate, prev).isdisjoint(tag for tag, *_ in table):
+        return False
+    return _closure(reached, table) == (1 << 4 * n * n) - 1
 
 
 def certifies(
@@ -578,10 +616,7 @@ def certifies(
         return False
     if any(candidate.rows[m - 1][k - 1] != v for (m, k), v in known.items()):
         return False
-    table = _table(n, recurrences)
-    if not _nonzero_residuals(candidate, prev).isdisjoint(tag for tag, *_ in table):
-        return False
-    return _closure(reached, table) == (1 << 4 * n * n) - 1
+    return _certified(n, reached, recurrences, prev, candidate)
 
 
 @_last_call  # the strategies built at one n share M_{n-1}
@@ -589,17 +624,55 @@ def _marginals(prev: DeltaMatrix) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return prev.row_sums(), prev.col_sums()
 
 
-def _known_for(strategy: BuildStrategy, n: int, prev: DeltaMatrix) -> Dict[Cell, int]:
-    known: Dict[Cell, int] = {(i, i): 0 for i in range(1, 2 * n + 1)}
+def _boundary(strategy: BuildStrategy, n: int, prev: DeltaMatrix) -> List[Tuple[Segment, ...]]:
+    """The segments of M_n that each boundary condition of strategy fixes,
+    condition by condition in tag order.  The solver's known cells
+    (`_known_for`) and the chain's certificate (`_certifies_own`) both
+    read them here."""
     rs, cs = _marginals(prev)
-    for tag in sorted(strategy.boundary):
-        for cell, v in _boundary_cells(tag, 2 * n, rs, cs).items():
-            if cell in known and known[cell] != v:
-                raise Inconsistent(
-                    n, f"boundary conditions disagree at {cell}: {known[cell]} vs {v}"
-                )
-            known[cell] = v
+    return [_segments(tag, n, rs, cs) for tag in sorted(strategy.boundary)]
+
+
+def _known_for(strategy: BuildStrategy, n: int, prev: DeltaMatrix) -> Dict[Cell, int]:
+    """The known cells of strategy's system for M_n: the zero diagonal, then
+    each condition's cells, index by index along its two segments;
+    Inconsistent at the first cell given two values."""
+    known: Dict[Cell, int] = {(i, i): 0 for i in range(1, 2 * n + 1)}
+    for segments in _boundary(strategy, n, prev):
+        for cells in zip(*(_segment_cells(*segment) for segment in segments)):
+            for cell, v in cells:
+                if known.setdefault(cell, v) != v:
+                    raise Inconsistent(
+                        n, f"boundary conditions disagree at {cell}: {known[cell]} vs {v}"
+                    )
     return known
+
+
+def _stride(a: int, step: int, count: int) -> int:
+    """The bitmask of count bits, step apart, from bit a on."""
+    return ((1 << step * count) - 1) // ((1 << step) - 1) << a
+
+
+def _certifies_own(
+    strategy: BuildStrategy, n: int, prev: DeltaMatrix, candidate: DeltaMatrix
+) -> bool:
+    """`certifies` for strategy's own system of M_n, read off its segments
+    with no known-cell Mapping: candidate's diagonal is zero and each
+    segment equals a slice of one of its rows or columns.  The known cells
+    are the diagonal and each segment's row run or column stride."""
+    w, rows = 2 * n, candidate.rows
+    if any(rows[i][i] for i in range(w)):
+        return False
+    reached = _stride(0, w + 1, w)
+    for segments in _boundary(strategy, n, prev):
+        for is_row, line, first, values in segments:
+            along = slice(first - 1, first - 1 + len(values))
+            seen = rows[line - 1][along] if is_row else tuple(row[line - 1] for row in rows[along])
+            if seen != values:
+                return False
+            m, k = (line, first) if is_row else (first, line)
+            reached |= _stride((m - 1) * w + k - 1, 1 if is_row else w, len(values))
+    return _certified(n, reached, strategy.recurrences, prev, candidate)
 
 
 #: Past M_CHAIN_KEEP, a chain keeps only the last two matrices it built (the
@@ -624,11 +697,9 @@ def _build_chain(n: int, tag: str) -> DeltaMatrix:
     strategy = STRATEGIES[tag]
     mat = chain[max(j for j in chain if j < n)]
     for k in range(mat.n + 1, n + 1):
-        prev = mat
-        known = _known_for(strategy, k, prev)
-        mat = d1.get(k)
-        if mat is None or not certifies(k, known, strategy.recurrences, prev, mat):
-            mat = solve_constraints(k, known, strategy.recurrences, prev)
+        prev, mat = mat, d1.get(k)
+        if mat is None or not _certifies_own(strategy, k, prev, mat):
+            mat = solve_constraints(k, _known_for(strategy, k, prev), strategy.recurrences, prev)
         chain[k] = mat
         for j in [j for j in chain if j > CHAIN_KEEP and not k - 1 <= j <= k]:
             del chain[j]

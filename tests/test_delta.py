@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import poupard
-from poupard import delta, verify
+from poupard import delta, trees, verify
 from poupard.delta import (
     M1,
     STRATEGIES,
@@ -43,7 +43,9 @@ M2_ROWS = ((0, 0, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0), (0, 1, 0, 0))
 
 
 def boundary_cells(tag, n, prev):
-    return delta._boundary_cells(tag, 2 * n, prev.row_sums(), prev.col_sums())
+    """The cells that one boundary condition fixes in M_n, from the table."""
+    segments = delta._segments(tag, n, prev.row_sums(), prev.col_sums())
+    return dict(cell for segment in segments for cell in delta._segment_cells(*segment))
 
 
 def test_m1_constant():
@@ -389,6 +391,15 @@ def test_first_difference(f, g, at):
     assert delta.first_difference(g, f) == at
 
 
+def test_a_grid_against_itself_is_not_read():
+    class Unread(list):
+        def __iter__(self):
+            raise AssertionError("a grid compared with itself was read")
+
+    grid = Unread([[1]])
+    assert delta.first_difference(grid, grid) is None
+
+
 def test_matrix_first_difference_names_the_cell_and_both_values():
     mat = build_matrix(3)
     assert mat.first_difference(build_matrix(3, "D9")) is None
@@ -606,6 +617,44 @@ def test_dropping_a_boundary_condition_leaves_pinned_cells(tag, dropped):
     assert set(info.value.cells) == expected
 
 
+def test_each_condition_fixes_cells_of_the_census_matrix():
+    # the census counts trees, not the difference equations: M_{n-1}'s
+    # marginals and M_n are both read off it
+    for n in range(2, 7):
+        prev, census = trees.joint_distribution(n - 1), trees.joint_distribution(n)
+        for tag in sorted(delta._CONDITIONS):
+            cells = boundary_cells(tag, n, prev)
+            assert cells and all(census.value(*c) == v for c, v in cells.items()), (n, tag)
+
+
+# sha256 of "<tag> <n> <sorted _known_for items>" lines for the nine
+# strategies at n = 2..12 against D1's M_{n-1}, recorded while each
+# condition was still written as its own branch of an if-chain
+KNOWN_FOR_DIGEST = "26ec14e9beb24e89d6a8b056e1cde0fcc43ab0b065f2b2f7d52aac07d5ba29ff"
+
+
+def test_known_cells_pinned_for_every_strategy():
+    lines = [
+        f"{tag} {n} {sorted(_known_for(STRATEGIES[tag], n, build_matrix(n - 1)).items())}"
+        for tag in sorted(STRATEGIES)
+        for n in range(2, 13)
+    ]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == KNOWN_FOR_DIGEST
+
+
+@pytest.mark.parametrize("tag", sorted(STRATEGIES))
+def test_boundary_conditions_that_disagree_name_the_cell(tag):
+    # f_2(1,3) + 1 gives M_2 a first row sum of 1, which I3 writes at (2,2)
+    # of M_3, on the zero diagonal; the other six systems never read it there
+    prev = _bumped(build_matrix(2), 1, 3)
+    if tag in ("D2", "D3", "D5"):
+        detail = "M_3: boundary conditions disagree at (2, 2): 0 vs 1"
+        with pytest.raises(Inconsistent, match=re.escape(detail)):
+            _known_for(STRATEGIES[tag], 3, prev)
+    else:
+        assert _known_for(STRATEGIES[tag], 3, prev)[(2, 2)] == 0
+
+
 # Off-diagonal known cells at n = 4 whose value + 1 makes the system
 # Inconsistent; raising any other known cell by 1 still solves.  Recorded
 # before the solver became a worklist.
@@ -751,6 +800,53 @@ def test_certificate_holds_exactly_when_the_solver_returns_the_matrix():
 
 def _subsets(items):
     return [frozenset(c) for r in range(len(items) + 1) for c in itertools.combinations(items, r)]
+
+
+def _grid_mask(n, cells):
+    w = 2 * n
+    return sum(1 << (m - 1) * w + k - 1 for m, k in cells)
+
+
+def test_closure_matches_the_derivable_oracle():
+    # random reached sets, and boundary lines with a cell or two taken out
+    # mid-line, which a run fill must not jump
+    rng = random.Random(36)
+    for n in range(2, 9):
+        w = 2 * n
+        grid = list(itertools.product(range(1, w + 1), repeat=2))
+        prev = build_matrix(n - 1)
+        for recs in _subsets(["R1", "R2", "R3", "R4"])[1:]:
+            instances = _instance_cells(n, recs)
+            for trial in range(4):
+                if trial < 2:
+                    cells = {c for c in grid if rng.random() < rng.choice((0.1, 0.3, 0.5))}
+                else:
+                    cells = {(i, i) for i in range(1, w + 1)}
+                    for tag in rng.sample(sorted(delta._CONDITIONS), 2):
+                        cells |= set(boundary_cells(tag, n, prev))
+                    lines = [c for c in sorted(cells) if c[0] != c[1]]
+                    cells -= set(rng.sample(lines, rng.randint(1, 2)))
+                want = _grid_mask(n, _derivable(cells, instances))
+                assert delta._closure(_grid_mask(n, cells), delta._table(n, recs)) == want
+
+
+@pytest.mark.parametrize("n", [6, 28, 60])
+def test_closure_closes_each_catalog_system_in_two_passes(monkeypatch, n):
+    # one pass fills whole runs of anchors, the next finds nothing more; a
+    # front that moves one row or column per pass takes about 2n passes
+    calls = []
+    fill = delta._fill
+
+    def counted(*args):
+        calls.append(args)
+        return fill(*args)
+
+    monkeypatch.setattr(delta, "_fill", counted)
+    prev, mat = build_matrix(n - 1), build_matrix(n)
+    for tag, strategy in sorted(STRATEGIES.items()):
+        calls.clear()
+        assert certifies(n, _known_for(strategy, n, prev), strategy.recurrences, prev, mat), tag
+        assert len(calls) == 2 * len(strategy.recurrences), tag
 
 
 def test_closure_agrees_with_the_solver_on_every_system():

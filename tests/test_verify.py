@@ -14,7 +14,7 @@ import pytest
 
 import poupard
 from poupard import delta, gf, trees, verify
-from poupard.delta import STRATEGIES, DeltaMatrix, _known_for
+from poupard.delta import STRATEGIES, DeltaMatrix, _boundary
 from poupard.report import FAIL, PASS, VerifyReport, timed_check
 from poupard.triangle import poupard_triangle
 from poupard.trees import census_tables, joint_distribution
@@ -78,20 +78,24 @@ def test_golden_bijection_pair_names_the_statistic(fixtures):
     ]
 
 
-def _known_for_d3_bumped(strategy, n, prev):
-    """D3's system at n = 3 with its I2 value at (5,2) bumped, 3 -> 4; D3 then
-    solves to another M_3, which first differs at (3,2)."""
-    known = _known_for(strategy, n, prev)
-    if (strategy.tag, n) == ("D3", 3):
-        known[(5, 2)] += 1
-    return known
+def _boundary_d3_bumped(strategy, n, prev):
+    """D3's boundary segments at n = 3 with its I2 value at (5,2) bumped,
+    3 -> 4; D3 then solves to another M_3, which first differs at (3,2).
+    The segments are what both the certificate and the solver read."""
+    conditions = _boundary(strategy, n, prev)
+    if (strategy.tag, n) != ("D3", 3):
+        return conditions
+    i2 = {segment[:3]: segment for segment in conditions[0]}  # D3 is I2 I3
+    rows, line, first, values = i2[(True, 5, 1)]
+    i2[(True, 5, 1)] = rows, line, first, (values[0], values[1] + 1, *values[2:])
+    return [tuple(i2.values()), *conditions[1:]]
 
 
 @pytest.fixture
 def d3_bumped_at_3(monkeypatch):
     """The bumped system in the builder, with the strategy chains rebuilt
     around it and restored after it."""
-    monkeypatch.setattr(delta, "_known_for", _known_for_d3_bumped)
+    monkeypatch.setattr(delta, "_boundary", _boundary_d3_bumped)
     monkeypatch.setattr(delta, "_chains", {})
 
 
@@ -192,8 +196,8 @@ def test_equivalence_fails_on_a_bumped_system_under_optimize():
     # so that no part of the certificate is an assert
     script = (
         "from poupard import delta, verify\n"
-        "from test_verify import _known_for_d3_bumped\n"
-        "delta._known_for = _known_for_d3_bumped\n"
+        "from test_verify import _boundary_d3_bumped\n"
+        "delta._boundary = _boundary_d3_bumped\n"
         "for record in verify.run_checks(['equivalence'], n_max=3).checks:\n"
         "    print(record.params['n'], record.status, record.counterexample)\n"
     )
