@@ -26,16 +26,19 @@ Each generating-function identity is checked by two independent paths:
   rather than assumed.  The tests use this path as the oracle, and
   `poupard gf` / `export` dump `lambda_lhs` / `omega_lhs`.
 * The integer path, used by `verify`, works with the EGF
-  E(i,j,...) = i! j! ... [x^i y^j ...] on a dense grid.  Every identity is a
-  grid times cos or sin of a linear form against a numerator, once the unit
-  denominator is cross-multiplied, and in EGF normalization multiplying by
-  exp(c sum_k a_k x_k), c^2 = d, is the binomial transform
-  sum_s C(t,s) (a_k c)^(t-s) E(s) along each axis in turn (`_times_exp`),
-  with ints only.  In the trivariate check (`triangle_series_failures`) the
-  left-hand sides are the matrix entries themselves (`lambda_egf`,
-  `omega_egf`) and 2cos^2(S/sqrt2) = 1 + cos(sqrt2 S), S = x+y+z; the
-  bivariate one (`bivariate_closed_form_failures`) first substitutes
-  x -> sqrt2 x, y -> sqrt2 y so that every coefficient is an integer.
+  E(i,j,...) = i! j! ... [x^i y^j ...], with ints only.  The trivariate
+  denominator 2cos^2(S/sqrt2) = 1 + cos(sqrt2 S) depends on S = x+y+z
+  alone, so each closed form's EGF coefficient of total degree 2n-2 is a
+  short sum of binomial weights times h_e = 2 e! [S^e] 1/(1 + cos(sqrt2 S)),
+  which has its own integer recurrence.  Those coefficients are M_n itself
+  (`closed_form_matrix`), and `triangle_series_failures` compares the
+  matrix entries (`lambda_egf`, `omega_egf`) with them one degree at a
+  time.  The bivariate forms (`bivariate_closed_form_failures`) are
+  cross-multiplied instead: after x -> sqrt2 x, y -> sqrt2 y each is a grid
+  times cos or sin of a linear form against a numerator, and in EGF
+  normalization multiplying by exp(c sum_k a_k x_k), c^2 = d, is the
+  binomial transform sum_s C(t,s) (a_k c)^(t-s) E(s) along each axis in
+  turn (`_times_exp`).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import comb, factorial
 from operator import getitem, mul
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .delta import DeltaMatrix, first_difference
 from .scalars import HALF_SQRT2, SQRT2, ZERO, RootTwoScalar
@@ -168,26 +171,8 @@ def permute_axes(coeffs: Dict[Monomial, T], perm: Tuple[int, int, int]) -> Dict[
 
 
 # ---------------------------------------------------------------------------
-# Integer path: the same identities cross-multiplied in EGF normalization
+# Integer grids: products with cos and sin of a linear form, in EGF normalization
 # ---------------------------------------------------------------------------
-
-
-def lambda_numerator_egf(cap: int) -> EGF:
-    """E of cos(sqrt2 x) + cos(sqrt2 y) cos(sqrt2 z)."""
-    out: EGF = {(i, 0, 0): (-2) ** (i // 2) for i in range(0, cap + 1, 2)}
-    for j in range(0, cap + 1, 2):
-        for l in range(0, cap + 1 - j, 2):
-            out[(0, j, l)] = out.get((0, j, l), 0) + (-2) ** ((j + l) // 2)
-    return out
-
-
-def omega_numerator_egf(cap: int) -> EGF:
-    """E of sin(sqrt2 x) sin(sqrt2 z)."""
-    return {
-        (i, 0, l): 2 * (-2) ** ((i + l) // 2 - 1)
-        for i in range(1, cap + 1, 2)
-        for l in range(1, cap + 1 - i, 2)
-    }
 
 
 # A dense EGF over one or more axes: grid[i][j]... = E(i, j, ...) over total
@@ -301,32 +286,132 @@ def _times_exp(
     return re, im
 
 
-def closed_form_sides(lhs: EGF, numerator: EGF, cap: int) -> Tuple[Grid, Grid]:
-    """The grids [i][j][l], total degree <= cap, of E(lhs (1 + cos(sqrt2
-    (x+y+z)))) and E(numerator); cos(sqrt2 S) is the rational part of
-    exp(cS), c = sqrt(-2)."""
-    grid = _dense(lhs, cap, 3)
-    cos_part = _times_exp(grid, (1, 1, 1), -2, real_only=True)[0]
-    return _add(grid, cos_part), _dense(numerator, cap, 3)
+# ---------------------------------------------------------------------------
+# Integer path for the trivariate closed forms: M_n from its EGF layer
+# ---------------------------------------------------------------------------
+
+
+def _h_table(top: int) -> List[int]:
+    """t_k = h_(2k) for 2k <= top, where h_e = 2 e! [S^e] of
+    1/(2cos^2(S/sqrt2)) = 1/(1 + cos(sqrt2 S)), which is 0 at odd e.  In
+    EGF normalization (1 + cos(sqrt2 S)) h = 2, and cos(sqrt2 S) is
+    (-2)^(e/2) at even e, so t_0 = 1 and
+    t_k = sum_(m=1..k) C(2k,2m) (-2)^(m-1) t_(k-m): the tree counts
+    T_(2k+1) / 2^k, from no tangent number."""
+    t = [1]
+    for k in range(1, top // 2 + 1):
+        t.append(sum(comb(2 * k, 2 * m) * (-2) ** (m - 1) * t[k - m] for m in range(1, k + 1)))
+    return t
+
+
+def _trig_at(odd: int, a: int) -> int:
+    """a! [x^a] of cos(sqrt2 x) (odd = 0) or of sin(sqrt2 x) / sqrt2 (odd = 1)."""
+    return (-2) ** (a // 2) if a % 2 == odd else 0
+
+
+def _conv(w: Sequence[int], col: Sequence[int], top: int) -> int:
+    """sum_k w[k] col[top - k], which is 0 when top < 0."""
+    return sum(map(mul, w, col[top::-1])) if top >= 0 else 0
+
+
+Tables = Tuple[List[int], List[List[int]], List[List[int]]]
+
+
+def _closed_form_tables(top: int, lower: bool) -> Tables:
+    """(t, w, v) for total degrees <= top, in steps of two: t is
+    `_h_table(top)`; w[j][k] = C(j,a) _trig_at(odd, a) at a = 2k + odd,
+    the binomial weights of cos(sqrt2 x) (lower, odd = 0) or
+    sin(sqrt2 x) / sqrt2 (upper, odd = 1) along an axis of degree j; and
+    v[l][e] = sum_k w[l][k] t[e-k], that factor along an axis of degree l
+    times h, at total degree 2e + odd."""
+    t = _h_table(top)
+    odd = 0 if lower else 1
+    w = [[comb(j, a) * _trig_at(odd, a) for a in range(odd, j + 1, 2)] for j in range(top + 1)]
+    return t, w, [[_conv(row, t, e) for e in range(len(t))] for row in w]
+
+
+def _closed_form_layer(lower: bool, n: int, tables: Tables) -> Iterator[Tuple[Monomial, int]]:
+    """The monomials (i,j,l) of total degree D = 2n-2, in lexicographic
+    order, each with 2 f_n(m,k) of its lower cell or f_n(m,k) of its upper
+    one, from the closed forms.  With c_j(a) = C(j,a) a! [x^a] cos(sqrt2 x):
+    2f = sum_a c_i(a) h_(D-a) + sum_b c_j(b) sum_c c_l(c) h_(D-b-c) below
+    the diagonal; with sin(sqrt2 x) / sqrt2 in place of cos,
+    f = sum_a s_i(a) sum_c s_l(c) h_(D-a-c) above it."""
+    t, w, v = tables
+    half = n - 1
+    for i in range(2 * n - 1):
+        first = _conv(w[i], t, half) if lower else 0
+        for j in range(2 * n - 1 - i):
+            l = 2 * n - 2 - i - j
+            if lower:
+                yield (i, j, l), first + _conv(w[j], v[l], half)
+            else:
+                yield (i, j, l), _conv(w[i], v[l], half - 1)
+
+
+def closed_form_matrix(n: int) -> DeltaMatrix:
+    """M_n from the closed forms of Lambda and Omega alone: the cells of M_n
+    are the EGF coefficients of total degree 2n-2, lower cell (m,k) at
+    (m-k-1, k-1, 2n-m) of Lambda and upper cell (m,k) at (2n-k, k-m-1, m-1)
+    of Omega, and the diagonal is 0.  Reads no other matrix."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    size = 2 * n
+    rows = [[0] * size for _ in range(size)]
+    for lower in (True, False):
+        for (i, j, l), value in _closed_form_layer(lower, n, _closed_form_tables(size - 2, lower)):
+            if not lower:
+                rows[l][size - 1 - i] = value
+            elif value % 2:
+                raise ArithmeticError(f"2 f_{n}({size - l},{j + 1}) = {value} is odd")
+            else:
+                rows[size - 1 - l][j] = value >> 1
+    return DeltaMatrix(n, tuple(map(tuple, rows)))
+
+
+def _numerator_at(lower: bool, mono: Monomial) -> int:
+    """E(i,j,l) of cos(sqrt2 x) + cos(sqrt2 y) cos(sqrt2 z) (lower) or of
+    sin(sqrt2 x) sin(sqrt2 z) (upper)."""
+    i, j, l = mono
+    if lower:
+        return (j == l == 0) * _trig_at(0, i) + (i == 0) * _trig_at(0, j) * _trig_at(0, l)
+    return (j == 0) * 2 * _trig_at(1, i) * _trig_at(1, l)
 
 
 def triangle_series_failures(
     triangle: str, cap: int, matrices: Sequence[DeltaMatrix]
 ) -> List[str]:
     """The "lower" (Lambda) or "upper" (Omega) series over the integers to the
-    cap: at the first monomial where the `closed_form_sides` differ, and where
-    it changes under the axis swap that should fix it.  Empty if both hold."""
+    cap: at the first monomial where it differs from the closed form, and
+    where it changes under the axis swap that should fix it.  Empty if both
+    hold.
+
+    The series is compared with `_closed_form_layer` one total degree at a
+    time, as 2f.  At the lexicographically first monomial mu where E, the
+    series, differs from the closed form E*, the failure gives both sides of
+    E (1 + cos(sqrt2 S)) = numerator there: the denominator's constant term
+    is 2 and each of its other terms lands on a later monomial, so they are
+    numerator(mu) + 2 (E(mu) - E*(mu)) and numerator(mu)."""
     if triangle not in ("lower", "upper"):
         raise ValueError(f'triangle must be "lower" or "upper", not {triangle!r}')
     lower = triangle == "lower"
     lhs = (lambda_egf if lower else omega_egf)(cap, matrices)  # as bound at call time
-    numerator = (lambda_numerator_egf if lower else omega_numerator_egf)(cap)
     perm, swap = ((0, 2, 1), "y<->z") if lower else ((2, 1, 0), "x<->z")
-    sides = closed_form_sides(lhs, numerator, cap)
-    mono = first_difference(*sides)
+    scale = 1 if lower else 2  # the layer gives 2f below the diagonal, f above
+    # the closed form is 0 at odd total degree
+    mono = min((m for m, v in lhs.items() if v and sum(m) % 2), default=None)
+    twice_closed = 0  # 2 E*(mono)
+    tables = _closed_form_tables(cap, lower)
+    for n in range(1, required_matrix_count(cap) + 1):
+        for at, value in _closed_form_layer(lower, n, tables):
+            if 2 * lhs.get(at, 0) != scale * value:
+                if mono is None or at < mono:
+                    mono, twice_closed = at, scale * value
+                break
     failures = []
     if mono is not None:
-        values = [reduce(getitem, mono, side) for side in sides]
+        numerator = _numerator_at(lower, mono)
+        values = numerator + 2 * lhs.get(mono, 0) - twice_closed, numerator
         failures.append(
             f"{triangle}-triangle series differs from its closed form (first at "
             "x^{} y^{} z^{}: series times denominator {}, numerator {})".format(*mono, *values)

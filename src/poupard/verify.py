@@ -188,8 +188,10 @@ def check_census(report: VerifyReport, n_max: int, force: bool) -> None:
 
 
 def check_gf(report: VerifyReport, cap: int) -> None:
-    """Both trivariate identities over the integers, at the full cap; the
-    Q(sqrt 2) series path (gf.lambda_rhs, gf.omega_rhs) is the tests' oracle."""
+    """Both trivariate identities over the integers, at the full cap: each
+    series against the closed form's coefficients, M_1..M_N as
+    gf.closed_form_matrix gives them, and under its axis swap.  The Q(sqrt 2)
+    series path (gf.lambda_rhs, gf.omega_rhs) is the tests' oracle."""
     matrices = delta_matrices(gf.required_matrix_count(cap))
     for triangle in ("lower", "upper"):
         with timed_check(report, f"gf/{triangle}-triangle", {"cap": cap}) as failures:

@@ -22,11 +22,11 @@ import poupard
 import poupard.series as series_mod
 from poupard import gf, verify
 from poupard.cli import main
-from poupard.delta import DeltaMatrix, delta_matrices, first_difference
+from poupard.delta import DeltaMatrix, build_matrix, delta_matrices, first_difference
 from poupard.report import FAIL, PASS, VerifyReport
 from poupard.scalars import SQRT2, RootTwoScalar
 from poupard.series import LinearForm, TriSeries, of_linear_form, reciprocal, trig_in_x, trig_series
-from poupard.triangle import is_poupard_matrix
+from poupard.triangle import is_poupard_matrix, tangent_numbers
 
 
 @pytest.fixture(scope="module")
@@ -347,7 +347,8 @@ def test_closed_forms_small_cap(matrices):
 
 
 # ---------------------------------------------------------------------------
-# Integer path (EGF cross-multiplication) against the Q(sqrt 2) series path
+# Integer path (closed-form coefficients) against its cross-multiplied
+# oracle and the Q(sqrt 2) series path
 # ---------------------------------------------------------------------------
 
 
@@ -363,15 +364,53 @@ def bumped(matrices, n, m, k):
     return out
 
 
+def lambda_numerator_egf(cap):
+    """E of cos(sqrt2 x) + cos(sqrt2 y) cos(sqrt2 z)."""
+    out = {(i, 0, 0): (-2) ** (i // 2) for i in range(0, cap + 1, 2)}
+    for j in range(0, cap + 1, 2):
+        for l in range(0, cap + 1 - j, 2):
+            out[(0, j, l)] = out.get((0, j, l), 0) + (-2) ** ((j + l) // 2)
+    return out
+
+
+def omega_numerator_egf(cap):
+    """E of sin(sqrt2 x) sin(sqrt2 z)."""
+    return {
+        (i, 0, l): 2 * (-2) ** ((i + l) // 2 - 1)
+        for i in range(1, cap + 1, 2)
+        for l in range(1, cap + 1 - i, 2)
+    }
+
+
+def closed_form_sides(lhs, numerator, cap):
+    """The grids [i][j][l], total degree <= cap, of E(lhs (1 + cos(sqrt2
+    (x+y+z)))) and E(numerator): each closed form cross-multiplied by its
+    denominator, the oracle of `gf.triangle_series_failures`.  cos(sqrt2 S)
+    is the rational part of exp(cS), c = sqrt(-2)."""
+    grid = gf._dense(lhs, cap, 3)
+    cos_part = gf._times_exp(grid, (1, 1, 1), -2, real_only=True)[0]
+    return gf._add(grid, cos_part), gf._dense(numerator, cap, 3)
+
+
+NUMERATORS = {"lambda": lambda_numerator_egf, "omega": omega_numerator_egf}
+TRIANGLES = {"lambda": "lower", "omega": "upper"}
+
+
+def integer_sides(which, cap, matrices):
+    lhs = getattr(gf, f"{which}_egf")(cap, matrices)
+    return closed_form_sides(lhs, NUMERATORS[which](cap), cap)
+
+
 def integer_mismatch(which, cap, matrices):
     """The first monomial where the trivariate `closed_form_sides` differ, or None."""
-    lhs = getattr(gf, f"{which}_egf")(cap, matrices)
-    numerator = getattr(gf, f"{which}_numerator_egf")(cap)
-    return first_difference(*gf.closed_form_sides(lhs, numerator, cap))
+    return first_difference(*integer_sides(which, cap, matrices))
 
 
-def integer_check_passes(which, cap, matrices):
-    return integer_mismatch(which, cap, matrices) is None
+def closed_form_failures(which, cap, matrices):
+    """The closed-form failures of `gf.triangle_series_failures`, without
+    the symmetry ones."""
+    failures = gf.triangle_series_failures(TRIANGLES[which], cap, matrices)
+    return [f for f in failures if "differs from its closed form" in f]
 
 
 def test_numerator_egfs_match_trig_series():
@@ -381,8 +420,8 @@ def test_numerator_egfs_match_trig_series():
         trig_series("cos", form, cap) for form in (gf.FORM_S2X, gf.FORM_S2Y, gf.FORM_S2Z)
     )
     sin_x, sin_z = (trig_series("sin", form, cap) for form in (gf.FORM_S2X, gf.FORM_S2Z))
-    assert gf._egf_series(cap, gf.lambda_numerator_egf(cap)) == cos_x + cos_y * cos_z
-    assert gf._egf_series(cap, gf.omega_numerator_egf(cap)) == sin_x * sin_z
+    assert gf._egf_series(cap, lambda_numerator_egf(cap)) == cos_x + cos_y * cos_z
+    assert gf._egf_series(cap, omega_numerator_egf(cap)) == sin_x * sin_z
 
 
 def test_integer_path_agrees_with_series_path():
@@ -400,8 +439,30 @@ def test_integer_path_agrees_with_series_path():
         ):
             for name, (mats, expected) in variants.items():
                 series_passes = lhs(cap, mats) == rhs
-                assert integer_check_passes(which, cap, mats) == series_passes, (cap, which, name)
+                integer_passes = closed_form_failures(which, cap, mats) == []
+                assert integer_passes == series_passes, (cap, which, name)
                 assert series_passes == expected[which], (cap, which, name)
+
+
+def test_closed_form_matrix_is_d1s_matrix():
+    for n in range(1, 41):
+        assert gf.closed_form_matrix(n) == build_matrix(n, "D1"), n
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        gf.closed_form_matrix(0)
+
+
+def test_closed_form_matrix_100_is_what_matrix_prints():
+    # `poupard matrix --n 100 --format json` prints to_json() and a newline
+    text = gf.closed_form_matrix(100).to_json() + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "19f7ffb640a9c5a727db533d2800947f20f8e587f2f3b2b07e9b7b36079637ab"
+
+
+def test_h_table_gives_the_tangent_numbers():
+    # h_(2k) 2^k = T_(2k+1), from triangle's row sums, which gf never reads
+    t = gf._h_table(120)
+    assert len(t) == 61
+    assert [h << k for k, h in enumerate(t)] == tangent_numbers(61)
 
 
 # n, then (m, k) and its monomial for one lower and one upper cell of M_n:
@@ -428,11 +489,58 @@ def test_gf_check_fails_on_one_corrupted_cell(n, lower, upper, monkeypatch):
         assert "(first at x^{} y^{} z^{}: ".format(*mono) in record.counterexample
 
 
-def test_gf_check_reaches_cap_40():
+def test_gf_check_reaches_cap_100():
     start = time.perf_counter()
-    report = verify.run_checks(["gf"], cap=40)
+    report = verify.run_checks(["gf"], cap=100)
     assert [r.status for r in report.checks] == [PASS, PASS]
     assert time.perf_counter() - start < 30  # criterion 10's budget
+
+
+def cos_read_as_sin(odd, a, at=gf._trig_at):
+    """`gf._trig_at` with cos(sqrt2 x)'s coefficient at x^2 read as sin's, 0."""
+    return at(1 if (odd, a) == (0, 2) else odd, a)
+
+
+def test_gf_check_fails_on_a_mutated_kernel_under_optimize(monkeypatch, capsys):
+    # the lower closed form is then wrong first at f_2(2,1), monomial
+    # x^0 y^0 z^2; the check compares ints and raises nothing, so -O keeps it
+    expected = [
+        "FAIL    gf/lower-triangle [cap=10]",
+        "        counterexample: lower-triangle series differs from its closed form "
+        "(first at x^0 y^0 z^2: series times denominator -2, numerator 0)",
+        "PASS    gf/upper-triangle [cap=10]",
+        "2 checks: 1 passed, 1 failed, 0 skipped",
+    ]
+    monkeypatch.setattr(gf, "_trig_at", cos_read_as_sin)
+    assert gf.closed_form_matrix(2).first_difference(build_matrix(2, "D1")) == (2, 1, 1, 0)
+    assert main(["verify", "--checks", "gf"]) == 1
+    assert re.sub(r" \([0-9.]+s\)$", "", capsys.readouterr().out, flags=re.M).splitlines() == expected
+    script = (
+        "from poupard import gf\n"
+        "from poupard.cli import main\n"
+        "from test_gf import cos_read_as_sin\n"
+        "gf._trig_at = cos_read_as_sin\n"
+        "raise SystemExit(main(['verify', '--checks', 'gf']))\n"
+    )
+    paths = (Path(poupard.__file__).resolve().parent.parent, Path(__file__).resolve().parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))},
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert re.sub(r" \([0-9.]+s\)$", "", proc.stdout, flags=re.M).splitlines() == expected
+
+
+def test_closed_form_matrix_refuses_an_odd_lower_cell(monkeypatch):
+    # 2f below the diagonal is even for the true weights; a cos weight of 1
+    # at x^2 makes 2 f_2(2,1) = 3, which is refused rather than halved
+    at = gf._trig_at
+    monkeypatch.setattr(gf, "_trig_at", lambda odd, a: 1 if (odd, a) == (0, 2) else at(odd, a))
+    with pytest.raises(ArithmeticError, match=r"^2 f_2\(2,1\) = 3 is odd$"):
+        gf.closed_form_matrix(2)
 
 
 def test_verify_gf_never_touches_the_series_path(monkeypatch, capsys):
@@ -640,30 +748,67 @@ def test_closed_form_paths_agree(matrices):
 INTEGER_VERDICTS_SHA256 = "3d35f4b8e10109910ef9d5c28146aecc60b6ae9ed5764c1976c9b03d86756326"
 
 
-def integer_verdict_lines():
-    """One line per (cap, variant): the first monomial where the
-    `closed_form_sides` differ, for both triangles, and the
-    `bivariate_closed_form_failures` list, for caps 0..24 on the true
-    matrices, the degree-cap axis cell and four seeded +1 corruptions."""
+def verdict_variants():
+    """(cap, matrices) for caps 0..24: the true matrices, the degree-cap
+    axis cell and four seeded +1 corruptions."""
     top = delta_matrices((24 + 7) // 2)
-    lines = []
     for cap in range(25):
         need = (cap + 7) // 2
         matrices = top[:need]
         rng = random.Random(cap)
-        variants = [matrices, bumped(matrices, *axis_cell(cap))]
+        yield cap, matrices
+        yield cap, bumped(matrices, *axis_cell(cap))
         for _ in range(4):
             n = rng.randint(1, need)
-            variants.append(bumped(matrices, n, rng.randint(1, 2 * n), rng.randint(1, 2 * n)))
-        for mats in variants:
-            monomials = [integer_mismatch(which, cap, mats) for which in ("lambda", "omega")]
-            lines.append(repr((cap, monomials, gf.bivariate_closed_form_failures(cap, mats))))
+            yield cap, bumped(matrices, n, rng.randint(1, 2 * n), rng.randint(1, 2 * n))
+
+
+def integer_verdict_lines():
+    """One line per `verdict_variants` entry: the first monomial where the
+    `closed_form_sides` differ, for both triangles, and the
+    `bivariate_closed_form_failures` list."""
+    lines = []
+    for cap, mats in verdict_variants():
+        monomials = [integer_mismatch(which, cap, mats) for which in ("lambda", "omega")]
+        lines.append(repr((cap, monomials, gf.bivariate_closed_form_failures(cap, mats))))
     return lines
 
 
 def test_integer_verdicts_are_pinned():
     digest = hashlib.sha256("\n".join(integer_verdict_lines()).encode()).hexdigest()
     assert digest == INTEGER_VERDICTS_SHA256
+
+
+def oracle_failures(which, cap, matrices):
+    """The closed-form failure text at the first monomial where the
+    `closed_form_sides` differ, with both sides, or none."""
+    sides = integer_sides(which, cap, matrices)
+    mono = first_difference(*sides)
+    if mono is None:
+        return []
+    values = [reduce(getitem, mono, side) for side in sides]
+    return [
+        f"{TRIANGLES[which]}-triangle series differs from its closed form (first at "
+        "x^{} y^{} z^{}: series times denominator {}, numerator {})".format(*mono, *values)
+    ]
+
+
+def test_closed_form_check_names_what_cross_multiplying_names():
+    # the first monomial and both values of the oracle's sides, on every variant
+    for cap, mats in verdict_variants():
+        for which in ("lambda", "omega"):
+            expected = oracle_failures(which, cap, mats)
+            assert closed_form_failures(which, cap, mats) == expected, (cap, which)
+
+
+@pytest.mark.parametrize("which", ["lambda", "omega"])
+def test_closed_form_check_names_a_coefficient_of_odd_degree(which, matrices, monkeypatch):
+    # no layer of M_n has odd total degree, and the closed forms vanish there
+    build = getattr(gf, f"{which}_egf")
+    monkeypatch.setattr(gf, f"{which}_egf", lambda cap, mats: {**build(cap, mats), (2, 0, 3): 1})
+    (failure,) = oracle_failures(which, 8, matrices)
+    assert "(first at x^2 y^0 z^3: series times denominator 2, numerator 0)" in failure
+    assert closed_form_failures(which, 8, matrices) == [failure]
 
 
 def test_closed_forms_check_reaches_cap_60():
