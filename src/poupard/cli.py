@@ -84,7 +84,8 @@ _GF_TEXT = {
     "lambda": lambda cap, matrices: _lines(dump_lines(gfmod.lambda_lhs(cap, matrices))),
     "omega": lambda cap, matrices: _lines(dump_lines(gfmod.omega_lhs(cap, matrices))),
 }
-_STRATEGY_CHOICES = sorted(s.lower() for s in STRATEGIES)
+# D1..D9 in any case, as build_matrix reads them
+_STRATEGY = dict(default="d1", type=str.lower, choices=sorted(s.lower() for s in STRATEGIES))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix = sub.add_parser("matrix", help="build and print one matrix")
     p_matrix.set_defaults(run=cmd_matrix)
     p_matrix.add_argument("--n", type=_positive("n", 1), required=True)
-    p_matrix.add_argument("--strategy", default="d1", choices=_STRATEGY_CHOICES)
+    p_matrix.add_argument("--strategy", **_STRATEGY)
     p_matrix.add_argument("--format", default=_PRETTY, choices=_MATRIX_TEXT)
 
     p_tri = sub.add_parser("triangle", help="print triangle rows 0..n_max")
@@ -133,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.set_defaults(run=cmd_export)
     p_export.add_argument("--out", required=True)
     p_export.add_argument("--n-max", type=_positive("n-max", 1), default=5)
-    p_export.add_argument("--strategy", default="d1", choices=_STRATEGY_CHOICES)
+    p_export.add_argument("--strategy", **_STRATEGY)
     p_export.add_argument("--cap", type=_positive("cap", 0), default=10)
     return parser
 

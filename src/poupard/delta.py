@@ -50,10 +50,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, is_not, sub
-from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 Cell = Tuple[int, int]
 
@@ -90,8 +91,7 @@ def first_difference(f: Sequence, g: Sequence) -> Optional[Tuple[int, ...]]:
     return None if len(f) == len(g) else (min(len(f), len(g)),)
 
 
-@dataclass(frozen=True)
-class DeltaMatrix:
+class DeltaMatrix(NamedTuple):
     """(2n)x(2n) big-integer grid; rows[m-1][k-1] = f_n(m, k)."""
 
     n: int
@@ -397,8 +397,7 @@ def _segment_cells(
         yield ((line, i) if rows else (i, line)), v
 
 
-@dataclass(frozen=True)
-class BuildStrategy:
+class BuildStrategy(NamedTuple):
     tag: str
     recurrences: FrozenSet[str]
     boundary: FrozenSet[str]
@@ -726,8 +725,7 @@ def delta_matrices(n_max: int) -> List[DeltaMatrix]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     """Outcome of the per-matrix identity checks; first failure wins."""
 
     n: int

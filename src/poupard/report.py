@@ -5,16 +5,14 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     name: str
     params: Dict[str, object]
     status: str
@@ -36,9 +34,17 @@ class CheckRecord:
         return out
 
 
-@dataclass
 class VerifyReport:
-    checks: List[CheckRecord] = field(default_factory=list)
+    def __init__(self, checks: Optional[List[CheckRecord]] = None) -> None:
+        self.checks: List[CheckRecord] = [] if checks is None else checks
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.checks == other.checks
+
+    def __repr__(self) -> str:
+        return f"VerifyReport(checks={self.checks!r})"
 
     def add(self, record: CheckRecord) -> None:
         self.checks.append(record)

@@ -16,10 +16,9 @@ needed: every closed form in scope has linear arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, NamedTuple, Tuple
 
 from .scalars import ZERO, RootTwoScalar
 
@@ -34,8 +33,7 @@ class ZeroConstantTerm(ValueError):
     """Raised when inverting a series whose constant term is not a unit."""
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(NamedTuple):
     """A linear form alpha*x + beta*y + gamma*z with Q(sqrt 2) coefficients."""
 
     alpha: RootTwoScalar

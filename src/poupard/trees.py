@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, islice, repeat
 from operator import add, eq, itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .delta import DeltaMatrix, recurrence_residuals
 from .triangle import poupard_triangle
@@ -66,15 +65,23 @@ class StatisticUndefined(ValueError):
     """Raised for eoc/pom/bijection on the single-node tree (n = 0)."""
 
 
-@dataclass
 class Tree:
     """A strictly ordered binary tree on 2n+1 labels.
 
     `children` maps each interior label to its (smaller, larger) child pair.
     """
 
-    n: int
-    children: Dict[int, Tuple[int, int]]
+    def __init__(self, n: int, children: Dict[int, Tuple[int, int]]) -> None:
+        self.n = n
+        self.children = children
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.children) == (other.n, other.children)
+
+    def __repr__(self) -> str:
+        return f"Tree(n={self.n!r}, children={self.children!r})"
 
     def size(self) -> int:
         return 2 * self.n + 1
@@ -439,8 +446,7 @@ def _sums(first: list, second: list, const):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusTables:
+class CensusTables(NamedTuple):
     """All tree counters for one n, gathered in a single pass over the labels.
 
     joint[m][k]    #{eoc=m, pom=k}

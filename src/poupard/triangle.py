@@ -13,12 +13,10 @@ flattened), and they are the package's single source of tangent numbers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     """Rows 0..n_max of the triangle; row n has entries f_n(1..2n+1)."""
 
     rows: Tuple[Tuple[int, ...], ...]

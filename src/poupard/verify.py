@@ -257,11 +257,12 @@ def run_checks(
     force: bool = False,
 ) -> VerifyReport:
     selected = list(dict.fromkeys(checks))
+    available = "available: all, " + ", ".join(ALL_CHECKS)
     if not selected:
-        raise ValueError(f"no checks selected; available: {ALL_CHECKS}")
+        raise ValueError(f"no checks selected; {available}")
     unknown = [c for c in selected if c not in ("all", *ALL_CHECKS)]
     if unknown:
-        raise ValueError(f"unknown checks: {unknown}; available: {ALL_CHECKS}")
+        raise ValueError(f"unknown checks: {', '.join(unknown)}; {available}")
     if "all" in selected:
         selected = list(ALL_CHECKS)
     # below these bounds every suite would pass having checked nothing

@@ -156,20 +156,30 @@ def test_verify_json_report(capsys):
     assert "checks" in err  # human summary goes to stderr with --json
 
 
+# the suite names as `verify --help` lists them
+SUITE_NAMES = (
+    "all, golden, equivalence, enumeration, symmetry, diagonals, crossing, marginals, "
+    "bijection, census, gf, poupard-matrices, closed-forms"
+)
+
+
 @pytest.mark.parametrize(
     "checks, message",
     [
-        ("nonsense", "unknown checks"),
-        ("all,nonsense", "unknown checks"),
+        ("nonsense", "unknown checks: nonsense"),
+        ("all,nonsense", "unknown checks: nonsense"),
         ("", "no checks selected"),
         (",,", "no checks selected"),
+        ("foo,all,bar", "unknown checks: foo, bar"),
     ],
-    ids=["nonsense", "all-and-nonsense", "empty", "commas"],
+    ids=["nonsense", "all-and-nonsense", "empty", "commas", "two-unknown"],
 )
 def test_verify_unknown_check(capsys, checks, message):
-    code, _, err = run_cli(capsys, "verify", "--checks", checks)
-    assert code == 2
-    assert message in err
+    code, out, err = run_cli(capsys, "verify", "--checks", checks)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == f"poupard: error: {message}; available: {SUITE_NAMES}"
+    _, help_text, _ = run_cli(capsys, "verify", "--help")
+    assert f"comma-separated subset of: {SUITE_NAMES}" in " ".join(help_text.split())
 
 
 @pytest.mark.parametrize("checks", ["census", "diagonals,crossing"])
@@ -257,6 +267,28 @@ def test_export_writes_what_the_commands_print(tmp_path, capsys, cap, strategy):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert (tmp_path / name).read_bytes() == out.encode(), name
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+def test_matrix_strategy_in_any_case(capsys, fmt):
+    outs = [
+        run_cli(capsys, "matrix", "--n", "4", "--strategy", tag, "--format", fmt)
+        for tag in ("d2", "D2")
+    ]
+    assert outs[0][0] == 0 and outs[0][1]
+    assert outs[1] == outs[0]
+
+
+def test_export_strategy_in_any_case(tmp_path, capsys):
+    trees = {}
+    for tag in ("d7", "D7"):
+        code, _, _ = run_cli(
+            capsys, "export", "--out", str(tmp_path / tag), "--n-max", "3", "--cap", "2",
+            "--strategy", tag,
+        )
+        assert code == 0
+        trees[tag] = {p.name: p.read_bytes() for p in (tmp_path / tag).iterdir()}
+    assert trees["D7"] == trees["d7"] and "matrix_3.json" in trees["d7"]
 
 
 # sha256 of every file `poupard export --n-max 5 --cap 10` writes

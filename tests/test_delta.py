@@ -1,7 +1,6 @@
 """Matrix construction, solver behaviour, and matrix-level identities."""
 
 import collections
-import dataclasses
 import hashlib
 import itertools
 import os
@@ -491,8 +490,8 @@ def test_chain_build_depth_does_not_grow_with_n():
 def test_unknown_strategy_rejected():
     # only a tag names a strategy: a BuildStrategy object is refused, not
     # read for its tag alone
-    custom = dataclasses.replace(
-        STRATEGIES["D1"], recurrences=frozenset({"R3", "R4"}), boundary=frozenset({"I3", "I4"})
+    custom = STRATEGIES["D1"]._replace(
+        recurrences=frozenset({"R3", "R4"}), boundary=frozenset({"I3", "I4"})
     )
     for strategy in ("D10", custom, STRATEGIES["D1"], None):
         with pytest.raises(ValueError, match="D1..D9"):
@@ -608,7 +607,7 @@ DROPPED_BOUNDARY_UNRESOLVED = {
 def test_dropping_a_boundary_condition_leaves_pinned_cells(tag, dropped):
     strategy = STRATEGIES[tag]
     assert dropped in strategy.boundary
-    partial = dataclasses.replace(strategy, boundary=strategy.boundary - {dropped})
+    partial = strategy._replace(boundary=strategy.boundary - {dropped})
     prev = build_matrix(3, tag)
     side, solved = DROPPED_BOUNDARY_UNRESOLVED[(tag, dropped)]
     expected = _triangle_cells(side, 4) - {solved}
@@ -746,7 +745,7 @@ def _systems(n_values):
                 for d in (-1, 1, 2):
                     yield n, {**known, cell: known[cell] + d}, strategy.recurrences, prev
             for dropped in sorted(strategy.boundary):
-                partial = dataclasses.replace(strategy, boundary=strategy.boundary - {dropped})
+                partial = strategy._replace(boundary=strategy.boundary - {dropped})
                 yield n, _known_for(partial, n, prev), strategy.recurrences, prev
 
 

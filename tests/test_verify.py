@@ -3,7 +3,6 @@ values, through a copy of the golden fixtures, a monkeypatched builder or a
 bumped strategy system."""
 
 import ast
-import dataclasses
 import json
 import os
 import subprocess
@@ -236,7 +235,7 @@ def test_census_names_the_second_difference_and_the_witness(monkeypatch):
             return tables
         r1 = [list(row) for row in tables.r1_witness]
         r1[2][0] += 1  # (3,1), an R1 anchor whose witness count is 1
-        return dataclasses.replace(tables, r1_witness=tuple(map(tuple, r1)))
+        return tables._replace(r1_witness=tuple(map(tuple, r1)))
 
     monkeypatch.setattr(verify, "census_tables", corrupted)
     report = run_checks(["census"], n_max=3)
@@ -248,7 +247,7 @@ def test_census_names_the_second_difference_and_the_witness(monkeypatch):
 def _bump_r2_outside(tables, m, k):
     grid = [list(row) for row in tables.r2_outside]
     grid[m - 1][k - 1] += 1
-    return dataclasses.replace(tables, r2_outside=tuple(map(tuple, grid)))
+    return tables._replace(r2_outside=tuple(map(tuple, grid)))
 
 
 @pytest.mark.parametrize(
